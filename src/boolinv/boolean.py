@@ -137,27 +137,33 @@ def _first_forbidden_occurrence(w: Involution) -> tuple[Permutation, Occurrence]
     return None
 
 
+def _decide(w: Involution, method: str) -> bool:
+    """The bare decision of one criterion, without witnesses."""
+    if method == "patterns":
+        return _first_forbidden_occurrence(w) is None
+    if method == "long_crossing":
+        return not has_long_crossing(w)
+    if method == "word":
+        letters = reduced_word(w)
+        return len(set(letters)) == len(letters)
+    return ideals.is_boolean_lattice(ideals.ideal(w))  # poset
+
+
 def is_boolean(w: Involution, method: str = "long_crossing") -> BooleanVerdict:
     """
     Decide Booleanness of w by the chosen criterion and attach witnesses.
-    Method "all" runs every criterion and raises on any disagreement.
+    Method "all" runs every criterion and raises on any disagreement before
+    any witness is built.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if method == "all":
-        answers = {m: is_boolean(w, m).is_boolean for m in METHODS[:-1]}
+        answers = {m: _decide(w, m) for m in METHODS[:-1]}
         if len(set(answers.values())) != 1:
             raise InvariantViolationError(f"criteria disagree on {w.word}: {answers}")
         verdict = answers["long_crossing"]
-    elif method == "patterns":
-        verdict = _first_forbidden_occurrence(w) is None
-    elif method == "long_crossing":
-        verdict = not has_long_crossing(w)
-    elif method == "word":
-        letters = reduced_word(w)
-        verdict = len(set(letters)) == len(letters)
-    else:  # poset
-        verdict = ideals.is_boolean_lattice(ideals.ideal(w))
+    else:
+        verdict = _decide(w, method)
 
     if verdict:
         return BooleanVerdict(True, word=repeat_free_word(w))

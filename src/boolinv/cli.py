@@ -5,8 +5,12 @@ the self-test suite.
 
 Exit codes: `check` exits 0 for Boolean, 1 for non-Boolean, 2 on usage or
 parse errors; `table --method verify` and `selftest` exit 1 when any check
-fails; every other error path exits 2.  The default output format is JSON
-and can be changed with the BOOLINV_FORMAT environment variable.
+fails; an internal invariant failure (criteria that disagree under
+`check --method all`) exits 3; a reader that closes stdout early, as
+`boolinv enumerate --n 10 | head -2` does, ends the run silently with exit
+141 (128 + SIGPIPE, as the shell reports a process killed by SIGPIPE);
+every other error path exits 2.  The default output format is JSON and can
+be changed with the BOOLINV_FORMAT environment variable.
 """
 from __future__ import annotations
 
@@ -17,7 +21,7 @@ import sys
 from typing import Sequence
 
 from . import counting, ideals, motzkin
-from .boolean import METHODS, BooleanVerdict, is_boolean
+from .boolean import METHODS, BooleanVerdict, InvariantViolationError, is_boolean
 from .involution_words import ResourceLimitError, rank_profile
 from .permutations import (
     Involution,
@@ -35,6 +39,8 @@ from .signed import (
 )
 
 USAGE_ERROR = 2
+INVARIANT_FAILURE = 3
+PIPE_CLOSED = 141
 
 
 def _default_format() -> str:
@@ -262,7 +268,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The flush above reports a pipe closed after the last write too.
+        # Later flushes, including the one at interpreter exit, would fail
+        # again on the closed pipe; send them to the null device instead.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return PIPE_CLOSED
+    except InvariantViolationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return INVARIANT_FAILURE
     except (ParseError, ResourceLimitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -6,6 +6,11 @@ matrices, so no reflection set is ever materialized.  The ideal below an
 involution w is generated from one reduced involution word of w: evaluating
 every subword yields exactly the involutions below w.
 
+The order is graded by rank (Incitti 2004), so the comparable pairs of
+adjacent ranks are exactly its covers.  Only those pairs are compared, each
+by one big-integer subtraction on prefix rank tables packed with a guard bit
+per entry.  Down-sets are integer bitsets, filled one rank layer at a time.
+
 Boolean-lattice certification maps each element to the set of atoms below
 it; the ideal is a Boolean lattice iff that map is injective onto the full
 power set of the atom set.
@@ -13,6 +18,7 @@ power set of the atom set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import IO
 
 from .involution_words import (
@@ -52,28 +58,37 @@ def bruhat_leq(u: Permutation, w: Permutation) -> bool:
     )
 
 
-def _dominated(ru, rw, n: int) -> bool:
-    for i in range(1, n + 1):
-        rui, rwi = ru[i], rw[i]
-        for j in range(1, n + 1):
-            if rui[j] > rwi[j]:
-                return False
-    return True
+def _packed_prefix_ranks(w: Permutation, width: int, ones: list[int]) -> int:
+    """prefix_rank_table(w) rows 1..n, columns 1..n, row-major in `width`-bit
+    fields from the lowest; ones[v] has a 1 in the fields of columns 1..v."""
+    packed = row = 0
+    for i, v in enumerate(w.word):
+        row += ones[v]
+        packed |= row << i * w.n * width
+    return packed
 
 
 @dataclass(frozen=True)
 class IdealPoset:
     """
-    The involutions below `root`, rank-sorted, with the full order relation.
+    The involutions below `root`, sorted by (rank, word), with the order
+    relation as down-set bitsets.
 
-    `leq[a][b]` holds iff elements[a] <= elements[b].  The identity is the
+    Bit a of `below[b]` is set iff elements[a] <= elements[b].  `covers`
+    lists the cover pairs (a, b) in increasing order.  The identity is the
     unique minimum and `root` the unique maximum.
     """
 
     root: Involution
     elements: tuple[Involution, ...]
     ranks: tuple[int, ...]
-    leq: tuple[tuple[bool, ...], ...] = field(repr=False)
+    below: tuple[int, ...] = field(repr=False)
+    covers: tuple[tuple[int, int], ...] = field(repr=False)
+
+    @cached_property
+    def leq(self) -> tuple[tuple[bool, ...], ...]:
+        """`leq[a][b]` holds iff elements[a] <= elements[b]."""
+        return tuple(tuple(bool(d >> a & 1) for d in self.below) for a in range(len(self)))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -106,24 +121,30 @@ def ideal(w: Involution) -> IdealPoset:
     r = rank(w)
     if r > IDEAL_MAX_RANK:
         raise ResourceLimitError(f"rank {r} exceeds ideal guard {IDEAL_MAX_RANK}")
-    elements = sorted(subword_closure(w), key=lambda u: (rank(u), u.word))
-    ranks = tuple(rank(u) for u in elements)
-    tables = [prefix_rank_table(u) for u in elements]
+    ranks, _, elements = zip(*sorted((rank(u), u.word, u) for u in subword_closure(w)))
     n = w.n
-    size = len(elements)
-    leq_rows = []
-    for a in range(size):
-        row = [False] * size
-        for b in range(size):
-            if ranks[a] < ranks[b]:
-                row[b] = _dominated(tables[a], tables[b], n)
-            elif a == b:
-                row[b] = True
-        leq_rows.append(tuple(row))
-    poset = IdealPoset(w, tuple(elements), ranks, tuple(leq_rows))
     if elements[0] != identity(n) or elements[-1] != w:
         raise AssertionError(f"ideal of {w.word} lost its extremes")
-    return poset
+    # Every entry is at most n < 2**(width - 1), so subtracting a packed
+    # table u from a table v with every top (guard) bit set never borrows
+    # across fields: u <= v entrywise iff ((v | guard) - u) keeps every guard.
+    width = n.bit_length() + 1
+    unit = (1 << width) - 1
+    ones = [((1 << v * width) - 1) // unit for v in range(n + 1)]
+    guard = ((1 << n * n * width) - 1) // unit << (width - 1)
+    packed = [_packed_prefix_ranks(u, width, ones) for u in elements]
+    raised = [v | guard for v in packed]
+    bounds = [ranks.index(k) for k in range(r + 1)] + [len(ranks)]
+    below = [1 << b for b in range(len(elements))]
+    covers = []
+    for lo, mid, hi in zip(bounds, bounds[1:], bounds[2:]):
+        for a in range(lo, mid):
+            u = packed[a]
+            for b in range(mid, hi):
+                if (raised[b] - u) & guard == guard:
+                    covers.append((a, b))
+                    below[b] |= below[a]
+    return IdealPoset(w, elements, ranks, tuple(below), tuple(covers))
 
 
 def is_boolean_lattice(poset: IdealPoset) -> bool:
@@ -132,24 +153,17 @@ def is_boolean_lattice(poset: IdealPoset) -> bool:
     of atoms (rank-one elements) below it must be injective and cover every
     subset of the atoms.
     """
-    atoms = [a for a, r in enumerate(poset.ranks) if r == 1]
-    atom_sets = {
-        frozenset(a for a in atoms if poset.leq[a][b]) for b in range(len(poset))
-    }
-    return len(atom_sets) == len(poset) and len(poset) == 2 ** len(atoms)
+    atoms = sum(1 << a for a, r in enumerate(poset.ranks) if r == 1)
+    atom_sets = {down & atoms for down in poset.below}
+    return len(atom_sets) == len(poset) and len(poset) == 2 ** poset.ranks.count(1)
 
 
 def hasse_edges(poset: IdealPoset) -> list[tuple[Involution, Involution]]:
     """
-    Cover relations as (lower, upper) pairs.  The poset is graded by rank,
-    so covers are exactly the comparable pairs one rank apart.
+    Cover relations as (lower, upper) pairs, ordered by the positions of
+    lower and then upper in `poset.elements`.
     """
-    edges = []
-    for a in range(len(poset)):
-        for b in range(len(poset)):
-            if poset.ranks[b] == poset.ranks[a] + 1 and poset.leq[a][b]:
-                edges.append((poset.elements[a], poset.elements[b]))
-    return edges
+    return [(poset.elements[a], poset.elements[b]) for a, b in poset.covers]
 
 
 def dot_export(poset: IdealPoset, sink: IO[str] | None = None) -> str:
@@ -157,19 +171,18 @@ def dot_export(poset: IdealPoset, sink: IO[str] | None = None) -> str:
     Render the Hasse diagram as Graphviz DOT, nodes labelled by one-line
     word and rank, clustered by rank.  Deterministic for a fixed input.
     """
+    names = [format_permutation(u) for u in poset.elements]
     lines = ["digraph ideal {", "  rankdir=BT;", '  node [shape=box, fontname="monospace"];']
     by_rank: dict[int, list[str]] = {}
-    for u, r in zip(poset.elements, poset.ranks):
-        by_rank.setdefault(r, []).append(format_permutation(u))
+    for name, r in zip(names, poset.ranks):
+        by_rank.setdefault(r, []).append(name)
     for r in sorted(by_rank):
         lines.append("  { rank=same;")
         for name in by_rank[r]:
             lines.append(f'    "{name}" [label="{name}\\nrank {r}"];')
         lines.append("  }")
-    for lower, upper in hasse_edges(poset):
-        lines.append(
-            f'  "{format_permutation(lower)}" -> "{format_permutation(upper)}";'
-        )
+    for a, b in poset.covers:
+        lines.append(f'  "{names[a]}" -> "{names[b]}";')
     lines.append("}")
     text = "\n".join(lines) + "\n"
     if sink is not None:

@@ -90,9 +90,12 @@ def is_reduced(letters: Iterable[int], n: int) -> bool:
 
 
 def descents(w: Involution) -> list[int]:
-    """Letters whose action lowers the rank of w by one."""
-    r = rank(w)
-    return [i for i in range(1, w.n) if rank(apply_letter(w, i)) == r - 1]
+    """
+    Letters whose action lowers the rank of w by one.  For an involution
+    these are exactly the i with w(i) > w(i+1) (Richardson-Springer 1990).
+    """
+    word = w.word
+    return [i for i in range(1, w.n) if word[i - 1] > word[i]]
 
 
 def reduced_word(w: Involution) -> Word:
@@ -103,17 +106,9 @@ def reduced_word(w: Involution) -> Word:
     """
     letters = []
     current = w
-    r = rank(current)
-    while r > 0:
-        for i in range(1, current.n):
-            lowered = apply_letter(current, i)
-            if rank(lowered) == r - 1:
-                letters.append(i)
-                current = lowered
-                r -= 1
-                break
-        else:
-            raise AssertionError(f"no descent found for {current.word}")
+    while lowering := descents(current):
+        letters.append(lowering[0])
+        current = apply_letter(current, lowering[0])
     letters.reverse()
     return tuple(letters)
 

@@ -5,7 +5,7 @@ different from the ones the library takes.
 """
 from itertools import combinations, product
 
-from boolinv.involution_words import apply_letter, reduced_word
+from boolinv.involution_words import apply_letter, rank, reduced_word
 from boolinv.permutations import Involution
 
 
@@ -42,6 +42,32 @@ def signed_pattern_occurrences(window, pattern):
         if abs_ok and all((v > 0) == (q > 0) for v, q in zip(values, pattern)):
             out.append(tuple(positions))
     return out
+
+
+def descents_by_rank(w: Involution):
+    """Rank-lowering letters found by recomputing the rank after each one."""
+    r = rank(w)
+    return [i for i in range(1, w.n) if rank(apply_letter(w, i)) == r - 1]
+
+
+def reduced_word_by_rank(w: Involution):
+    """Peel off the smallest rank-lowering letter, recomputing the rank of
+    every candidate, until the identity is reached."""
+    letters = []
+    current = w
+    r = rank(current)
+    while r > 0:
+        for i in range(1, current.n):
+            lowered = apply_letter(current, i)
+            if rank(lowered) == r - 1:
+                letters.append(i)
+                current = lowered
+                r -= 1
+                break
+        else:
+            raise AssertionError(f"no descent found for {current.word}")
+    letters.reverse()
+    return tuple(letters)
 
 
 def subword_evaluations(w: Involution):

@@ -1,7 +1,11 @@
+import hashlib
 import json
 import subprocess
 import sys
 
+import pytest
+
+from boolinv import boolean
 from boolinv.cli import main
 
 
@@ -152,3 +156,56 @@ def test_console_entry_point():
     )
     assert proc.returncode == 1
     assert json.loads(proc.stdout)["pattern"] == "45312"
+
+
+# sha256 of stdout for fixed commands, recorded before ideals were built by
+# rank layers; the ideal outputs include a rank-16 ideal (87654321) and a
+# rank-9 ideal in S_10.
+GOLDEN_STDOUT = [
+    (("ideal", "4321"), 0, "74be7fa8aa611b2b7ec84aa927852282fa6006620c26f0ef84d26fc544e61a93"),
+    (("ideal", "5764132"), 0, "2a639db0fe9029796fedf9144d6af4594db4e25868418fa8a5461f02181f54f4"),
+    (("ideal", "87654321"), 0, "5bac3aa9df95618f802fd7e60533a71298936fa94f699149740b07533de55380"),
+    (
+        ("ideal", "2,1,3,4,10,8,9,6,7,5"),
+        0,
+        "61042a6d37f89483a38645da1e7281d3383bc41f23ef10f4d5e77e62be520cba",
+    ),
+    (
+        ("check", "--format", "text", "4321"),
+        1,
+        "00f7ded114c9e36aa68af2dcdc0788d7163ed237396f90ec6384e4178b42d734",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, expected_code, digest", GOLDEN_STDOUT)
+def test_golden_stdout(capsys, argv, expected_code, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == expected_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_invariant_violation_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(boolean, "has_long_crossing", lambda w: True)
+    code, out, err = run_cli(capsys, "check", "--method", "all", "2143")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: criteria disagree on (2, 1, 4, 3)")
+
+
+def test_closed_stdout_exits_141_quietly():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "boolinv.cli", "enumerate", "--n", "10"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    finally:
+        proc.kill()
+        proc.wait()
+    assert first == b"1,2,3,4,5,6,7,8,9,10\n"
+    assert err == b""

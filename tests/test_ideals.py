@@ -1,4 +1,5 @@
 import io
+from functools import cache
 
 import pytest
 
@@ -102,6 +103,35 @@ def test_ideal_is_graded_and_bounded():
             assert poset.elements[-1] == w
             for lower, upper in covers_from_leq(poset):
                 assert rank(upper) == rank(lower) + 1
+
+
+def test_leq_matches_bruhat_leq():
+    # a pair recurs in every ideal containing it; ask the oracle once
+    oracle = cache(bruhat_leq)
+    for n in range(7):
+        for w in involutions(n):
+            poset = ideal(w)
+            for a, u in enumerate(poset.elements):
+                for b, v in enumerate(poset.elements):
+                    assert poset.leq[a][b] == oracle(u, v), (w, u, v)
+
+
+def test_hasse_edges_are_adjacent_rank_bruhat_pairs():
+    oracle = cache(bruhat_leq)
+    for n in range(8):
+        for w in involutions(n):
+            poset = ideal(w)
+            layers = [[] for _ in poset.rank_counts()]
+            for u, r in zip(poset.elements, poset.ranks):
+                layers[r].append(u)
+            expected = [
+                (u, v)
+                for lower, upper in zip(layers, layers[1:])
+                for u in lower
+                for v in upper
+                if oracle(u, v)
+            ]
+            assert hasse_edges(poset) == expected, w
 
 
 def test_ideal_guard():

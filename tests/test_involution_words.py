@@ -16,7 +16,7 @@ from boolinv.involution_words import (
     support,
 )
 from boolinv.permutations import identity, parse_permutation
-from oracles import inversion_count
+from oracles import descents_by_rank, inversion_count, reduced_word_by_rank
 
 
 def test_apply_letter_examples():
@@ -75,6 +75,12 @@ def test_reduced_word_round_trips_and_has_rank_length():
             letters = reduced_word(w)
             assert len(letters) == rank(w)
             assert evaluate_word(letters, n) == w
+
+
+def test_reduced_word_matches_rank_oracle():
+    for n in range(9):
+        for w in involutions(n):
+            assert reduced_word(w) == reduced_word_by_rank(w), w
 
 
 def test_all_reduced_words_examples():
@@ -222,6 +228,12 @@ def test_descents_empty_only_for_identity():
     for n in range(1, 6):
         for w in involutions(n):
             assert (descents(w) == []) == (w == identity(n))
+
+
+def test_descents_match_rank_oracle():
+    for n in range(10):
+        for w in involutions(n):
+            assert descents(w) == descents_by_rank(w), w
 
 
 def test_word_serialization():
