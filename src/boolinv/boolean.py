@@ -22,7 +22,7 @@ from typing import Iterable, NamedTuple
 from . import ideals
 from .involution_words import Word, evaluate_word, reduced_word
 from .patterns import FORBIDDEN_PATTERNS, Occurrence, SignedPattern, contains
-from .permutations import Involution, Permutation, format_permutation
+from .permutations import Involution, Permutation, format_permutation, sum_blocks
 
 METHODS = ("patterns", "long_crossing", "word", "poset", "all")
 
@@ -68,30 +68,10 @@ class BooleanVerdict:
 def connected_components(w: Involution) -> ComponentPartition:
     """
     Partition [n] by the transitive closure of the crossing relation: i and
-    j are directly related when i < j and w(i) > w(j).  For involutions the
-    classes are always intervals, returned sorted.
+    j are directly related when i < j and w(i) > w(j).  For a permutation
+    the classes are its direct-sum blocks, intervals returned in order.
     """
-    n = w.n
-    parent = list(range(n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if w.word[i - 1] > w.word[j - 1]:
-                parent[find(i)] = find(j)
-    classes: dict[int, list[int]] = {}
-    for i in range(1, n + 1):
-        classes.setdefault(find(i), []).append(i)
-    intervals = sorted((members[0], members[-1]) for members in classes.values())
-    for members in classes.values():
-        if members != list(range(members[0], members[-1] + 1)):
-            raise AssertionError(f"non-interval component {members} in {w.word}")
-    return ComponentPartition(tuple(intervals))
+    return ComponentPartition(tuple(sum_blocks(w.word)))
 
 
 def restrict(w: Permutation, positions: Iterable[int]) -> Permutation:
@@ -118,6 +98,22 @@ def long_crossing_pairs(w: Involution) -> list[tuple[int, int]]:
     ]
 
 
+def first_long_crossing_pair(w: Involution) -> tuple[int, int] | None:
+    """
+    The first pair of `long_crossing_pairs(w)`, or None, in linear time: the
+    smallest i whose next excedance j > i has j <= w(i) - 2.
+    """
+    first = None
+    next_excedance = w.n + 1
+    for i in range(w.n, 0, -1):
+        v = w.word[i - 1]
+        if next_excedance <= v - 2:
+            first = (i, next_excedance)
+        if v > i:
+            next_excedance = i
+    return first
+
+
 def has_long_crossing(w: Involution) -> bool:
     """Linear-time emptiness test: scan excedances against the prefix max."""
     prefix_max = 0
@@ -137,10 +133,13 @@ def _first_forbidden_occurrence(w: Involution) -> tuple[Permutation, Occurrence]
     return None
 
 
-def _decide(w: Involution, method: str) -> bool:
-    """The bare decision of one criterion, without witnesses."""
+def _decide(w: Involution, method: str, hit: tuple[Permutation, Occurrence] | None) -> bool:
+    """
+    The bare decision of one criterion, without witnesses.  The patterns
+    criterion reads `hit`, the first forbidden occurrence searched already.
+    """
     if method == "patterns":
-        return _first_forbidden_occurrence(w) is None
+        return hit is None
     if method == "long_crossing":
         return not has_long_crossing(w)
     if method == "word":
@@ -153,24 +152,25 @@ def is_boolean(w: Involution, method: str = "long_crossing") -> BooleanVerdict:
     """
     Decide Booleanness of w by the chosen criterion and attach witnesses.
     Method "all" runs every criterion and raises on any disagreement before
-    any witness is built.
+    any witness is built.  The forbidden-pattern search runs at most once.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    hit = _first_forbidden_occurrence(w) if method in ("patterns", "all") else None
     if method == "all":
-        answers = {m: _decide(w, m) for m in METHODS[:-1]}
+        answers = {m: _decide(w, m, hit) for m in METHODS[:-1]}
         if len(set(answers.values())) != 1:
             raise InvariantViolationError(f"criteria disagree on {w.word}: {answers}")
         verdict = answers["long_crossing"]
     else:
-        verdict = _decide(w, method)
+        verdict = _decide(w, method, hit)
 
     if verdict:
         return BooleanVerdict(True, word=repeat_free_word(w))
-    pattern, occ = _first_forbidden_occurrence(w)
+    pattern, occ = hit or _first_forbidden_occurrence(w)
     return BooleanVerdict(
         False,
-        long_crossing_pair=long_crossing_pairs(w)[0],
+        long_crossing_pair=first_long_crossing_pair(w),
         pattern=pattern,
         occurrence=occ,
     )
@@ -183,9 +183,9 @@ def repeat_free_word(w: Involution) -> Word:
     lo = i_1 < i_2 < ... < i_k, the word takes every letter lo..hi-1 except
     i_2, ..., i_k in increasing order, then appends i_2, ..., i_k.
     """
-    pairs = long_crossing_pairs(w)
-    if pairs:
-        raise ValueError(f"{w.word} is not Boolean; long-crossing pair {pairs[0]}")
+    if has_long_crossing(w):
+        pair = first_long_crossing_pair(w)
+        raise ValueError(f"{w.word} is not Boolean; long-crossing pair {pair}")
     letters: list[int] = []
     for lo, hi in connected_components(w).components:
         if lo == hi:

@@ -24,7 +24,7 @@ from typing import Iterator
 from .boolean import has_long_crossing
 from .involution_words import ResourceLimitError
 from .motzkin import count_restricted
-from .permutations import Involution, inversions
+from .permutations import Involution, inversion_count
 from .series import inv_exc_series, rank_series, total_series
 from .signed import SignedInvolution
 
@@ -111,7 +111,7 @@ def _brute_shard(args: tuple[int, int, int]) -> InvExcTable:
     for w in involutions(n, shard, num_shards):
         if has_long_crossing(w):
             continue
-        length = inversions(w)[0]
+        length = inversion_count(w)
         exc = sum(1 for i, v in enumerate(w.word, start=1) if v > i)
         key = (n, length, exc)
         table[key] = table.get(key, 0) + 1

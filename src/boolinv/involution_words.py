@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .permutations import Involution, ParseError, identity, inversions
+from .permutations import Involution, identity, inversion_count, parse_int_tokens
 
 Word = tuple[int, ...]
 
@@ -72,7 +72,7 @@ def rank_profile(w: Involution) -> RankProfile:
     Rank, Coxeter length (inversion count) and absolute length (number of
     2-cycles) of an involution.  The rank is their half-sum, always exact.
     """
-    length = inversions(w)[0]
+    length = inversion_count(w)
     two_cycles = sum(1 for i, v in enumerate(w.word, start=1) if v > i)
     if (length + two_cycles) % 2:
         raise AssertionError(f"odd length+absolute-length for {w.word}")
@@ -150,13 +150,4 @@ def parse_word(text: str) -> Word:
     text = text.strip()
     if text == "":
         return ()
-    letters = []
-    for pos, token in enumerate(text.split(","), start=1):
-        token = token.strip()
-        if token == "":
-            raise ParseError(f"empty token at position {pos}")
-        try:
-            letters.append(int(token))
-        except ValueError:
-            raise ParseError(f"bad token {token!r} at position {pos}") from None
-    return tuple(letters)
+    return tuple(parse_int_tokens(text))

@@ -7,6 +7,11 @@ whose values are order-isomorphic to p.  Signed patterns additionally require
 the signs to match slot by slot while the absolute values realize the
 unsigned pattern.
 
+Occurrences are found by a depth-first search in which each slot's value is
+bounded by the values already chosen for its neighbouring pattern values.
+A sum-indecomposable pattern, such as each forbidden pattern below, is
+searched one direct-sum block of the host at a time.
+
 The module also carries the two fixed forbidden-pattern lists that
 characterize involutions with Boolean principal order ideals:
 `FORBIDDEN_PATTERNS` for the symmetric group and `SIGNED_FORBIDDEN_PATTERNS`
@@ -17,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Union
 
-from .permutations import ParseError, Permutation, parse_permutation
+from .permutations import Permutation, parse_int_tokens, parse_permutation, sum_blocks
 
 if TYPE_CHECKING:
     from .signed import SignedPermutation
@@ -58,48 +63,62 @@ class SignedPattern:
 
 def parse_signed_pattern(text: str) -> SignedPattern:
     """Comma-separated signed integers, e.g. "-1,-2"."""
-    values = []
-    for pos, token in enumerate(text.strip().split(","), start=1):
-        token = token.strip()
-        if token == "":
-            raise ParseError(f"empty token at position {pos}")
-        try:
-            values.append(int(token))
-        except ValueError:
-            raise ParseError(f"bad token {token!r} at position {pos}") from None
-    return SignedPattern(tuple(values))
+    return SignedPattern(tuple(parse_int_tokens(text)))
 
 
 def _occurrences_iter(host: Sequence[int], pattern: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """
     Yield position tuples (1-based, increasing) whose host values are
     order-isomorphic to the pattern, in lexicographic order of positions.
+    Host and pattern are permutation words.
 
-    Depth-first over positions with pruning: a partial selection survives
-    only while its values compare pairwise like the pattern prefix does.
+    An occurrence of a sum-indecomposable pattern cannot straddle two
+    direct-sum blocks of the host, so such a pattern is searched block by
+    block, left to right, skipping blocks shorter than it; a decomposable
+    pattern is searched over the whole host.  Within a span the search is
+    depth-first over positions.  Slot k's value must lie strictly between
+    the values chosen for the earlier slots holding the next smaller and
+    the next larger pattern value, which keeps a partial selection
+    order-isomorphic to the pattern prefix with two comparisons.
     """
     n, m = len(host), len(pattern)
     if m > n:
         return
-    chosen: list[int] = []
-
-    def extend(start: int) -> Iterator[tuple[int, ...]]:
-        k = len(chosen)
-        if k == m:
-            yield tuple(chosen)
-            return
-        for i in range(start, n - (m - k) + 2):
-            v = host[i - 1]
-            ok = all(
-                (host[chosen[t] - 1] < v) == (pattern[t] < pattern[k])
-                for t in range(k)
-            )
-            if ok:
-                chosen.append(i)
-                yield from extend(i + 1)
-                chosen.pop()
-
-    yield from extend(1)
+    if m == 0:
+        yield ()
+        return
+    # below[k] / above[k]: the earlier slot with the next smaller / larger
+    # pattern value, or the sentinel slot m / m + 1 (values 0 and n + 1).
+    below, above = [], []
+    slot_value = pattern.__getitem__
+    for k, q in enumerate(pattern):
+        below.append(max((t for t in range(k) if pattern[t] < q), key=slot_value, default=m))
+        above.append(min((t for t in range(k) if pattern[t] > q), key=slot_value, default=m + 1))
+    if len(sum_blocks(pattern)) == 1:
+        spans = [(lo, hi) for lo, hi in sum_blocks(host) if hi - lo + 1 >= m]
+    else:
+        spans = [(1, n)]
+    chosen = [0] * m
+    values = [0] * m + [0, n + 1]
+    for lo, hi in spans:
+        k, i = 0, lo
+        while True:
+            last = hi - m + k + 1
+            low, high = values[below[k]], values[above[k]]
+            while i <= last and not low < host[i - 1] < high:
+                i += 1
+            if i <= last:
+                chosen[k], values[k] = i, host[i - 1]
+                i += 1
+                if k == m - 1:
+                    yield tuple(chosen)
+                else:
+                    k += 1
+            elif k:
+                k -= 1
+                i = chosen[k] + 1
+            else:
+                break
 
 
 def contains(pi: Permutation, p: Permutation) -> Occurrence | None:

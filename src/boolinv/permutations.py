@@ -107,7 +107,7 @@ def parse_permutation(text: str) -> Permutation:
     if text == "":
         raise ParseError("empty permutation text")
     if "," in text:
-        values = _parse_int_tokens(text)
+        values = parse_int_tokens(text)
     else:
         values = []
         for ch in text:
@@ -117,7 +117,8 @@ def parse_permutation(text: str) -> Permutation:
     return _as_permutation(values)
 
 
-def _parse_int_tokens(text: str) -> list[int]:
+def parse_int_tokens(text: str) -> list[int]:
+    """Comma-separated integers, each token stripped of whitespace."""
     values = []
     for pos, token in enumerate(text.split(","), start=1):
         token = token.strip()
@@ -177,6 +178,41 @@ def inversions(w: Permutation) -> tuple[int, list[tuple[int, int]]]:
         if w.word[i - 1] > w.word[j - 1]
     ]
     return len(pairs), pairs
+
+
+def inversion_count(w: Permutation) -> int:
+    """
+    The number of inversions of w, without listing them: each value counts
+    the larger values already seen, read off a bitset of the prefix.
+
+    >>> inversion_count(parse_permutation("4321"))
+    6
+    """
+    count = seen = 0
+    for v in w.word:
+        count += (seen >> v).bit_count()
+        seen |= 1 << v
+    return count
+
+
+def sum_blocks(word: Sequence[int]) -> list[tuple[int, int]]:
+    """
+    The direct-sum blocks of a permutation word of [n], as position
+    intervals [lo, hi] from left to right: a block ends at k exactly when
+    max(w(1..k)) = k.
+
+    >>> sum_blocks((2, 1, 3, 6, 4, 5))
+    [(1, 2), (3, 3), (4, 6)]
+    """
+    blocks = []
+    lo = top = 0
+    for k, v in enumerate(word, start=1):
+        if v > top:
+            top = v
+        if top == k:
+            blocks.append((lo + 1, k))
+            lo = k
+    return blocks
 
 
 def excedance_profile(w: Permutation) -> ExcedanceProfile:

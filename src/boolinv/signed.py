@@ -17,12 +17,12 @@ from dataclasses import dataclass
 from .boolean import (
     BooleanVerdict,
     InvariantViolationError,
+    first_long_crossing_pair,
     has_long_crossing,
-    long_crossing_pairs,
     repeat_free_word,
 )
-from .patterns import SIGNED_FORBIDDEN_PATTERNS, contains_signed
-from .permutations import Involution, ParseError, Permutation
+from .patterns import SIGNED_FORBIDDEN_PATTERNS, Occurrence, SignedPattern, contains_signed
+from .permutations import Involution, ParseError, Permutation, parse_int_tokens
 
 SIGNED_METHODS = ("embedding", "signed_patterns", "all")
 
@@ -94,15 +94,7 @@ def signed_identity(n: int) -> SignedInvolution:
 
 def parse_signed(text: str) -> SignedPermutation:
     """Comma-separated signed integers, e.g. "2,1,-3"."""
-    values = []
-    for pos, token in enumerate(text.strip().split(","), start=1):
-        token = token.strip()
-        if token == "":
-            raise ParseError(f"empty token at position {pos}")
-        try:
-            values.append(int(token))
-        except ValueError:
-            raise ParseError(f"bad token {token!r} at position {pos}") from None
+    values = parse_int_tokens(text)
     n = len(values)
     seen = set()
     for v in values:
@@ -181,6 +173,14 @@ def apply_letter_signed(w: SignedInvolution, i: int) -> SignedInvolution:
     return SignedInvolution(result.window)
 
 
+def _first_signed_occurrence(w: SignedInvolution) -> tuple[SignedPattern, Occurrence] | None:
+    for p in SIGNED_FORBIDDEN_PATTERNS:
+        occ = contains_signed(w, p)
+        if occ is not None:
+            return p, occ
+    return None
+
+
 def is_boolean_signed(w: SignedInvolution, method: str = "embedding") -> BooleanVerdict:
     """
     Booleanness of a signed involution.  "embedding" decides on the
@@ -195,11 +195,10 @@ def is_boolean_signed(w: SignedInvolution, method: str = "embedding") -> Boolean
     if not w.is_involution():
         raise ValueError(f"not an involution: {w.window}")
     image = Involution(embed(w).perm.word)
+    hit = _first_signed_occurrence(w) if method != "embedding" else None
     if method == "all":
         by_image = not has_long_crossing(image)
-        by_patterns = all(
-            contains_signed(w, p) is None for p in SIGNED_FORBIDDEN_PATTERNS
-        )
+        by_patterns = hit is None
         if by_image != by_patterns:
             raise InvariantViolationError(
                 f"embedding says {by_image}, signed patterns say {by_patterns} "
@@ -209,17 +208,17 @@ def is_boolean_signed(w: SignedInvolution, method: str = "embedding") -> Boolean
     elif method == "embedding":
         verdict = not has_long_crossing(image)
     else:
-        verdict = all(contains_signed(w, p) is None for p in SIGNED_FORBIDDEN_PATTERNS)
+        verdict = hit is None
 
     if verdict:
         return BooleanVerdict(True, word=repeat_free_word(image))
-    for p in SIGNED_FORBIDDEN_PATTERNS:
-        occ = contains_signed(w, p)
-        if occ is not None:
-            return BooleanVerdict(
-                False,
-                long_crossing_pair=long_crossing_pairs(image)[0],
-                pattern=p,
-                occurrence=occ,
-            )
-    raise AssertionError(f"non-Boolean {w.window} contains no forbidden signed pattern")
+    hit = hit or _first_signed_occurrence(w)
+    if hit is None:
+        raise AssertionError(f"non-Boolean {w.window} contains no forbidden signed pattern")
+    pattern, occ = hit
+    return BooleanVerdict(
+        False,
+        long_crossing_pair=first_long_crossing_pair(image),
+        pattern=pattern,
+        occurrence=occ,
+    )

@@ -28,6 +28,60 @@ def pattern_occurrences(host, pattern):
     return out
 
 
+def dfs_occurrences(host, pattern):
+    """Occurrence position tuples, lexicographic, by the plain depth-first
+    search over all positions of the host: a partial selection survives
+    only while its values compare pairwise like the pattern prefix does."""
+    n, m = len(host), len(pattern)
+    if m > n:
+        return []
+    chosen = []
+    out = []
+
+    def extend(start):
+        k = len(chosen)
+        if k == m:
+            out.append(tuple(chosen))
+            return
+        for i in range(start, n - (m - k) + 2):
+            v = host[i - 1]
+            if all(
+                (host[chosen[t] - 1] < v) == (pattern[t] < pattern[k])
+                for t in range(k)
+            ):
+                chosen.append(i)
+                extend(i + 1)
+                chosen.pop()
+
+    extend(1)
+    return out
+
+
+def crossing_components(word):
+    """Classes of the transitive closure of the crossing relation (i < j
+    and w(i) > w(j)) by union-find over all pairs, as sorted (lo, hi)
+    intervals; fails if a class is not an interval."""
+    n = len(word)
+    parent = list(range(n + 1))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            if word[i - 1] > word[j - 1]:
+                parent[find(i)] = find(j)
+    classes = {}
+    for i in range(1, n + 1):
+        classes.setdefault(find(i), []).append(i)
+    for members in classes.values():
+        assert members == list(range(members[0], members[-1] + 1)), members
+    return tuple(sorted((members[0], members[-1]) for members in classes.values()))
+
+
 def signed_pattern_occurrences(window, pattern):
     """Signed containment by filtering subsets: order-isomorphic absolute
     values and slotwise equal signs."""

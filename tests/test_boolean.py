@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from boolinv import boolean
 from boolinv.boolean import (
     connected_components,
+    first_long_crossing_pair,
     has_long_crossing,
     is_boolean,
     long_crossing_pairs,
@@ -23,6 +25,7 @@ from boolinv.permutations import (
     parse_permutation,
     transposition,
 )
+from oracles import crossing_components
 
 
 def test_connected_components_examples():
@@ -217,3 +220,36 @@ def test_worked_example_chain():
     w = parse_permutation("5764132")
     assert long_crossing_pairs(w)[0] == (1, 2)
     assert not is_boolean(w).is_boolean
+
+
+def test_connected_components_match_union_find():
+    for n in range(11):
+        for w in involutions(n):
+            assert connected_components(w).components == crossing_components(w.word)
+
+
+def test_first_long_crossing_pair_is_first_of_all_pairs():
+    for n in range(11):
+        for w in involutions(n):
+            pairs = long_crossing_pairs(w)
+            assert first_long_crossing_pair(w) == (pairs[0] if pairs else None)
+
+
+def test_verdict_json_same_for_every_method():
+    for n in range(10):
+        for w in involutions(n):
+            expected = is_boolean(w, "long_crossing").to_json()
+            assert is_boolean(w, "patterns").to_json() == expected
+            assert is_boolean(w, "word").to_json() == expected
+
+
+@pytest.mark.parametrize("method", ["patterns", "all"])
+def test_forbidden_pattern_search_runs_once(monkeypatch, method):
+    calls = []
+    search = boolean._first_forbidden_occurrence
+    monkeypatch.setattr(
+        boolean, "_first_forbidden_occurrence", lambda w: calls.append(w) or search(w)
+    )
+    verdict = is_boolean(parse_permutation("5764132"), method)
+    assert verdict.pattern == parse_permutation("4321")
+    assert len(calls) == 1

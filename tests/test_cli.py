@@ -175,6 +175,24 @@ GOLDEN_STDOUT = [
         1,
         "00f7ded114c9e36aa68af2dcdc0788d7163ed237396f90ec6384e4178b42d734",
     ),
+    # Direct sums of ten blocks (n = 30), recorded before patterns were
+    # searched block by block: 45312 in the fifth block; 4321 in the eighth,
+    # after a 456123 block that an earlier pattern in the list outranks.
+    (
+        ("check", "3,4,1,2,6,5,7,10,11,8,9,15,16,14,12,13,19,20,17,18,24,25,26,21,22,23,28,27,29,30"),
+        1,
+        "bfa5bbdaace098d6cf5fe9111037132205d3bd0302f12d47b567aa05a799ed18",
+    ),
+    (
+        (
+            "check",
+            "--method",
+            "patterns",
+            "2,1,5,6,3,4,7,10,11,8,9,15,16,17,12,13,14,19,18,22,23,20,21,27,26,25,24,28,30,29",
+        ),
+        1,
+        "c99e2b3c0c5a4f994bf68e3cee2751c442f26374208b5ba9b356d0b17cd2b02c",
+    ),
 ]
 
 

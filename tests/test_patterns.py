@@ -2,7 +2,9 @@ from itertools import permutations as itertools_permutations
 
 import pytest
 
-from boolinv.boolean import has_long_crossing
+import random
+
+from boolinv.boolean import has_long_crossing, is_boolean
 from boolinv.counting import involutions
 from boolinv.patterns import (
     FORBIDDEN_PATTERNS,
@@ -16,9 +18,9 @@ from boolinv.patterns import (
     occurrences,
     parse_signed_pattern,
 )
-from boolinv.permutations import Permutation, identity, parse_permutation
-from boolinv.signed import parse_signed
-from oracles import pattern_occurrences, signed_pattern_occurrences
+from boolinv.permutations import Involution, Permutation, identity, parse_permutation
+from boolinv.signed import SignedPermutation, parse_signed
+from oracles import dfs_occurrences, pattern_occurrences, signed_pattern_occurrences
 
 HOST = parse_permutation("84725631")
 P4231 = parse_permutation("4231")
@@ -174,3 +176,72 @@ def test_containing_involutions_have_induced_occurrence():
                 for p in FORBIDDEN_PATTERNS
                 for occ in occurrences(w, p)
             ), f"no induced occurrence in {w.word}"
+
+
+# The forbidden patterns, 21, 312 and 3142 are sum-indecomposable and are
+# searched block by block; 2143 = 21 + 21 and 132 = 1 + 21 are direct sums
+# and are searched over the whole host.
+EXACTNESS_PATTERNS = [p.word for p in FORBIDDEN_PATTERNS] + [
+    (2, 1),
+    (3, 1, 2),
+    (2, 1, 4, 3),
+    (3, 1, 4, 2),
+    (1, 3, 2),
+]
+
+
+def _positions(host, pattern):
+    return [o.positions for o in occurrences(Permutation(host), Permutation(pattern))]
+
+
+def test_occurrences_match_dfs_on_every_small_host():
+    for n in range(8):
+        for host in itertools_permutations(range(1, n + 1)):
+            for pattern in EXACTNESS_PATTERNS:
+                assert _positions(host, pattern) == dfs_occurrences(host, pattern)
+
+
+def _direct_sum(blocks):
+    word = []
+    for block in blocks:
+        offset = len(word)
+        word.extend(offset + v for v in block)
+    return tuple(word)
+
+
+def test_occurrences_match_dfs_on_direct_sums():
+    rng = random.Random(456123)
+    for _ in range(40):
+        blocks = []
+        while sum(len(b) for b in blocks) < rng.randrange(8, 41):
+            size = rng.randrange(1, 8)
+            blocks.append(rng.sample(range(1, size + 1), size))
+        host = _direct_sum(blocks)
+        for pattern in EXACTNESS_PATTERNS:
+            assert _positions(host, pattern) == dfs_occurrences(host, pattern)
+
+
+def test_witness_in_last_block_of_long_host():
+    # 3412 repeated fifty times, then 456123: the only occurrence of any
+    # forbidden pattern sits in the last six positions.
+    w = Involution(_direct_sum([(3, 4, 1, 2)] * 50 + [(4, 5, 6, 1, 2, 3)]))
+    assert w.n == 206
+    for method in ("long_crossing", "patterns"):
+        verdict = is_boolean(w, method)
+        assert verdict.pattern == parse_permutation("456123")
+        assert verdict.occurrence.positions == tuple(range(201, 207))
+        assert verdict.long_crossing_pair == (201, 202)
+
+
+def test_contains_signed_matches_oracle_on_every_small_window():
+    for n in range(5):
+        for word in itertools_permutations(range(1, n + 1)):
+            for signs in range(1 << n):
+                window = tuple(-v if signs >> k & 1 else v for k, v in enumerate(word))
+                host = SignedPermutation(window)
+                for pattern in SIGNED_FORBIDDEN_PATTERNS:
+                    expected = signed_pattern_occurrences(window, pattern.window)
+                    got = contains_signed(host, pattern)
+                    assert (got.positions if got else None) == (
+                        expected[0] if expected else None
+                    )

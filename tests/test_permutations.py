@@ -19,12 +19,14 @@ from boolinv.permutations import (
     from_json,
     identity,
     inverse,
+    inversion_count as direct_inversion_count,
     inversions,
     parse_permutation,
+    sum_blocks,
     to_json,
     transposition,
 )
-from oracles import inversion_count
+from oracles import crossing_components, inversion_count
 
 
 def test_parse_worked_example():
@@ -87,6 +89,22 @@ def test_inversions_examples():
 def test_inversions_against_oracle():
     for word in itertools_permutations(range(1, 7)):
         assert inversions(Permutation(word))[0] == inversion_count(word)
+
+
+def test_inversion_count_against_oracle():
+    import random
+
+    words = [w for n in range(8) for w in itertools_permutations(range(1, n + 1))]
+    rng = random.Random(2143)
+    words += [tuple(rng.sample(range(1, n + 1), n)) for n in (20, 64, 200) for _ in range(5)]
+    for word in words:
+        assert direct_inversion_count(Permutation(word)) == inversion_count(word)
+
+
+def test_sum_blocks_are_crossing_components():
+    for n in range(8):
+        for word in itertools_permutations(range(1, n + 1)):
+            assert tuple(sum_blocks(word)) == crossing_components(word)
 
 
 def test_excedance_profile_examples():
