@@ -12,17 +12,21 @@ Four equivalent criteria are implemented:
 The default is the long-crossing scan, the cheapest sound-and-complete
 test.  Verdicts always carry witnesses: a repeat-free word when Boolean,
 and both a long-crossing pair and a forbidden-pattern occurrence when not.
+`with_witnesses` attaches them, for signed verdicts too.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from . import ideals
 from .involution_words import Word, evaluate_word, reduced_word
-from .patterns import FORBIDDEN_PATTERNS, Occurrence, SignedPattern, contains
+from .patterns import FORBIDDEN_PATTERNS, Occurrence, SignedPattern, first_occurrence
 from .permutations import Involution, Permutation, format_permutation, sum_blocks
+
+if TYPE_CHECKING:
+    from .signed import SignedPermutation
 
 METHODS = ("patterns", "long_crossing", "word", "poset", "all")
 
@@ -125,14 +129,6 @@ def has_long_crossing(w: Involution) -> bool:
     return False
 
 
-def _first_forbidden_occurrence(w: Involution) -> tuple[Permutation, Occurrence] | None:
-    for p in FORBIDDEN_PATTERNS:
-        occ = contains(w, p)
-        if occ is not None:
-            return p, occ
-    return None
-
-
 def _decide(w: Involution, method: str, hit: tuple[Permutation, Occurrence] | None) -> bool:
     """
     The bare decision of one criterion, without witnesses.  The patterns
@@ -156,7 +152,7 @@ def is_boolean(w: Involution, method: str = "long_crossing") -> BooleanVerdict:
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    hit = _first_forbidden_occurrence(w) if method in ("patterns", "all") else None
+    hit = first_occurrence(w, FORBIDDEN_PATTERNS) if method in ("patterns", "all") else None
     if method == "all":
         answers = {m: _decide(w, m, hit) for m in METHODS[:-1]}
         if len(set(answers.values())) != 1:
@@ -164,13 +160,31 @@ def is_boolean(w: Involution, method: str = "long_crossing") -> BooleanVerdict:
         verdict = answers["long_crossing"]
     else:
         verdict = _decide(w, method, hit)
+    return with_witnesses(w, verdict, w, FORBIDDEN_PATTERNS, hit)
 
-    if verdict:
-        return BooleanVerdict(True, word=repeat_free_word(w))
-    pattern, occ = hit or _first_forbidden_occurrence(w)
+
+def with_witnesses(
+    image: Involution,
+    boolean: bool,
+    host: Permutation | SignedPermutation,
+    patterns: Sequence[Permutation | SignedPattern],
+    hit: tuple[Permutation | SignedPattern, Occurrence] | None = None,
+) -> BooleanVerdict:
+    """
+    The verdict on the involution `image`, decided already, with witnesses:
+    a repeat-free word of image when Boolean, otherwise image's first
+    long-crossing pair and the first of `patterns` that `host` contains.
+    `hit` is that pattern with its occurrence, when searched already.
+    """
+    if boolean:
+        return BooleanVerdict(True, word=repeat_free_word(image))
+    hit = hit or first_occurrence(host, patterns)
+    if hit is None:
+        raise AssertionError(f"non-Boolean {host!r} contains no forbidden pattern")
+    pattern, occ = hit
     return BooleanVerdict(
         False,
-        long_crossing_pair=first_long_crossing_pair(w),
+        long_crossing_pair=first_long_crossing_pair(image),
         pattern=pattern,
         occurrence=occ,
     )

@@ -102,7 +102,7 @@ def cmd_check(args: argparse.Namespace) -> int:
                 f"bad signed method {method!r}; expected one of {SIGNED_METHODS}"
             )
         verdict = is_boolean_signed(w, method)
-        profile = rank_profile(Involution(embed(w).perm.word))
+        profile = rank_profile(embed(w).perm)
         payload = _verdict_payload(format_signed(w), verdict, profile)
         payload["signed"] = True
     else:
@@ -207,10 +207,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 
     results = run_selfcheck(args.max_n)
     for check in results:
-        line = f"{'PASS' if check.passed else 'FAIL'} {check.name}"
-        if check.detail:
-            line += f": {check.detail}"
-        print(line)
+        print(check.line())
     ok = all(check.passed for check in results)
     print("selftest: " + ("ok" if ok else "FAILED"))
     return 0 if ok else 1

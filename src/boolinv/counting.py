@@ -288,6 +288,11 @@ class CheckResult:
     passed: bool
     detail: str = ""
 
+    def line(self) -> str:
+        """The PASS or FAIL line of this check, with ": detail" when there is one."""
+        status = "PASS" if self.passed else "FAIL"
+        return f"{status} {self.name}: {self.detail}" if self.detail else f"{status} {self.name}"
+
 
 @dataclass(frozen=True)
 class CrossValidationReport:
@@ -299,11 +304,7 @@ class CrossValidationReport:
         return all(check.passed for check in self.checks)
 
     def summary(self) -> str:
-        lines = [
-            f"{'PASS' if check.passed else 'FAIL'} {check.name}"
-            + (f": {check.detail}" if check.detail else "")
-            for check in self.checks
-        ]
+        lines = [check.line() for check in self.checks]
         lines.append(f"cross-validation n <= {self.n_max}: "
                      + ("all checks passed" if self.passed else "FAILURES above"))
         return "\n".join(lines)

@@ -29,7 +29,9 @@ from .involution_words import (
 )
 from .permutations import Involution, Permutation, format_permutation, identity
 
-IDEAL_MAX_RANK = 20
+# Refuse ideals of more elements: the order test visits at most S^2 / 4
+# adjacent-rank pairs for S elements.
+IDEAL_MAX_ELEMENTS = 8192
 
 
 def prefix_rank_table(w: Permutation) -> tuple[tuple[int, ...], ...]:
@@ -108,20 +110,26 @@ def subword_closure(w: Involution) -> set[Involution]:
     """
     Evaluations of all subwords of one reduced word of w, computed by a
     left-to-right closure: after consuming each letter, keep both the old
-    evaluations (letter skipped) and their images (letter taken).
+    evaluations (letter skipped) and their images (letter taken).  Refuses
+    w once the closure, a subset of the ideal, exceeds IDEAL_MAX_ELEMENTS;
+    so does a rank of IDEAL_MAX_ELEMENTS or more, as every maximal chain of
+    the ideal has rank(w) + 1 elements.
     """
     reached: set[Involution] = {identity(w.n)}
-    for letter in reduced_word(w):
-        reached |= {apply_letter(u, letter) for u in reached}
-    return reached
+    if rank(w) < IDEAL_MAX_ELEMENTS:
+        for letter in reduced_word(w):
+            reached |= {apply_letter(u, letter) for u in reached}
+            if len(reached) > IDEAL_MAX_ELEMENTS:
+                break
+        else:
+            return reached
+    raise ResourceLimitError(f"ideal exceeds guard of {IDEAL_MAX_ELEMENTS} elements")
 
 
 def ideal(w: Involution) -> IdealPoset:
     """The principal order ideal below w in the Bruhat order on involutions."""
-    r = rank(w)
-    if r > IDEAL_MAX_RANK:
-        raise ResourceLimitError(f"rank {r} exceeds ideal guard {IDEAL_MAX_RANK}")
     ranks, _, elements = zip(*sorted((rank(u), u.word, u) for u in subword_closure(w)))
+    r = ranks[-1]
     n = w.n
     if elements[0] != identity(n) or elements[-1] != w:
         raise AssertionError(f"ideal of {w.word} lost its extremes")

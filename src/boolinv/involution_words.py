@@ -10,14 +10,12 @@ this way, and the minimal word length is the rank
     rank(w) = (inversions(w) + two_cycles(w)) / 2,
 
 which grades the Bruhat order on involutions.
-
-Words serialize as comma-separated letters, e.g. "1,2,3,2".
 """
 from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .permutations import Involution, identity, inversion_count, parse_int_tokens
+from .permutations import Involution, identity, inversion_count
 
 Word = tuple[int, ...]
 
@@ -140,14 +138,3 @@ def support(w: Involution) -> frozenset[int]:
     letters i whose single-letter involution lies below w in Bruhat order.
     """
     return frozenset(reduced_word(w))
-
-
-def format_word(letters: Iterable[int]) -> str:
-    return ",".join(str(i) for i in letters)
-
-
-def parse_word(text: str) -> Word:
-    text = text.strip()
-    if text == "":
-        return ()
-    return tuple(parse_int_tokens(text))

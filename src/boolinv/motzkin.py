@@ -13,22 +13,10 @@ Path text form: a string over {U, F, D}, e.g. "UUDUDUDDF".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .permutations import Involution, ParseError
 
 STEP_RISE = {"U": 1, "F": 0, "D": -1}
-
-
-class RestrictionProfile(NamedTuple):
-    """Height extremes that decide membership in the restricted family."""
-
-    max_height: int
-    max_flat_level: int
-
-    @property
-    def restricted(self) -> bool:
-        return self.max_height <= 2 and self.max_flat_level <= 1
 
 
 @dataclass(frozen=True)
@@ -101,17 +89,8 @@ def path_to_involution(path: MotzkinPath) -> Involution:
     return Involution(tuple(word))
 
 
-def restriction_profile(path: MotzkinPath) -> RestrictionProfile:
-    heights = path.heights()
-    max_flat = max(
-        (heights[k] for k, s in enumerate(path.steps, start=1) if s == "F"),
-        default=0,
-    )
-    return RestrictionProfile(max(heights), max_flat)
-
-
 def is_restricted(path: MotzkinPath) -> bool:
-    return restriction_profile(path).restricted
+    return first_restriction_violation(path) is None
 
 
 def first_restriction_violation(path: MotzkinPath) -> tuple[int, str] | None:

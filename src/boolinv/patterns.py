@@ -20,7 +20,7 @@ for signed permutations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .permutations import Permutation, parse_int_tokens, parse_permutation, sum_blocks
 
@@ -42,6 +42,14 @@ class Occurrence:
             raise ValueError("positions and values differ in length")
 
 
+def freeze_signed_window(obj, kind: str) -> None:
+    """Store obj.window as a tuple; its absolute values must be 1..m."""
+    window = tuple(obj.window)
+    object.__setattr__(obj, "window", window)
+    if sorted(abs(v) for v in window) != list(range(1, len(window) + 1)):
+        raise ValueError(f"not a signed {kind} window: {window}")
+
+
 @dataclass(frozen=True)
 class SignedPattern:
     """A pattern over {-m..-1, 1..m}; absolute values form a permutation."""
@@ -49,9 +57,7 @@ class SignedPattern:
     window: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "window", tuple(self.window))
-        if sorted(abs(v) for v in self.window) != list(range(1, len(self.window) + 1)):
-            raise ValueError(f"not a signed pattern window: {self.window}")
+        freeze_signed_window(self, "pattern")
 
     @property
     def n(self) -> int:
@@ -183,22 +189,24 @@ def contains_signed(
     return None
 
 
-Patternish = Union[Permutation, SignedPattern]
-
-
-def avoids_all(pi, patterns: Iterable[Patternish]) -> bool:
+def first_occurrence(
+    pi, patterns: Iterable[Permutation | SignedPattern]
+) -> tuple[Permutation | SignedPattern, Occurrence] | None:
     """
-    True iff pi contains none of the listed patterns.  Classical hosts take
-    classical patterns; signed hosts take signed patterns.
+    The first listed pattern that pi contains, with its first occurrence, or
+    None.  Classical hosts take classical patterns (`contains`); signed
+    hosts take signed patterns (`contains_signed`).
     """
     for p in patterns:
-        if isinstance(p, SignedPattern):
-            hit = contains_signed(pi, p)
-        else:
-            hit = contains(pi, p)
-        if hit is not None:
-            return False
-    return True
+        occ = contains_signed(pi, p) if isinstance(p, SignedPattern) else contains(pi, p)
+        if occ is not None:
+            return p, occ
+    return None
+
+
+def avoids_all(pi, patterns: Iterable[Permutation | SignedPattern]) -> bool:
+    """True iff pi contains none of the listed patterns."""
+    return first_occurrence(pi, patterns) is None
 
 
 # An involution of S_n has a Boolean principal order ideal iff it avoids

@@ -11,7 +11,6 @@ comma-separated values like "10,2,3,4,5,6,7,8,9,1".  `parse_permutation` and
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -152,15 +151,6 @@ def format_permutation(w: Permutation) -> str:
     if w.n <= 9:
         return "".join(str(v) for v in w.word)
     return ",".join(str(v) for v in w.word)
-
-
-def to_json(w: Permutation) -> str:
-    return json.dumps({"n": w.n, "word": list(w.word)}, sort_keys=True)
-
-
-def from_json(text: str) -> Permutation:
-    data = json.loads(text)
-    return _as_permutation(list(data["word"]))
 
 
 def inversions(w: Permutation) -> tuple[int, list[tuple[int, int]]]:

@@ -15,7 +15,7 @@ from .boolean import has_long_crossing, is_boolean
 from .counting import CheckResult
 from .involution_words import rank, rank_profile
 from .patterns import SIGNED_FORBIDDEN_PATTERNS, avoids_all
-from .permutations import Involution, excedance_profile
+from .permutations import excedance_profile
 from .signed import apply_letter_signed, embed, is_boolean_signed
 
 
@@ -128,9 +128,9 @@ def _action_law_holds(w) -> bool:
     from .permutations import conjugate
 
     n = w.n
-    image = Involution(embed(w).perm.word)
+    image = embed(w).perm
     for i in range(0, n):
-        acted = Involution(embed(apply_letter_signed(w, i)).perm.word)
+        acted = embed(apply_letter_signed(w, i)).perm
         if i == 0:
             expected = apply_letter(image, n)
         else:

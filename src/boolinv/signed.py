@@ -11,17 +11,10 @@ sixteen-window list from `patterns.SIGNED_FORBIDDEN_PATTERNS`.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
-from .boolean import (
-    BooleanVerdict,
-    InvariantViolationError,
-    first_long_crossing_pair,
-    has_long_crossing,
-    repeat_free_word,
-)
-from .patterns import SIGNED_FORBIDDEN_PATTERNS, Occurrence, SignedPattern, contains_signed
+from .boolean import BooleanVerdict, InvariantViolationError, has_long_crossing, with_witnesses
+from .patterns import SIGNED_FORBIDDEN_PATTERNS, first_occurrence, freeze_signed_window
 from .permutations import Involution, ParseError, Permutation, parse_int_tokens
 
 SIGNED_METHODS = ("embedding", "signed_patterns", "all")
@@ -34,10 +27,7 @@ class SignedPermutation:
     window: tuple[int, ...]
 
     def __post_init__(self):
-        window = tuple(self.window)
-        object.__setattr__(self, "window", window)
-        if sorted(abs(v) for v in window) != list(range(1, len(window) + 1)):
-            raise ValueError(f"not a signed permutation window: {window}")
+        freeze_signed_window(self, "permutation")
 
     @property
     def n(self) -> int:
@@ -112,10 +102,6 @@ def format_signed(w: SignedPermutation) -> str:
     return ",".join(str(v) for v in w.window)
 
 
-def signed_to_json(w: SignedPermutation) -> str:
-    return json.dumps({"n": w.n, "window": list(w.window)}, sort_keys=True)
-
-
 def compose_signed(u: SignedPermutation, v: SignedPermutation) -> SignedPermutation:
     if u.n != v.n:
         raise ValueError(f"size mismatch: {u.n} vs {v.n}")
@@ -140,7 +126,7 @@ def signed_generator(n: int, i: int) -> SignedPermutation:
 def embed(w: SignedPermutation) -> EmbeddedPermutation:
     """
     The permutation of [2n] induced by w under the relabelling
-    -n, ..., -1, 1, ..., n -> 1, ..., 2n.
+    -n, ..., -1, 1, ..., n -> 1, ..., 2n; an `Involution` when w is one.
     """
     n = w.n
 
@@ -173,52 +159,27 @@ def apply_letter_signed(w: SignedInvolution, i: int) -> SignedInvolution:
     return SignedInvolution(result.window)
 
 
-def _first_signed_occurrence(w: SignedInvolution) -> tuple[SignedPattern, Occurrence] | None:
-    for p in SIGNED_FORBIDDEN_PATTERNS:
-        occ = contains_signed(w, p)
-        if occ is not None:
-            return p, occ
-    return None
-
-
 def is_boolean_signed(w: SignedInvolution, method: str = "embedding") -> BooleanVerdict:
     """
     Booleanness of a signed involution.  "embedding" decides on the
     embedded 2n-point involution; "signed_patterns" checks the sixteen
     forbidden signed windows; "all" cross-checks both routes.
 
-    The verdict's long-crossing pair and repeat-free word refer to the
-    embedded image; the pattern witness is a signed pattern.
+    The verdict is built by the classical `with_witnesses`: its long-crossing
+    pair and repeat-free word refer to the embedded image, and its pattern
+    witness is a signed pattern.
     """
     if method not in SIGNED_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {SIGNED_METHODS}")
     if not w.is_involution():
         raise ValueError(f"not an involution: {w.window}")
-    image = Involution(embed(w).perm.word)
-    hit = _first_signed_occurrence(w) if method != "embedding" else None
-    if method == "all":
-        by_image = not has_long_crossing(image)
-        by_patterns = hit is None
-        if by_image != by_patterns:
-            raise InvariantViolationError(
-                f"embedding says {by_image}, signed patterns say {by_patterns} "
-                f"for {w.window}"
-            )
-        verdict = by_image
-    elif method == "embedding":
-        verdict = not has_long_crossing(image)
-    else:
-        verdict = hit is None
-
-    if verdict:
-        return BooleanVerdict(True, word=repeat_free_word(image))
-    hit = hit or _first_signed_occurrence(w)
-    if hit is None:
-        raise AssertionError(f"non-Boolean {w.window} contains no forbidden signed pattern")
-    pattern, occ = hit
-    return BooleanVerdict(
-        False,
-        long_crossing_pair=first_long_crossing_pair(image),
-        pattern=pattern,
-        occurrence=occ,
-    )
+    image = embed(w).perm
+    if method == "embedding":
+        return with_witnesses(image, not has_long_crossing(image), w, SIGNED_FORBIDDEN_PATTERNS)
+    hit = first_occurrence(w, SIGNED_FORBIDDEN_PATTERNS)
+    if method == "all" and (hit is None) == has_long_crossing(image):
+        raise InvariantViolationError(
+            f"embedding says {hit is not None}, signed patterns say {hit is None} "
+            f"for {w.window}"
+        )
+    return with_witnesses(image, hit is None, w, SIGNED_FORBIDDEN_PATTERNS, hit)

@@ -246,9 +246,9 @@ def test_verdict_json_same_for_every_method():
 @pytest.mark.parametrize("method", ["patterns", "all"])
 def test_forbidden_pattern_search_runs_once(monkeypatch, method):
     calls = []
-    search = boolean._first_forbidden_occurrence
+    search = boolean.first_occurrence
     monkeypatch.setattr(
-        boolean, "_first_forbidden_occurrence", lambda w: calls.append(w) or search(w)
+        boolean, "first_occurrence", lambda w, ps: calls.append(w) or search(w, ps)
     )
     verdict = is_boolean(parse_permutation("5764132"), method)
     assert verdict.pattern == parse_permutation("4321")

@@ -193,6 +193,43 @@ GOLDEN_STDOUT = [
         1,
         "c99e2b3c0c5a4f994bf68e3cee2751c442f26374208b5ba9b356d0b17cd2b02c",
     ),
+    # Recorded before signed verdicts went through the classical path: a
+    # Boolean and a non-Boolean signed window (the hit 4,2,-3,1 is not the
+    # first signed pattern in the list) under every signed method and format,
+    # the patterns method on 5764132, and a whole selftest run.
+    *[
+        (("check", "--signed", "--method", method, "--format", fmt, "--", window), code, digest)
+        for window, code, digests in (
+            (
+                "-5,2,3,4,-1",
+                0,
+                {
+                    "json": "8eee40436ae9d76140239765fcc6138b1388805b1ed94844897bea84de67b764",
+                    "text": "04e6473efda516511adb63f923ff697413905f90d906912e7255d9f7d687b095",
+                },
+            ),
+            (
+                "1,5,3,-4,2",
+                1,
+                {
+                    "json": "c25a83259eea3d8e72e4f1c3562f4c18c3276c181c0438458db8e8d3e5584835",
+                    "text": "991d5bcbbac8407b5d3b944747b9e72c51848286a0f3ff659ac4a3b7c13693f9",
+                },
+            ),
+        )
+        for method in ("embedding", "signed_patterns", "all")
+        for fmt, digest in digests.items()
+    ],
+    (
+        ("check", "--method", "patterns", "5764132"),
+        1,
+        "626a737e4d2efd6d6e378acc5f3f2a546b548db8376bd4657649ee2ca0fc1d0c",
+    ),
+    (
+        ("selftest", "--max-n", "5"),
+        0,
+        "083aa855f3c38ac7384deddf96cfb9c2b069a5e690d8b49f7018673557106c54",
+    ),
 ]
 
 

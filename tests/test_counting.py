@@ -3,6 +3,7 @@ import json
 import pytest
 
 from boolinv.counting import (
+    CheckResult,
     CrossValidationReport,
     brute_inv_exc_counts,
     brute_rank_counts,
@@ -166,3 +167,8 @@ def test_exports():
     lines = table_to_tsv(table, ("n", "inversions", "excedances", "count")).splitlines()
     assert lines[0] == "n\tinversions\texcedances\tcount"
     assert "3\t3\t1\t1" in lines
+
+
+def test_check_result_line():
+    assert CheckResult("totals", True).line() == "PASS totals"
+    assert CheckResult("totals", False, "n=3").line() == "FAIL totals: n=3"

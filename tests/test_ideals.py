@@ -5,7 +5,7 @@ import pytest
 
 from boolinv.counting import involutions
 from boolinv.ideals import (
-    IDEAL_MAX_RANK,
+    IDEAL_MAX_ELEMENTS,
     bruhat_leq,
     dot_export,
     hasse_edges,
@@ -136,9 +136,27 @@ def test_hasse_edges_are_adjacent_rank_bruhat_pairs():
 
 def test_ideal_guard():
     w = Involution(tuple(range(10, 0, -1)))  # rank (45 + 5) / 2 = 25
-    assert rank(w) > IDEAL_MAX_RANK
+    assert len(list(involutions(10))) > IDEAL_MAX_ELEMENTS  # its ideal is all of I(S_10)
     with pytest.raises(ResourceLimitError):
         ideal(w)
+
+
+def test_ideal_guard_refuses_large_boolean_ideal():
+    # The transposition (1, 21) has rank 20 and a Boolean ideal of 2^20
+    # elements; the closure passes the guard after 14 letters.
+    w = Involution((21,) + tuple(range(2, 21)) + (1,))
+    assert rank(w) == 20
+    with pytest.raises(ResourceLimitError):
+        subword_closure(w)
+    with pytest.raises(ResourceLimitError):
+        ideal(w)
+
+
+def test_ideal_guard_admits_high_rank_small_ideal():
+    # 987654321 (+) 21: rank 20 + 1, ideal of 2620 * 2 elements.
+    w = Involution(tuple(range(9, 0, -1)) + (11, 10))
+    assert rank(w) == 21
+    assert len(ideal(w)) == 5240
 
 
 def test_is_boolean_lattice_examples():

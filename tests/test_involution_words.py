@@ -7,9 +7,7 @@ from boolinv.involution_words import (
     apply_letter,
     descents,
     evaluate_word,
-    format_word,
     is_reduced,
-    parse_word,
     rank,
     rank_profile,
     reduced_word,
@@ -234,13 +232,6 @@ def test_descents_match_rank_oracle():
     for n in range(10):
         for w in involutions(n):
             assert descents(w) == descents_by_rank(w), w
-
-
-def test_word_serialization():
-    assert parse_word("1,2,3,2") == (1, 2, 3, 2)
-    assert parse_word("") == ()
-    assert format_word((1, 2, 3, 2)) == "1,2,3,2"
-    assert parse_word(format_word((4, 1))) == (4, 1)
 
 
 def test_rank_matches_inversion_arithmetic():

@@ -14,7 +14,6 @@ from boolinv.motzkin import (
     parse_path,
     path_to_involution,
     rank_from_path,
-    restriction_profile,
 )
 from boolinv.permutations import (
     ParseError,
@@ -75,12 +74,13 @@ def test_path_to_involution_rejects_unrestricted():
         path_to_involution(MotzkinPath("UUFDD"))
 
 
-def test_restriction_profile():
-    assert restriction_profile(MotzkinPath("UUDD")) == (2, 0)
-    assert restriction_profile(MotzkinPath("UFD")) == (1, 1)
-    profile = restriction_profile(MotzkinPath("UUFDD"))
-    assert profile == (2, 2) and not profile.restricted
+def test_restriction_examples():
+    assert is_restricted(MotzkinPath("UUDD"))
+    assert is_restricted(MotzkinPath("UFD"))
+    assert not is_restricted(MotzkinPath("UUFDD"))
+    assert first_restriction_violation(MotzkinPath("UUDD")) is None
     assert first_restriction_violation(MotzkinPath("UFD")) is None
+    assert first_restriction_violation(MotzkinPath("UUFDD")) == (3, "flat step above level 1")
 
 
 def test_statistics_worked_example():

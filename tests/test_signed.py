@@ -1,9 +1,10 @@
 import pytest
 
-from boolinv.boolean import has_long_crossing
+from boolinv import boolean, signed
+from boolinv.boolean import InvariantViolationError, has_long_crossing
 from boolinv.counting import signed_involutions
 from boolinv.involution_words import evaluate_word
-from boolinv.patterns import SIGNED_FORBIDDEN_PATTERNS, avoids_all
+from boolinv.patterns import SIGNED_FORBIDDEN_PATTERNS, avoids_all, parse_signed_pattern
 from boolinv.permutations import Involution, ParseError, identity, parse_permutation
 from boolinv.signed import (
     EmbeddedPermutation,
@@ -16,7 +17,6 @@ from boolinv.signed import (
     parse_signed,
     signed_generator,
     signed_identity,
-    signed_to_json,
 )
 
 
@@ -41,7 +41,6 @@ def test_parse_errors(text, fragment):
 def test_format_round_trips():
     for text in ["-1,-2", "2,1,-3", "1,2,3", "-3,1,-2"]:
         assert format_signed(parse_signed(text)) == text
-    assert signed_to_json(parse_signed("-1,2")) == '{"n": 2, "window": [-1, 2]}'
 
 
 def test_signed_involution_validation():
@@ -179,3 +178,25 @@ def test_compose_signed():
 def test_avoids_all_signed_dispatch():
     assert avoids_all(parse_signed("1,2"), SIGNED_FORBIDDEN_PATTERNS) is True
     assert avoids_all(parse_signed("-1,-2"), SIGNED_FORBIDDEN_PATTERNS) is False
+
+
+@pytest.mark.parametrize("method", ["signed_patterns", "all"])
+def test_signed_pattern_search_runs_once(monkeypatch, method):
+    calls = []
+    search = boolean.first_occurrence
+    for module in (boolean, signed):
+        monkeypatch.setattr(
+            module, "first_occurrence", lambda w, ps: calls.append(w) or search(w, ps)
+        )
+    verdict = is_boolean_signed(parse_signed("1,5,3,-4,2"), method)
+    assert verdict.pattern == parse_signed_pattern("4,2,-3,1")
+    assert len(calls) == 1
+    assert is_boolean_signed(parse_signed("-5,2,3,4,-1"), method).is_boolean
+    assert len(calls) == 2
+
+
+def test_signed_all_raises_when_routes_disagree(monkeypatch):
+    monkeypatch.setattr(signed, "has_long_crossing", lambda w: True)
+    expected = "embedding says False, signed patterns say True"
+    with pytest.raises(InvariantViolationError, match=expected):
+        is_boolean_signed(parse_signed("2,1"), "all")
