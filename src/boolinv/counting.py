@@ -9,22 +9,28 @@ Tables are plain dicts with exact integer values:
   * rank counts:                 {(n, rank): count}
   * totals:                      {n: count}
 
-The recurrence route fills sizes n >= 4 from the three previous sizes;
-rows below that, and the cells with few inversions or no excedances, come
-from closed base formulas and small brute-forced seed rows.  All routes
-must agree; `cross_validate` checks them against each other, against the
-marginalization identities, and against the restricted Motzkin path count.
+The brute route filters the involution stream, whose elements are built
+without revalidation, sharded over at most one process per CPU.  The
+recurrence route fills sizes n >= 4 from the three previous sizes, each
+row only as far in l as its source rows reach; rows below that, and the
+cells with few inversions or no excedances, come from closed base formulas
+and small brute-forced seed rows.  The series route expands the generating
+functions one size at a time over their nonzero coefficients.  These two
+refuse up front a table whose predicted work exceeds MAX_TABLE_WORK.  All
+routes must agree; `cross_validate` checks them against each other, against
+the marginalization identities, and against the restricted Motzkin path
+count.
 """
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import os
 from dataclasses import dataclass
 from typing import Iterator
 
 from .boolean import has_long_crossing
 from .involution_words import ResourceLimitError
 from .motzkin import count_restricted
-from .permutations import Involution, inversion_count
+from .permutations import Involution, _trusted_involution, inversion_count
 from .series import inv_exc_series, rank_series, total_series
 from .signed import SignedInvolution
 
@@ -32,6 +38,8 @@ MAX_STREAM_N = 14
 MAX_SIGNED_STREAM_N = 7
 MAX_BRUTE_N = 12
 MAX_VALIDATE_N = 10
+# Cells times count bits; the largest admitted tables take about 4 s to fill.
+MAX_TABLE_WORK = 5 * 10**8
 
 InvExcTable = dict[tuple[int, int, int], int]
 RankTable = dict[tuple[int, int], int]
@@ -50,9 +58,10 @@ def involutions(n: int, shard: int = 0, num_shards: int = 1) -> Iterator[Involut
         raise ValueError(f"bad shard {shard}/{num_shards}")
     word = list(range(1, n + 1))
 
-    def fill(free: tuple[int, ...]) -> Iterator[Involution]:
+    def fill(free: tuple[int, ...]) -> Iterator[None]:
+        # Yields once per completed word, left in `word` while suspended.
         if not free:
-            yield Involution(tuple(word))
+            yield
             return
         p = free[0]
         rest = free[1:]
@@ -64,9 +73,9 @@ def involutions(n: int, shard: int = 0, num_shards: int = 1) -> Iterator[Involut
             word[q - 1] = q
         word[p - 1] = p
 
-    for index, w in enumerate(fill(tuple(range(1, n + 1)))):
+    for index, _ in enumerate(fill(tuple(range(1, n + 1)))):
         if index % num_shards == shard:
-            yield w
+            yield _trusted_involution(tuple(word))
 
 
 def signed_involutions(
@@ -82,9 +91,9 @@ def signed_involutions(
         raise ValueError(f"bad shard {shard}/{num_shards}")
     window = [0] * n
 
-    def fill(free: tuple[int, ...]) -> Iterator[SignedInvolution]:
+    def fill(free: tuple[int, ...]) -> Iterator[None]:
         if not free:
-            yield SignedInvolution(tuple(window))
+            yield
             return
         p = free[0]
         rest = free[1:]
@@ -100,9 +109,9 @@ def signed_involutions(
                 window[q - 1] = 0
         window[p - 1] = 0
 
-    for index, w in enumerate(fill(tuple(range(1, n + 1)))):
+    for index, _ in enumerate(fill(tuple(range(1, n + 1)))):
         if index % num_shards == shard:
-            yield w
+            yield SignedInvolution(tuple(window))
 
 
 def _brute_shard(args: tuple[int, int, int]) -> InvExcTable:
@@ -122,14 +131,18 @@ def brute_inv_exc_counts(n_max: int, jobs: int = 1) -> InvExcTable:
     """
     Count Boolean involutions by (size, inversions, excedances) for every
     1 <= n <= n_max by filtering the involution stream.  With jobs > 1 the
-    streams are sharded across processes and the partial tables summed.
+    streams are sharded across up to jobs processes, at most one per CPU,
+    and the partial tables summed.
     """
     if n_max > MAX_BRUTE_N:
         raise ResourceLimitError(f"n_max {n_max} exceeds brute guard {MAX_BRUTE_N}")
-    pieces = [(n, shard, max(jobs, 1)) for n in range(1, n_max + 1) for shard in range(max(jobs, 1))]
+    shards = max(1, min(jobs, os.cpu_count() or 1))
+    pieces = [(n, shard, shards) for n in range(1, n_max + 1) for shard in range(shards)]
     table: InvExcTable = {}
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    if shards > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=shards) as pool:
             partials = list(pool.map(_brute_shard, pieces))
     else:
         partials = [_brute_shard(piece) for piece in pieces]
@@ -163,6 +176,31 @@ def brute_totals(n_max: int, jobs: int = 1) -> TotalTable:
     return totals_from_rank_counts(brute_rank_counts(n_max, jobs))
 
 
+# Cells of row n in each table: f has l <= 2n and a <= n/2, g has k <= n.
+_ROW_CELLS = {
+    "f": lambda n: (2 * n + 1) * (n // 2 + 1),
+    "g": lambda n: n + 1,
+    "h": lambda n: 1,
+}
+
+
+def _check_table_work(stat: str, n_max: int) -> None:
+    """
+    Refuse, before any cell is filled, a recurrence or series table whose
+    predicted work exceeds MAX_TABLE_WORK: the cells of each row times 2n,
+    a bound on the bit length of its counts (each is below the total for
+    size n, which grows like 2.25^n).  The sum stops once over the limit.
+    """
+    work = 0
+    for n in range(1, n_max + 1):
+        work += _ROW_CELLS[stat](n) * 2 * n
+        if work > MAX_TABLE_WORK:
+            raise ResourceLimitError(
+                f"table {stat} to n_max {n_max} exceeds work guard {MAX_TABLE_WORK}"
+                " (cells times count bits)"
+            )
+
+
 def _base_inv_exc(n: int, length: int, exc: int) -> int:
     """
     Closed forms covering sizes up to 3, inversion counts up to 2, and the
@@ -189,9 +227,14 @@ def recurrence_inv_exc_counts(n_max: int) -> InvExcTable:
 
     valid for n >= 4, l >= 3, a >= 1, over the base cells of
     `_base_inv_exc`.  Out-of-range arguments count as zero; sizes 0 and 1
-    contribute only the empty cell.
+    contribute only the empty cell.  Row n runs l only up to the highest
+    value its source rows reach, max(top(n-1) + 2, top(n-2) + 3,
+    top(n-3) + 3) with top(m) the largest l of a nonzero cell in row m,
+    and up to 3 for the base rows n <= 3: every cell beyond is zero.
     """
+    _check_table_work("f", n_max)
     table: InvExcTable = {}
+    top = [0] * (n_max + 1)
 
     def lookup(n: int, length: int, exc: int) -> int:
         if length < 0 or exc < 0:
@@ -201,7 +244,8 @@ def recurrence_inv_exc_counts(n_max: int) -> InvExcTable:
         return table.get((n, length, exc), 0)
 
     for n in range(1, n_max + 1):
-        for length in range(0, n * (n - 1) // 2 + 1):
+        reach = 3 if n <= 3 else max(top[n - 1] + 2, top[n - 2] + 3, top[n - 3] + 3)
+        for length in range(0, min(reach, n * (n - 1) // 2) + 1):
             for exc in range(0, n // 2 + 1):
                 if n <= 3 or length <= 2 or exc == 0:
                     value = _base_inv_exc(n, length, exc)
@@ -216,6 +260,7 @@ def recurrence_inv_exc_counts(n_max: int) -> InvExcTable:
                     )
                 if value:
                     table[(n, length, exc)] = value
+                    top[n] = length
     return table
 
 
@@ -228,6 +273,7 @@ def recurrence_rank_counts(n_max: int) -> RankTable:
     for n >= 4 and k >= 2, with r(n,0) = 1 and r(n,1) = n-1, and sizes up
     to 3 seeded by brute force.
     """
+    _check_table_work("g", n_max)
     table: RankTable = dict(brute_rank_counts(min(n_max, 3)))
 
     def lookup(n: int, k: int) -> int:
@@ -260,6 +306,7 @@ def recurrence_totals(n_max: int) -> TotalTable:
     Totals by t(n) = 2t(n-1) + t(n-2) - t(n-3) for n >= 4, seeded by brute
     force below that.
     """
+    _check_table_work("h", n_max)
     table: TotalTable = dict(brute_totals(min(n_max, 3)))
     for n in range(4, n_max + 1):
         table[n] = 2 * table[n - 1] + table[n - 2] - table.get(n - 3, 1)
@@ -268,16 +315,19 @@ def recurrence_totals(n_max: int) -> TotalTable:
 
 def series_inv_exc_counts(n_max: int) -> InvExcTable:
     """Inversion/excedance table read off the three-variable series."""
+    _check_table_work("f", n_max)
     coeffs = inv_exc_series(n_max).coefficients
     return {key: value for key, value in coeffs.items() if key[0] >= 1}
 
 
 def series_rank_counts(n_max: int) -> RankTable:
+    _check_table_work("g", n_max)
     coeffs = rank_series(n_max).coefficients
     return {key: value for key, value in coeffs.items() if key[0] >= 1}
 
 
 def series_totals(n_max: int) -> TotalTable:
+    _check_table_work("h", n_max)
     coeffs = total_series(n_max).coefficients
     return {key[0]: value for key, value in coeffs.items() if key[0] >= 1}
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .permutations import Involution, identity, inversion_count
+from .permutations import Involution, _trusted_involution, identity, inversion_count
 
 Word = tuple[int, ...]
 
@@ -36,7 +36,9 @@ class RankProfile(NamedTuple):
 def apply_letter(w: Involution, i: int) -> Involution:
     """
     Act on w by letter i: w*s_i if s_i w s_i = w, otherwise s_i w s_i.
-    The result is again an involution whose rank differs from w's by one.
+    The result is again an involution whose rank differs from w's by one,
+    so for an Involution it is built without revalidation; any other input
+    is validated and raises ValueError when it is not an involution.
     """
     n = w.n
     if not 1 <= i <= n - 1:
@@ -46,15 +48,13 @@ def apply_letter(w: Involution, i: int) -> Involution:
     # s_i w s_i swaps the values i, i+1 and the positions i, i+1.
     conj = word[:]
     conj[i - 1], conj[i] = b, a
-    for pos, v in enumerate(conj):
-        if v == i:
-            conj[pos] = i + 1
-        elif v == i + 1:
-            conj[pos] = i
+    p, q = conj.index(i), conj.index(i + 1)
+    conj[p], conj[q] = i + 1, i
     if conj == word:
         word[i - 1], word[i] = b, a
-        return Involution(tuple(word))
-    return Involution(tuple(conj))
+        conj = word
+    build = _trusted_involution if isinstance(w, Involution) else Involution
+    return build(tuple(conj))
 
 
 def evaluate_word(letters: Iterable[int], n: int) -> Involution:

@@ -79,8 +79,18 @@ class ExcedanceProfile(NamedTuple):
     fixed: frozenset[int]
 
 
+def _trusted_involution(word: tuple[int, ...]) -> Involution:
+    """
+    An Involution on a tuple the caller has built as one, without the
+    sorting and self-inverse checks of the validating constructor.
+    """
+    w = object.__new__(Involution)
+    object.__setattr__(w, "word", word)
+    return w
+
+
 def identity(n: int) -> Involution:
-    return Involution(tuple(range(1, n + 1)))
+    return _trusted_involution(tuple(range(1, n + 1)))
 
 
 def transposition(n: int, i: int, j: int) -> Involution:

@@ -16,13 +16,16 @@ involutions of S_n with l inversions and a excedances:
 
 Expansion is by series division: with a denominator of constant term 1
 whose other terms all carry a positive power of x, the coefficients in x
-degree n depend only on lower degrees.
+degree n depend only on lower degrees.  So the expansion runs one x degree
+at a time, each row a dict of its nonzero coefficients in the other
+variables, and costs in proportion to the nonzero coefficients rather than
+to the whole truncation box.
 """
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
+from operator import add, le
 
 Monomial = tuple[int, ...]
 Terms = dict[Monomial, int]
@@ -59,26 +62,26 @@ class SeriesExpansion:
 
 def expand_rational(numerator: Terms, denominator: Terms, bounds: tuple[int, ...]) -> Terms:
     """
-    Coefficients of numerator/denominator up to the bounds (inclusive).
-    The denominator must have constant term 1, with every other term of
-    positive degree in the first variable.
+    Nonzero coefficients of numerator/denominator up to the bounds
+    (inclusive), one x-degree row at a time: row d is the numerator's row d
+    minus c times row d - t[0] shifted by t[1:], over the denominator terms
+    c*x^t other than its constant term 1, each of positive x-degree.
     """
     if denominator.get((0,) * len(bounds), 0) != 1:
         raise ValueError("denominator constant term must be 1")
     tail = [(t, c) for t, c in denominator.items() if any(t)]
     if any(t[0] == 0 for t, _ in tail):
         raise ValueError("denominator tail must have positive first-variable degree")
-    coeffs: Terms = {}
-    ranges = [range(bound + 1) for bound in bounds]
-    for mono in itertools.product(*ranges):
-        value = numerator.get(mono, 0)
+    rows: list[Terms] = []
+    for d in range(bounds[0] + 1):
+        row = {m[1:]: v for m, v in numerator.items() if m[0] == d}
         for t, c in tail:
-            source = tuple(m - d for m, d in zip(mono, t))
-            if all(e >= 0 for e in source):
-                value -= c * coeffs.get(source, 0)
-        if value:
-            coeffs[mono] = value
-    return coeffs
+            for rest, v in rows[d - t[0]].items() if t[0] <= d else ():
+                key = tuple(map(add, rest, t[1:]))
+                row[key] = row.get(key, 0) - c * v
+        row = {r: v for r, v in sorted(row.items()) if v and all(map(le, r, bounds[1:]))}
+        rows.append(row)
+    return {(d, *r): v for d, row in enumerate(rows) for r, v in row.items()}
 
 
 def inv_exc_series(n_max: int, inv_max: int | None = None, exc_max: int | None = None) -> SeriesExpansion:

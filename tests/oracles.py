@@ -5,6 +5,7 @@ different from the ones the library takes.
 """
 from itertools import combinations, product
 
+from boolinv.counting import _base_inv_exc
 from boolinv.involution_words import apply_letter, rank, reduced_word
 from boolinv.permutations import Involution
 
@@ -188,3 +189,51 @@ def covers_from_leq(poset):
             ):
                 out.append((poset.elements[a], poset.elements[b]))
     return out
+
+
+def dense_expand_rational(numerator, denominator, bounds):
+    """Series division over every monomial of the truncation box, in
+    lexicographic order, keeping the nonzero coefficients."""
+    assert denominator.get((0,) * len(bounds), 0) == 1
+    tail = [(t, c) for t, c in denominator.items() if any(t)]
+    coeffs = {}
+    for mono in product(*[range(bound + 1) for bound in bounds]):
+        value = numerator.get(mono, 0)
+        for t, c in tail:
+            source = tuple(m - d for m, d in zip(mono, t))
+            if all(e >= 0 for e in source):
+                value -= c * coeffs.get(source, 0)
+        if value:
+            coeffs[mono] = value
+    return coeffs
+
+
+def full_range_recurrence_inv_exc(n_max):
+    """The six-term inversion/excedance recurrence over every cell with
+    l <= n(n-1)/2 and a <= n/2, on the library's base cells."""
+    table = {}
+
+    def lookup(n, length, exc):
+        if length < 0 or exc < 0:
+            return 0
+        if n <= 1:
+            return 1 if length == 0 and exc == 0 else 0
+        return table.get((n, length, exc), 0)
+
+    for n in range(1, n_max + 1):
+        for length in range(0, n * (n - 1) // 2 + 1):
+            for exc in range(0, n // 2 + 1):
+                if n <= 3 or length <= 2 or exc == 0:
+                    value = _base_inv_exc(n, length, exc)
+                else:
+                    value = (
+                        lookup(n - 1, length, exc)
+                        + lookup(n - 1, length - 2, exc)
+                        + lookup(n - 2, length - 1, exc - 1)
+                        - lookup(n - 2, length - 2, exc)
+                        + lookup(n - 2, length - 3, exc - 1)
+                        - lookup(n - 3, length - 3, exc - 1)
+                    )
+                if value:
+                    table[(n, length, exc)] = value
+    return table

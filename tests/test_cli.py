@@ -90,6 +90,16 @@ def test_table_guard(capsys):
     assert code == 2 and "guard" in err
 
 
+@pytest.mark.parametrize(
+    "stat, max_n, method",
+    [("f", "400", "gf"), ("f", "400", "recurrence"), ("h", "10000000", "gf")],
+)
+def test_table_work_guard(capsys, stat, max_n, method):
+    code, out, err = run_cli(capsys, "table", stat, "--max-n", max_n, "--method", method)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "work guard" in err
+
+
 def test_motzkin_conversions(capsys):
     code, out, _ = run_cli(capsys, "motzkin", "to-path", "2143")
     assert code == 0 and out.strip() == "UDUD"
@@ -229,6 +239,28 @@ GOLDEN_STDOUT = [
         ("selftest", "--max-n", "5"),
         0,
         "083aa855f3c38ac7384deddf96cfb9c2b069a5e690d8b49f7018673557106c54",
+    ),
+    # Recorded before the series rows went sparse and the recurrence
+    # reach-bounded.
+    (
+        ("table", "f", "--max-n", "14", "--method", "gf", "--format", "tsv"),
+        0,
+        "a99beccff0060915ecadf409866566d8f617e9321bd22517a15f6e28200224c5",
+    ),
+    (
+        ("table", "f", "--max-n", "14", "--method", "recurrence", "--format", "json"),
+        0,
+        "354e1df8899c74adf237eed68ec589fdae28fab52a809e5b4fb96f5923995b62",
+    ),
+    (
+        ("table", "g", "--max-n", "25", "--method", "gf"),
+        0,
+        "cf0722411dd30a302a832e30368ec04fa1e52dc204df046ef215b566dfa15975",
+    ),
+    (
+        ("table", "h", "--max-n", "30", "--method", "gf"),
+        0,
+        "cac7351e1545c265d82aa4f3508917e6ecd8c5eee455864d46bc5664dc967d4e",
     ),
 ]
 

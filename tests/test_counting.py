@@ -1,7 +1,9 @@
 import json
+import os
 
 import pytest
 
+from boolinv import counting, series
 from boolinv.counting import (
     CheckResult,
     CrossValidationReport,
@@ -24,6 +26,7 @@ from boolinv.counting import (
 )
 from boolinv.involution_words import ResourceLimitError
 from boolinv.series import inv_exc_series, rank_series, total_series
+from oracles import dense_expand_rational, full_range_recurrence_inv_exc
 
 INVOLUTION_COUNTS = [1, 1, 2, 4, 10, 26, 76, 232, 764, 2620]
 SIGNED_COUNTS = [2, 6, 20, 76, 312, 1384]
@@ -145,6 +148,128 @@ def test_series_json():
 
 def test_parallel_brute_matches_serial():
     assert brute_inv_exc_counts(6, jobs=2) == brute_inv_exc_counts(6)
+
+
+def test_jobs_clamped_to_cpu_count(monkeypatch):
+    import concurrent.futures
+
+    workers, shards = [], []
+
+    class SerialPool:
+        """Stands in for ProcessPoolExecutor: maps in this process."""
+
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    real_shard = counting._brute_shard
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(
+        counting, "_brute_shard", lambda piece: shards.append(piece) or real_shard(piece)
+    )
+    assert brute_inv_exc_counts(6, jobs=10_000) == brute_inv_exc_counts(6)
+    assert workers == [3]
+    # Six sizes in three shards through the pool, then six serial pieces.
+    assert [num_shards for _, _, num_shards in shards] == [3] * 18 + [1] * 6
+
+
+def _truncated(table, n):
+    return {
+        key: value
+        for key, value in table.items()
+        if (key[0] if isinstance(key, tuple) else key) <= n
+    }
+
+
+def _assert_same_in_order(table, expected):
+    assert table == expected
+    assert list(table) == list(expected)
+
+
+ORACLE_MAX_N = 60
+
+
+@pytest.fixture(scope="module")
+def dense_series_routes():
+    """The series routes with the expansion swapped for the dense oracle
+    that visits every monomial of the truncation box."""
+
+    def run(route, n_max):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(series, "expand_rational", dense_expand_rational)
+            return route(n_max)
+
+    return run
+
+
+@pytest.fixture(scope="module")
+def oracle_f(dense_series_routes):
+    """The f table at ORACLE_MAX_N by the full-range recurrence and by the
+    dense series; smaller max-n are their rows n <= max-n (no Boolean
+    involution of S_n has more than 2n inversions or n/2 excedances, so a
+    smaller truncation box cuts off no cell of those rows)."""
+    return (
+        full_range_recurrence_inv_exc(ORACLE_MAX_N),
+        dense_series_routes(series_inv_exc_counts, ORACLE_MAX_N),
+    )
+
+
+def test_f_routes_match_oracles(oracle_f, dense_series_routes):
+    full_range, dense = oracle_f
+    _assert_same_in_order(full_range, dense)
+    for n in range(ORACLE_MAX_N + 1):
+        _assert_same_in_order(recurrence_inv_exc_counts(n), _truncated(full_range, n))
+        _assert_same_in_order(series_inv_exc_counts(n), _truncated(dense, n))
+    for n in range(13):
+        _assert_same_in_order(recurrence_inv_exc_counts(n), full_range_recurrence_inv_exc(n))
+        _assert_same_in_order(
+            series_inv_exc_counts(n), dense_series_routes(series_inv_exc_counts, n)
+        )
+
+
+@pytest.mark.parametrize(
+    "recurrence, gf",
+    [(recurrence_rank_counts, series_rank_counts), (recurrence_totals, series_totals)],
+)
+def test_g_h_routes_match_dense_series(dense_series_routes, recurrence, gf):
+    for n in range(ORACLE_MAX_N + 1):
+        expected = dense_series_routes(gf, n)
+        _assert_same_in_order(gf(n), expected)
+        _assert_same_in_order(recurrence(n), expected)
+
+
+def test_recurrence_fills_only_reachable_rows():
+    table = recurrence_inv_exc_counts(40)
+    assert max(length for n, length, _ in table if n == 40) == 2 * 40 - 3
+
+
+def test_table_work_guard_refuses_up_front(monkeypatch):
+    def fill(*args):
+        raise AssertionError("a cell was filled")
+
+    monkeypatch.setattr(counting, "_base_inv_exc", fill)
+    for name in ("inv_exc_series", "rank_series", "total_series"):
+        monkeypatch.setattr(counting, name, fill)
+    for route, n_max in [
+        (recurrence_inv_exc_counts, 400),
+        (series_inv_exc_counts, 400),
+        (recurrence_rank_counts, 10**5),
+        (series_rank_counts, 10**5),
+        (recurrence_totals, 10**7),
+        (series_totals, 10**7),
+    ]:
+        with pytest.raises(ResourceLimitError, match="work guard"):
+            route(n_max)
+    counting._check_table_work("f", 100)
 
 
 def test_cross_validate():

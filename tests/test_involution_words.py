@@ -13,7 +13,14 @@ from boolinv.involution_words import (
     reduced_word,
     support,
 )
-from boolinv.permutations import identity, parse_permutation
+from boolinv.permutations import (
+    Involution,
+    Permutation,
+    compose,
+    identity,
+    parse_permutation,
+    transposition,
+)
 from oracles import descents_by_rank, inversion_count, reduced_word_by_rank
 
 
@@ -37,6 +44,25 @@ def test_apply_letter_is_involutive():
         for w in involutions(n):
             for i in range(1, n):
                 assert apply_letter(apply_letter(w, i), i) == w
+
+
+def test_apply_letter_equals_validated_rebuild():
+    for n in range(2, 8):
+        for w in involutions(n):
+            for i in range(1, n):
+                acted = apply_letter(w, i)
+                rebuilt = Involution(acted.word)
+                assert type(acted) is Involution and isinstance(acted.word, tuple)
+                assert acted == rebuilt and hash(acted) == hash(rebuilt)
+                s = transposition(n, i, i + 1)
+                conjugated = compose(s, compose(w, s))
+                assert acted == (compose(w, s) if conjugated == w else conjugated)
+
+
+def test_apply_letter_validates_other_inputs():
+    assert type(apply_letter(Permutation((2, 1, 3)), 2)) is Involution
+    with pytest.raises(ValueError, match="not self-inverse"):
+        apply_letter(Permutation((2, 3, 1)), 1)
 
 
 def test_apply_letter_changes_rank_by_one():

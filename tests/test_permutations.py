@@ -170,3 +170,12 @@ def test_empty_permutation_is_legal():
     e = identity(0)
     assert e.n == 0 and e.word == ()
     assert inversions(e) == (0, [])
+
+
+def test_streamed_involutions_equal_validated_ones():
+    for n in range(9):
+        for w in involutions(n):
+            rebuilt = Involution(w.word)
+            assert type(w) is Involution
+            assert w == rebuilt and hash(w) == hash(rebuilt) and w.word == rebuilt.word
+            assert isinstance(w.word, tuple) and w.is_involution()
