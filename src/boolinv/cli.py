@@ -195,9 +195,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
                 continue
             print(format_signed(sw))
     else:
-        for w in counting.involutions(args.n, shard, num_shards):
-            if args.boolean_only and not is_boolean(w).is_boolean:
-                continue
+        stream = counting.boolean_involutions if args.boolean_only else counting.involutions
+        for w in stream(args.n, shard, num_shards):
             print(format_permutation(w))
     return 0
 

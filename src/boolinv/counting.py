@@ -9,8 +9,13 @@ Tables are plain dicts with exact integer values:
   * rank counts:                 {(n, rank): count}
   * totals:                      {n: count}
 
-The brute route filters the involution stream, whose elements are built
-without revalidation, sharded over at most one process per CPU.  The
+The involution stream is one iterative depth-first walk, whose elements
+are built without revalidation.  The brute route walks it pruned: no
+point is paired once an earlier pair reaches beyond its right neighbour,
+so only the Boolean involutions are visited, each decided on its prefixes
+by the long-crossing criterion rather than filtered from the whole
+stream.  It is sharded over at most one process per CPU and refused up
+front when its predicted work exceeds MAX_BRUTE_WORK.  The
 recurrence route fills sizes n >= 4 from the three previous sizes, each
 row only as far in l as its source rows reach; rows below that, and the
 cells with few inversions or no excedances, come from closed base formulas
@@ -25,9 +30,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import takewhile
 from typing import Iterator
 
-from .boolean import has_long_crossing
 from .involution_words import ResourceLimitError
 from .motzkin import count_restricted
 from .permutations import Involution, _trusted_involution, inversion_count
@@ -36,8 +41,8 @@ from .signed import SignedInvolution
 
 MAX_STREAM_N = 14
 MAX_SIGNED_STREAM_N = 7
-MAX_BRUTE_N = 12
-MAX_VALIDATE_N = 10
+# Boolean involutions times n summed over the sizes: admits n_max 15.
+MAX_BRUTE_WORK = 2 * 10**6
 # Cells times count bits; the largest admitted tables take about 4 s to fill.
 MAX_TABLE_WORK = 5 * 10**8
 
@@ -46,36 +51,100 @@ RankTable = dict[tuple[int, int], int]
 TotalTable = dict[int, int]
 
 
+def _walk(n: int, pruned: bool = False) -> Iterator[tuple[int, list[int]]]:
+    """
+    Depth-first walk over the involutions of S_n in lexicographic order of
+    their one-line words.  Yields (index, word): the element's position in
+    the full stream and its word as a list, valid until the next step.
+
+    Each node decides its first free point p, first as a fixed point and
+    then paired with each larger free point q in turn, on an explicit stack
+    of [p, q, prefix max, index of the first leaf below, free points]
+    frames.  With `pruned`, p is never paired once an earlier partner
+    exceeds p + 1, the test `has_long_crossing` makes on a whole word, so
+    the leaves are exactly the Boolean involutions; a skipped subtree still
+    moves the index on, by (m - 1) I(m - 2) = I(m) - I(m - 1) at a node
+    with m free points, I(k) being the number of involutions of S_k.
+    """
+    sizes = [1, 1]
+    for k in range(2, n + 1):
+        sizes.append(sizes[-1] + (k - 1) * sizes[-2])
+    word = list(range(1, n + 1))
+    free = [False] + [True] * (n + 1)  # free[n + 1] ends every scan
+    stack: list[list[int]] = []
+    p, prefix, index, m = 1, 0, 0, n
+    while True:
+        while m > 1:  # a last free point can only be fixed and needs no frame
+            stack.append([p, p, prefix, index, m])
+            free[p] = False
+            m -= 1
+            p += 1
+            while not free[p]:
+                p += 1
+        yield index, word
+        while stack:
+            frame = stack[-1]
+            p, q, prefix, index, m = frame
+            if q != p:
+                word[p - 1], word[q - 1] = p, q
+                free[q] = True
+                index += sizes[m - 2]
+            elif pruned and prefix > p + 1:
+                q = n
+            else:
+                index += sizes[m - 1]
+            q += 1
+            while not free[q]:
+                q += 1
+            if q > n:
+                stack.pop()
+                free[p] = True
+                continue
+            frame[1], frame[3] = q, index
+            word[p - 1], word[q - 1] = q, p
+            free[q] = False
+            if q > prefix:
+                prefix = q
+            m -= 2
+            p += 1
+            while not free[p]:
+                p += 1
+            break
+        else:
+            return
+
+
+def _elements(n: int, shard: int, num_shards: int, pruned: bool) -> Iterator[Involution]:
+    for index, word in _walk(n, pruned):
+        if index % num_shards == shard:
+            yield _trusted_involution(tuple(word))
+
+
+def _check_stream(n: int, shard: int, num_shards: int) -> None:
+    if n > MAX_STREAM_N:
+        raise ResourceLimitError(f"n {n} exceeds stream guard {MAX_STREAM_N}")
+    if not 0 <= shard < num_shards:
+        raise ValueError(f"bad shard {shard}/{num_shards}")
+
+
 def involutions(n: int, shard: int = 0, num_shards: int = 1) -> Iterator[Involution]:
     """
     All involutions of S_n, lexicographic by one-line word, each exactly
     once.  With num_shards > 1 only every num_shards-th element (offset by
     shard) is yielded, so the shards partition the stream.
     """
-    if n > MAX_STREAM_N:
-        raise ResourceLimitError(f"n {n} exceeds stream guard {MAX_STREAM_N}")
-    if not 0 <= shard < num_shards:
-        raise ValueError(f"bad shard {shard}/{num_shards}")
-    word = list(range(1, n + 1))
+    _check_stream(n, shard, num_shards)
+    yield from _elements(n, shard, num_shards, False)
 
-    def fill(free: tuple[int, ...]) -> Iterator[None]:
-        # Yields once per completed word, left in `word` while suspended.
-        if not free:
-            yield
-            return
-        p = free[0]
-        rest = free[1:]
-        word[p - 1] = p
-        yield from fill(rest)
-        for k, q in enumerate(rest):
-            word[p - 1], word[q - 1] = q, p
-            yield from fill(rest[:k] + rest[k + 1 :])
-            word[q - 1] = q
-        word[p - 1] = p
 
-    for index, _ in enumerate(fill(tuple(range(1, n + 1)))):
-        if index % num_shards == shard:
-            yield _trusted_involution(tuple(word))
+def boolean_involutions(n: int, shard: int = 0, num_shards: int = 1) -> Iterator[Involution]:
+    """
+    The Boolean involutions of S_n, in the order and with the shards of
+    `involutions` (a shard keeps the Boolean elements of that shard of the
+    full stream), found by the pruned walk without visiting the rest.
+    """
+    _check_stream(n, shard, num_shards)
+    yield from _elements(n, shard, num_shards, True)
 
 
 def signed_involutions(
@@ -117,9 +186,7 @@ def signed_involutions(
 def _brute_shard(args: tuple[int, int, int]) -> InvExcTable:
     n, shard, num_shards = args
     table: InvExcTable = {}
-    for w in involutions(n, shard, num_shards):
-        if has_long_crossing(w):
-            continue
+    for w in _elements(n, shard, num_shards, True):
         length = inversion_count(w)
         exc = sum(1 for i, v in enumerate(w.word, start=1) if v > i)
         key = (n, length, exc)
@@ -130,12 +197,11 @@ def _brute_shard(args: tuple[int, int, int]) -> InvExcTable:
 def brute_inv_exc_counts(n_max: int, jobs: int = 1) -> InvExcTable:
     """
     Count Boolean involutions by (size, inversions, excedances) for every
-    1 <= n <= n_max by filtering the involution stream.  With jobs > 1 the
-    streams are sharded across up to jobs processes, at most one per CPU,
-    and the partial tables summed.
+    1 <= n <= n_max by the pruned walk.  With jobs > 1 the walks are
+    sharded across up to jobs processes, at most one per CPU, and the
+    partial tables summed.
     """
-    if n_max > MAX_BRUTE_N:
-        raise ResourceLimitError(f"n_max {n_max} exceeds brute guard {MAX_BRUTE_N}")
+    _check_brute_work(n_max)
     shards = max(1, min(jobs, os.cpu_count() or 1))
     pieces = [(n, shard, shards) for n in range(1, n_max + 1) for shard in range(shards)]
     table: InvExcTable = {}
@@ -150,6 +216,25 @@ def brute_inv_exc_counts(n_max: int, jobs: int = 1) -> InvExcTable:
         for key, value in partial.items():
             table[key] = table.get(key, 0) + value
     return table
+
+
+def _check_brute_work(n_max: int) -> None:
+    """
+    Refuse, before any element is walked, a brute table whose predicted
+    work, the sum of n h(n) over 1 <= n <= n_max, exceeds MAX_BRUTE_WORK.
+    The totals h come from their recurrence; they only size the run.  The
+    sum stops once over the limit.
+    """
+    work = 0
+    totals = [2, 1, 1]  # h(-2), h(-1), h(0): the recurrence run back from h(1..3)
+    for n in range(1, n_max + 1):
+        totals.append(2 * totals[-1] + totals[-2] - totals[-3])
+        work += n * totals[-1]
+        if work > MAX_BRUTE_WORK:
+            raise ResourceLimitError(
+                f"n_max {n_max} exceeds brute guard {MAX_BRUTE_WORK}"
+                " (Boolean involutions times n)"
+            )
 
 
 def rank_counts_from_inv_exc(table: InvExcTable) -> RankTable:
@@ -313,17 +398,22 @@ def recurrence_totals(n_max: int) -> TotalTable:
     return table
 
 
+def _drop_size_zero(coeffs: dict) -> dict:
+    """Delete, in place, the n = 0 cells that lead a series' key order."""
+    for key in list(takewhile(lambda key: key[0] == 0, coeffs)):
+        del coeffs[key]
+    return coeffs
+
+
 def series_inv_exc_counts(n_max: int) -> InvExcTable:
     """Inversion/excedance table read off the three-variable series."""
     _check_table_work("f", n_max)
-    coeffs = inv_exc_series(n_max).coefficients
-    return {key: value for key, value in coeffs.items() if key[0] >= 1}
+    return _drop_size_zero(inv_exc_series(n_max).coefficients)
 
 
 def series_rank_counts(n_max: int) -> RankTable:
     _check_table_work("g", n_max)
-    coeffs = rank_series(n_max).coefficients
-    return {key: value for key, value in coeffs.items() if key[0] >= 1}
+    return _drop_size_zero(rank_series(n_max).coefficients)
 
 
 def series_totals(n_max: int) -> TotalTable:
@@ -382,8 +472,7 @@ def cross_validate(n_max: int, jobs: int = 1) -> CrossValidationReport:
     each statistic, the marginalization identities between them, and the
     restricted Motzkin path counts against the totals.
     """
-    if n_max > MAX_VALIDATE_N:
-        raise ResourceLimitError(f"n_max {n_max} exceeds guard {MAX_VALIDATE_N}")
+    _check_brute_work(n_max)
     brute_f = brute_inv_exc_counts(n_max, jobs) if n_max >= 1 else {}
     brute_g = rank_counts_from_inv_exc(brute_f)
     brute_h = totals_from_rank_counts(brute_g)

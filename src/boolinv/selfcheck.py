@@ -147,7 +147,7 @@ def _action_law_holds(w) -> bool:
 
 
 def run_selfcheck(n_max: int) -> list[CheckResult]:
-    report = counting.cross_validate(min(n_max, counting.MAX_VALIDATE_N))
+    report = counting.cross_validate(min(n_max, 10))
     results = list(report.checks)
     results.append(check_criteria_agree(min(n_max, 9), min(n_max, 7)))
     results.append(check_ideals(min(n_max, 6)))

@@ -65,23 +65,29 @@ def expand_rational(numerator: Terms, denominator: Terms, bounds: tuple[int, ...
     Nonzero coefficients of numerator/denominator up to the bounds
     (inclusive), one x-degree row at a time: row d is the numerator's row d
     minus c times row d - t[0] shifted by t[1:], over the denominator terms
-    c*x^t other than its constant term 1, each of positive x-degree.
+    c*x^t other than its constant term 1, each of positive x-degree.  Only
+    the rows the denominator's x-degree still reaches are kept aside; each
+    row goes into the result as soon as it is complete.
     """
     if denominator.get((0,) * len(bounds), 0) != 1:
         raise ValueError("denominator constant term must be 1")
     tail = [(t, c) for t, c in denominator.items() if any(t)]
     if any(t[0] == 0 for t, _ in tail):
         raise ValueError("denominator tail must have positive first-variable degree")
-    rows: list[Terms] = []
+    depth = max((t[0] for t, _ in tail), default=0)
+    rows: dict[int, Terms] = {}  # the last `depth` rows, all that is read again
+    coeffs: Terms = {}
     for d in range(bounds[0] + 1):
         row = {m[1:]: v for m, v in numerator.items() if m[0] == d}
         for t, c in tail:
-            for rest, v in rows[d - t[0]].items() if t[0] <= d else ():
+            for rest, v in rows.get(d - t[0], {}).items():
                 key = tuple(map(add, rest, t[1:]))
                 row[key] = row.get(key, 0) - c * v
         row = {r: v for r, v in sorted(row.items()) if v and all(map(le, r, bounds[1:]))}
-        rows.append(row)
-    return {(d, *r): v for d, row in enumerate(rows) for r, v in row.items()}
+        rows[d] = row
+        rows.pop(d - depth, None)
+        coeffs.update(((d, *r), v) for r, v in row.items())
+    return coeffs
 
 
 def inv_exc_series(n_max: int, inv_max: int | None = None, exc_max: int | None = None) -> SeriesExpansion:

@@ -5,6 +5,7 @@ different from the ones the library takes.
 """
 from itertools import combinations, product
 
+from boolinv.boolean import has_long_crossing
 from boolinv.counting import _base_inv_exc
 from boolinv.involution_words import apply_letter, rank, reduced_word
 from boolinv.permutations import Involution
@@ -236,4 +237,50 @@ def full_range_recurrence_inv_exc(n_max):
                     )
                 if value:
                     table[(n, length, exc)] = value
+    return table
+
+
+def nested_involution_words(n):
+    """The words of every involution of S_n, lexicographic, by the recursive
+    fill: the first free point is fixed, then paired with each larger free
+    point in turn, one nested generator per free point."""
+    word = list(range(1, n + 1))
+
+    def fill(free):
+        if not free:
+            yield tuple(word)
+            return
+        p = free[0]
+        rest = free[1:]
+        word[p - 1] = p
+        yield from fill(rest)
+        for k, q in enumerate(rest):
+            word[p - 1], word[q - 1] = q, p
+            yield from fill(rest[:k] + rest[k + 1:])
+            word[q - 1] = q
+        word[p - 1] = p
+
+    return list(fill(tuple(range(1, n + 1))))
+
+
+def filtered_boolean_words(n):
+    """(index in the full stream, word) of each involution of S_n without a
+    long crossing, by filtering the nested stream with `has_long_crossing`."""
+    return [
+        (index, word)
+        for index, word in enumerate(nested_involution_words(n))
+        if not has_long_crossing(Involution(word))
+    ]
+
+
+def filtered_inv_exc_counts(n_max, shard=0, num_shards=1):
+    """Boolean involutions by (n, inversions, excedances), counted over the
+    filtered stream, keeping the elements whose full-stream index is
+    shard modulo num_shards."""
+    table = {}
+    for n in range(1, n_max + 1):
+        for index, word in filtered_boolean_words(n):
+            if index % num_shards == shard:
+                key = (n, inversion_count(word), sum(1 for i, v in enumerate(word, 1) if v > i))
+                table[key] = table.get(key, 0) + 1
     return table

@@ -86,7 +86,7 @@ def test_table_verify(capsys):
 
 
 def test_table_guard(capsys):
-    code, _, err = run_cli(capsys, "table", "f", "--max-n", "13", "--method", "brute")
+    code, _, err = run_cli(capsys, "table", "f", "--max-n", "16", "--method", "brute")
     assert code == 2 and "guard" in err
 
 
@@ -261,6 +261,23 @@ GOLDEN_STDOUT = [
         ("table", "h", "--max-n", "30", "--method", "gf"),
         0,
         "cac7351e1545c265d82aa4f3508917e6ecd8c5eee455864d46bc5664dc967d4e",
+    ),
+    # Recorded before the brute route and `enumerate --boolean-only` read
+    # the pruned walk.
+    (
+        ("enumerate", "--n", "9", "--boolean-only"),
+        0,
+        "0391ecefbbec6c41e0384e70a54f1d09130651c7a5f5ffbb198e8d0e2f9c5125",
+    ),
+    (
+        ("enumerate", "--n", "9", "--boolean-only", "--shard", "1/3"),
+        0,
+        "126e45e2d996c57d082458619ac4fcb4b572c4fa8e9af44b7667ca7c28a8952e",
+    ),
+    (
+        ("table", "f", "--max-n", "11", "--method", "brute", "--format", "tsv"),
+        0,
+        "231447263e80cbf891a3e5d1561deaa5c7af054b1383049b2cf109d91cf1d873",
     ),
 ]
 

@@ -7,6 +7,7 @@ from boolinv import counting, series
 from boolinv.counting import (
     CheckResult,
     CrossValidationReport,
+    boolean_involutions,
     brute_inv_exc_counts,
     brute_rank_counts,
     brute_totals,
@@ -26,7 +27,13 @@ from boolinv.counting import (
 )
 from boolinv.involution_words import ResourceLimitError
 from boolinv.series import inv_exc_series, rank_series, total_series
-from oracles import dense_expand_rational, full_range_recurrence_inv_exc
+from oracles import (
+    dense_expand_rational,
+    filtered_boolean_words,
+    filtered_inv_exc_counts,
+    full_range_recurrence_inv_exc,
+    nested_involution_words,
+)
 
 INVOLUTION_COUNTS = [1, 1, 2, 4, 10, 26, 76, 232, 764, 2620]
 SIGNED_COUNTS = [2, 6, 20, 76, 312, 1384]
@@ -60,6 +67,61 @@ def test_involution_stream_sharding():
         assert sum(len(s) for s in shards) == len(full)
 
 
+def test_walk_matches_nested_stream():
+    for n in range(11):
+        expected = nested_involution_words(n)
+        assert [w.word for w in involutions(n)] == expected
+        assert [(index, tuple(word)) for index, word in counting._walk(n)] == list(
+            enumerate(expected)
+        )
+
+
+def test_pruned_walk_matches_filtered_stream():
+    for n in range(12):
+        expected = filtered_boolean_words(n)
+        walked = [(index, tuple(word)) for index, word in counting._walk(n, pruned=True)]
+        assert walked == expected
+        assert [w.word for w in boolean_involutions(n)] == [w for _, w in expected]
+
+
+def test_shards_match_oracles():
+    for n in range(10):
+        full = nested_involution_words(n)
+        booleans = filtered_boolean_words(n)
+        for num_shards in (2, 3, 5):
+            for shard in range(num_shards):
+                assert [w.word for w in involutions(n, shard, num_shards)] == full[
+                    shard::num_shards
+                ]
+                assert [w.word for w in boolean_involutions(n, shard, num_shards)] == [
+                    w for index, w in booleans if index % num_shards == shard
+                ]
+                if n:
+                    expected = filtered_inv_exc_counts(n, shard, num_shards)
+                    _assert_same_in_order(
+                        counting._brute_shard((n, shard, num_shards)),
+                        {key: c for key, c in expected.items() if key[0] == n},
+                    )
+    with pytest.raises(ResourceLimitError):
+        next(boolean_involutions(15))
+    with pytest.raises(ValueError, match="bad shard"):
+        next(boolean_involutions(4, 2, 2))
+
+
+def test_brute_tables_match_filtered_stream():
+    expected_f = filtered_inv_exc_counts(11)
+    for n_max in range(12):
+        f = brute_inv_exc_counts(n_max)
+        expected = {key: c for key, c in expected_f.items() if key[0] <= n_max}
+        _assert_same_in_order(f, expected)
+        g, h = {}, {}
+        for (n, length, exc), count in expected.items():
+            g[(n, (length + exc) // 2)] = g.get((n, (length + exc) // 2), 0) + count
+            h[n] = h.get(n, 0) + count
+        _assert_same_in_order(brute_rank_counts(n_max), g)
+        _assert_same_in_order(brute_totals(n_max), h)
+
+
 def test_signed_stream_counts():
     for n, expected in enumerate(SIGNED_COUNTS, start=1):
         windows = [w.window for w in signed_involutions(n)]
@@ -91,7 +153,18 @@ def test_brute_base_cell_formulas():
 
 def test_brute_guard():
     with pytest.raises(ResourceLimitError):
-        brute_inv_exc_counts(13)
+        brute_inv_exc_counts(16)
+
+
+def test_brute_guard_refuses_before_walking(monkeypatch):
+    def walk(*args):
+        raise AssertionError("walked past the guard")
+
+    monkeypatch.setattr(counting, "_walk", walk)
+    for route in (brute_inv_exc_counts, brute_rank_counts, brute_totals, cross_validate):
+        with pytest.raises(ResourceLimitError, match="brute guard"):
+            route(16)
+    counting._check_brute_work(15)
 
 
 def test_recurrence_examples():
@@ -280,7 +353,7 @@ def test_cross_validate():
     vacuous = cross_validate(0)
     assert vacuous.passed
     with pytest.raises(ResourceLimitError):
-        cross_validate(11)
+        cross_validate(16)
 
 
 def test_exports():
