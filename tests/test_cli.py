@@ -279,6 +279,14 @@ GOLDEN_STDOUT = [
         0,
         "231447263e80cbf891a3e5d1561deaa5c7af054b1383049b2cf109d91cf1d873",
     ),
+    # Recorded before the sweeps moved into one registry: the default
+    # selftest, and --max-n 10, where every sweep runs at its cap.
+    (("selftest",), 0, "c4dd07cb91b5a9c81afda687bceaa8a2f7b0038d035270171de0c5ac74a0fbf6"),
+    (
+        ("selftest", "--max-n", "10"),
+        0,
+        "b29249d530231ad9cc04de95a24a1ba3d37f678d5a701370e366a669233bd822",
+    ),
 ]
 
 
