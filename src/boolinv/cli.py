@@ -21,7 +21,7 @@ import sys
 from typing import Sequence
 
 from . import counting, ideals, motzkin
-from .boolean import METHODS, BooleanVerdict, InvariantViolationError, is_boolean
+from .boolean import BooleanVerdict, InvariantViolationError, has_long_crossing, is_boolean
 from .involution_words import ResourceLimitError, rank_profile
 from .permutations import (
     Involution,
@@ -30,7 +30,6 @@ from .permutations import (
     parse_permutation,
 )
 from .signed import (
-    SIGNED_METHODS,
     SignedInvolution,
     embed,
     format_signed,
@@ -96,21 +95,13 @@ def _print_verdict(payload: dict, fmt: str) -> None:
 def cmd_check(args: argparse.Namespace) -> int:
     if args.signed:
         w = _parse_signed_involution(args.element)
-        method = args.method or "embedding"
-        if method not in SIGNED_METHODS:
-            raise ParseError(
-                f"bad signed method {method!r}; expected one of {SIGNED_METHODS}"
-            )
-        verdict = is_boolean_signed(w, method)
+        verdict = is_boolean_signed(w, args.method or "embedding")
         profile = rank_profile(embed(w).perm)
         payload = _verdict_payload(format_signed(w), verdict, profile)
         payload["signed"] = True
     else:
         w = _parse_involution(args.element)
-        method = args.method or "long_crossing"
-        if method not in METHODS:
-            raise ParseError(f"bad method {method!r}; expected one of {METHODS}")
-        verdict = is_boolean(w, method)
+        verdict = is_boolean(w, args.method or "long_crossing")
         payload = _verdict_payload(format_permutation(w), verdict, rank_profile(w))
     _print_verdict(payload, args.format or _default_format())
     return 0 if verdict.is_boolean else 1
@@ -191,7 +182,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             raise ParseError(f"bad shard spec {args.shard!r}; expected K/M") from None
     if args.signed:
         for sw in counting.signed_involutions(args.n, shard, num_shards):
-            if args.boolean_only and not is_boolean_signed(sw).is_boolean:
+            if args.boolean_only and has_long_crossing(embed(sw).perm):
                 continue
             print(format_signed(sw))
     else:

@@ -120,9 +120,13 @@ def _elements(n: int, shard: int, num_shards: int, pruned: bool) -> Iterator[Inv
             yield _trusted_involution(tuple(word))
 
 
-def _check_stream(n: int, shard: int, num_shards: int) -> None:
-    if n > MAX_STREAM_N:
-        raise ResourceLimitError(f"n {n} exceeds stream guard {MAX_STREAM_N}")
+def _check_stream(
+    n: int, shard: int, num_shards: int, guard: int = MAX_STREAM_N, kind: str = "stream"
+) -> None:
+    if n < 0:
+        raise ValueError(f"negative size {n}")
+    if n > guard:
+        raise ResourceLimitError(f"n {n} exceeds {kind} guard {guard}")
     if not 0 <= shard < num_shards:
         raise ValueError(f"bad shard {shard}/{num_shards}")
 
@@ -154,10 +158,7 @@ def signed_involutions(
     All involutions among signed permutations of [+-n], in lexicographic
     window order, shardable like `involutions`.
     """
-    if n > MAX_SIGNED_STREAM_N:
-        raise ResourceLimitError(f"n {n} exceeds signed guard {MAX_SIGNED_STREAM_N}")
-    if not 0 <= shard < num_shards:
-        raise ValueError(f"bad shard {shard}/{num_shards}")
+    _check_stream(n, shard, num_shards, MAX_SIGNED_STREAM_N, "signed")
     window = [0] * n
 
     def fill(free: tuple[int, ...]) -> Iterator[None]:

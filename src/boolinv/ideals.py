@@ -197,29 +197,3 @@ def dot_export(poset: IdealPoset, sink: IO[str] | None = None) -> str:
         sink.write(text)
     return text
 
-
-def _poly_mul(p: list[int], q: list[int]) -> list[int]:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
-
-
-def product_decomposition_check(w: Involution) -> bool:
-    """
-    Verify that the ideal of w factors over the connected components of w:
-    the sizes multiply and the rank generating functions multiply.
-    """
-    from .boolean import connected_components, restrict
-
-    whole = ideal(w)
-    gf = [1]
-    size = 1
-    for lo, hi in connected_components(w).components:
-        part = ideal(Involution(restrict(w, range(lo, hi + 1)).word))
-        size *= len(part)
-        gf = _poly_mul(gf, part.rank_counts())
-    while len(gf) > 1 and gf[-1] == 0:
-        gf.pop()
-    return size == len(whole) and gf == whole.rank_counts()

@@ -1,21 +1,25 @@
 """
-Cross-module invariant suite behind `boolinv selftest`.
+Cross-module invariant sweeps, run by `boolinv selftest` and by the
+acceptance suite.
 
-Each check sweeps every involution (or signed involution) up to a size cap
-and verifies an equivalence between independently implemented routes:
-Booleanness criteria against each other, subword-generated ideals against
-Bruhat-filtered ideals, the Motzkin correspondence against the rank
-calculus, the signed layer against its embedded image, and the counting
-routes against each other.
+Each sweep checks every involution (or signed involution) up to the size
+bounds it is given and verifies an equivalence between independently
+implemented routes: Booleanness criteria against each other,
+subword-generated ideals against the Bruhat order, the Motzkin
+correspondence against the rank calculus, and the signed layer against its
+embedded image.  `SWEEPS` lists them with the caps `selftest` applies; the
+counting routes are checked against each other by `counting.cross_validate`.
 """
 from __future__ import annotations
 
+from functools import cache
+
 from . import counting, ideals, motzkin
-from .boolean import has_long_crossing, is_boolean
+from .boolean import connected_components, has_long_crossing, is_boolean, restrict
 from .counting import CheckResult
-from .involution_words import rank, rank_profile
+from .involution_words import apply_letter, rank, rank_profile
 from .patterns import SIGNED_FORBIDDEN_PATTERNS, avoids_all
-from .permutations import excedance_profile
+from .permutations import Involution, conjugate, excedance_profile
 from .signed import apply_letter_signed, embed, is_boolean_signed
 
 
@@ -34,47 +38,67 @@ def check_criteria_agree(n_max: int, poset_n_max: int) -> CheckResult:
     return CheckResult(name, True)
 
 
-def check_ideals(n_max: int) -> CheckResult:
-    """Subword-generated ideals must equal Bruhat-filtered ideals, be graded,
-    factor over components, and have power-of-two size exactly when Boolean."""
+def check_ideals(n_max: int, product_n_max: int) -> CheckResult:
+    """
+    Subword-generated ideals must equal Bruhat-filtered ideals and carry the
+    order of `bruhat_leq` on every pair.  The order is then graded (Incitti
+    2004), which is what lets `ideal()` compare adjacent ranks only.  The
+    size is a power of two exactly when w is Boolean, by `is_boolean` and by
+    the lattice test, and up to product_n_max the ideal factors over the
+    components of w.
+    """
     name = f"ideal structure (n <= {n_max})"
     for n in range(0, n_max + 1):
+        # a pair recurs in every ideal containing it; ask the oracle once
+        leq = cache(ideals.bruhat_leq)
         everything = list(counting.involutions(n))
         for w in everything:
             poset = ideals.ideal(w)
-            filtered = {u for u in everything if ideals.bruhat_leq(u, w)}
-            if set(poset.elements) != filtered:
+            if set(poset.elements) != {u for u in everything if leq(u, w)}:
                 return CheckResult(name, False, f"subword != filter for {w.word}")
-            if not _graded(poset):
-                return CheckResult(name, False, f"ideal of {w.word} not graded")
-            boolean = is_boolean(w).is_boolean
-            if boolean != (len(poset) == 2 ** rank(w)):
+            if any(
+                row[b] != leq(u, v)
+                for u, row in zip(poset.elements, poset.leq)
+                for b, v in enumerate(poset.elements)
+            ):
+                return CheckResult(name, False, f"order of the ideal of {w.word} != bruhat_leq")
+            power = len(poset) == 2 ** rank(w)
+            if is_boolean(w).is_boolean != power or ideals.is_boolean_lattice(poset) != power:
                 return CheckResult(name, False, f"size mismatch for {w.word}")
-            if not ideals.product_decomposition_check(w):
+            if n <= product_n_max and not product_decomposition_check(w):
                 return CheckResult(name, False, f"no product decomposition for {w.word}")
     return CheckResult(name, True)
 
 
-def _graded(poset: ideals.IdealPoset) -> bool:
-    """Every cover (comparable pair with nothing strictly between) must
-    raise the rank by exactly one."""
-    size = len(poset)
-    for a in range(size):
-        for b in range(size):
-            if a == b or not poset.leq[a][b]:
-                continue
-            has_middle = any(
-                c != a and c != b and poset.leq[a][c] and poset.leq[c][b]
-                for c in range(size)
-            )
-            if not has_middle and poset.ranks[b] != poset.ranks[a] + 1:
-                return False
-    return True
+def _poly_mul(p: list[int], q: list[int]) -> list[int]:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def product_decomposition_check(w: Involution) -> bool:
+    """
+    Verify that the ideal of w factors over the connected components of w:
+    the sizes multiply and the rank generating functions multiply.
+    """
+    whole = ideals.ideal(w)
+    gf = [1]
+    size = 1
+    for lo, hi in connected_components(w).components:
+        part = ideals.ideal(Involution(restrict(w, range(lo, hi + 1)).word))
+        size *= len(part)
+        gf = _poly_mul(gf, part.rank_counts())
+    while len(gf) > 1 and gf[-1] == 0:
+        gf.pop()
+    return size == len(whole) and gf == whole.rank_counts()
 
 
 def check_motzkin(n_max: int) -> CheckResult:
-    """Boolean involutions map to restricted paths and round-trip; the path
-    of a non-Boolean involution never maps back to it."""
+    """Boolean involutions map to restricted paths, round-trip and carry
+    their rank and length; the path of a non-Boolean involution never maps
+    back to it; each size has count_restricted Boolean involutions."""
     name = f"Motzkin correspondence (n <= {n_max})"
     for n in range(0, n_max + 1):
         booleans = 0
@@ -124,9 +148,6 @@ def _action_law_holds(w) -> bool:
     both mirror conjugations agree and move the image, and to the
     positive-side swap followed by the mirror swap otherwise.
     """
-    from .involution_words import apply_letter
-    from .permutations import conjugate
-
     n = w.n
     image = embed(w).perm
     for i in range(0, n):
@@ -146,11 +167,21 @@ def _action_law_holds(w) -> bool:
     return True
 
 
+# Every sweep with the caps `selftest` runs it at, one per size bound.
+SWEEPS = (
+    (check_criteria_agree, (9, 7)),
+    (check_ideals, (6, 6)),
+    (check_motzkin, (9,)),
+    (check_signed, (5, 4)),
+)
+
+
 def run_selfcheck(n_max: int) -> list[CheckResult]:
-    report = counting.cross_validate(min(n_max, 10))
-    results = list(report.checks)
-    results.append(check_criteria_agree(min(n_max, 9), min(n_max, 7)))
-    results.append(check_ideals(min(n_max, 6)))
-    results.append(check_motzkin(min(n_max, 9)))
-    results.append(check_signed(min(n_max, 5), min(n_max, 4)))
+    """Cross-validate the counting routes up to min(n_max, 10), then run
+    every sweep with each bound at min(n_max, cap)."""
+    if n_max < 0:
+        raise ValueError(f"negative size bound {n_max}")
+    results = list(counting.cross_validate(min(n_max, 10)).checks)
+    for sweep, caps in SWEEPS:
+        results.append(sweep(*(min(n_max, cap) for cap in caps)))
     return results

@@ -23,7 +23,6 @@ to the whole truncation box.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from operator import add, le
 
@@ -45,19 +44,6 @@ class SeriesExpansion:
         if any(e > bound for e, bound in zip(exponents, self.truncation)):
             raise ValueError(f"{exponents} outside truncation {self.truncation}")
         return self.coefficients.get(tuple(exponents), 0)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "variables": list(self.variables),
-                "truncation": list(self.truncation),
-                "coefficients": {
-                    ",".join(str(e) for e in key): value
-                    for key, value in sorted(self.coefficients.items())
-                },
-            },
-            sort_keys=True,
-        )
 
 
 def expand_rational(numerator: Terms, denominator: Terms, bounds: tuple[int, ...]) -> Terms:

@@ -4,33 +4,15 @@ Everything here is exact; no tolerances.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the summary lines.
 """
-from boolinv.boolean import has_long_crossing, is_boolean, long_crossing_pairs
-from boolinv.counting import (
-    involutions,
-    recurrence_inv_exc_counts,
-    recurrence_rank_counts,
-    recurrence_totals,
-    series_inv_exc_counts,
-    series_rank_counts,
-    series_totals,
-    signed_involutions,
-    rank_counts_from_inv_exc,
-    totals_from_rank_counts,
-)
-from boolinv.ideals import bruhat_leq, ideal, is_boolean_lattice, product_decomposition_check
-from boolinv.involution_words import evaluate_word, rank, rank_profile
-from boolinv.motzkin import (
-    MotzkinPath,
-    count_restricted,
-    involution_to_path,
-    is_restricted,
-    path_to_involution,
-)
-from boolinv.patterns import SIGNED_FORBIDDEN_PATTERNS, avoids_all, is_induced, occurrences
-from boolinv.permutations import Involution, excedance_profile, parse_permutation
+from boolinv.boolean import is_boolean, long_crossing_pairs
+from boolinv.counting import cross_validate, involutions, signed_involutions
+from boolinv.involution_words import evaluate_word, rank
+from boolinv.motzkin import MotzkinPath, count_restricted, involution_to_path, path_to_involution
+from boolinv.patterns import is_induced, occurrences
+from boolinv.permutations import parse_permutation
+from boolinv.selfcheck import check_criteria_agree, check_ideals, check_motzkin, check_signed
 from boolinv.series import total_series
-from boolinv.signed import apply_letter_signed, embed, is_boolean_signed
-from oracles import covers_from_leq, restricted_strings
+from oracles import restricted_strings
 
 
 def _report(criterion: int, description: str, failures: list):
@@ -39,25 +21,17 @@ def _report(criterion: int, description: str, failures: list):
     assert not failures, f"criterion {criterion}: {failures[:5]}"
 
 
+def _failures(*checks):
+    return [check.line() for check in checks if not check.passed]
+
+
 def test_criterion_1_booleanness_criteria_agree():
-    failures = []
-    total = 0
-    for n in range(10):
-        for w in involutions(n):
-            total += 1
-            answers = {
-                m: is_boolean(w, m).is_boolean
-                for m in ("patterns", "long_crossing", "word")
-            }
-            if n <= 7:
-                answers["poset"] = is_boolean(w, "poset").is_boolean
-            if len(set(answers.values())) != 1:
-                failures.append((w.word, answers))
+    total = sum(1 for n in range(10) for _ in involutions(n))
     assert total == 1 + 1 + 2 + 4 + 10 + 26 + 76 + 232 + 764 + 2620
     _report(
         1,
         "pattern, long-crossing and word criteria agree for n <= 9; poset for n <= 7",
-        failures,
+        _failures(check_criteria_agree(9, 7)),
     )
 
 
@@ -75,23 +49,12 @@ def test_criterion_2_base_cell_formulas(brute_table_12):
     _report(2, "brute-force table reproduces all base-cell formulas, n <= 10", failures)
 
 
-def test_criterion_3_three_way_count_agreement(brute_table_12):
-    failures = []
-    brute_f = {key: value for key, value in brute_table_12.items() if key[0] <= 10}
-    brute_g = rank_counts_from_inv_exc(brute_f)
-    brute_h = totals_from_rank_counts(brute_g)
-    for name, mine, other in [
-        ("f-recurrence", brute_f, recurrence_inv_exc_counts(10)),
-        ("f-series", brute_f, series_inv_exc_counts(10)),
-        ("g-recurrence", brute_g, recurrence_rank_counts(10)),
-        ("g-series", brute_g, series_rank_counts(10)),
-        ("h-recurrence", brute_h, recurrence_totals(10)),
-        ("h-series", brute_h, series_totals(10)),
-    ]:
-        for key in sorted(set(mine) | set(other)):
-            if mine.get(key, 0) != other.get(key, 0):
-                failures.append((name, key, mine.get(key, 0), other.get(key, 0)))
-    _report(3, "brute = recurrence = series for f, g and h, n <= 10", failures)
+def test_criterion_3_three_way_count_agreement():
+    _report(
+        3,
+        "brute = recurrence = series for f, g and h, and paths = totals, n <= 10",
+        _failures(*cross_validate(10).checks),
+    )
 
 
 def test_criterion_4_total_series(brute_totals_12):
@@ -106,28 +69,11 @@ def test_criterion_4_total_series(brute_totals_12):
 
 
 def test_criterion_5_motzkin_bijection(brute_totals_12):
-    failures = []
+    failures = _failures(check_motzkin(10))
     for n in range(11):
-        boolean_count = 0
-        for w in involutions(n):
-            if has_long_crossing(w):
-                continue
-            boolean_count += 1
-            path = involution_to_path(w)
-            if not is_restricted(path) or path_to_involution(path) != w:
-                failures.append(("involution round trip", w.word))
-            if n <= 9:
-                profile = rank_profile(w)
-                exc = len(excedance_profile(w).excedances)
-                if profile.rank != n - sum(
-                    1 for h in path.heights()[1:] if h == 0
-                ) or profile.coxeter_length != 2 * profile.rank - exc:
-                    failures.append(("statistic transport", w.word))
         for steps in restricted_strings(n):
             if involution_to_path(path_to_involution(MotzkinPath(steps))).steps != steps:
                 failures.append(("path round trip", steps))
-        if boolean_count != count_restricted(n):
-            failures.append(("count", n))
     for n in range(1, 13):
         if count_restricted(n) != brute_totals_12[n]:
             failures.append(("restricted count vs totals", n))
@@ -135,59 +81,21 @@ def test_criterion_5_motzkin_bijection(brute_totals_12):
 
 
 def test_criterion_6_signed_agreement():
-    failures = []
-    totals = 0
-    for n in range(1, 6):
-        for w in signed_involutions(n):
-            totals += 1
-            by_embedding = is_boolean_signed(w, "embedding").is_boolean
-            by_patterns = avoids_all(w, SIGNED_FORBIDDEN_PATTERNS)
-            if by_embedding != by_patterns:
-                failures.append(("criteria", w.window))
+    totals = sum(1 for n in range(1, 6) for _ in signed_involutions(n))
     assert totals == 2 + 6 + 20 + 76 + 312
-    from boolinv.involution_words import apply_letter
-    from boolinv.permutations import conjugate
-
-    for n in range(1, 5):
-        for w in signed_involutions(n):
-            image = Involution(embed(w).perm.word)
-            for i in range(n):
-                acted = Involution(embed(apply_letter_signed(w, i)).perm.word)
-                if i == 0:
-                    expected = apply_letter(image, n)
-                else:
-                    plus = conjugate(image, (n + i, n + i + 1))
-                    minus = conjugate(image, (n - i, n - i + 1))
-                    if plus == minus and plus != image:
-                        expected = apply_letter(image, n + i)
-                    else:
-                        expected = apply_letter(apply_letter(image, n + i), n - i)
-                if acted != expected:
-                    failures.append(("action law", w.window, i))
-    _report(6, "signed criteria agree for n <= 5; embedding action law holds for n <= 4", failures)
+    _report(
+        6,
+        "signed criteria agree for n <= 5; embedding action law holds for n <= 4",
+        _failures(check_signed(5, 4)),
+    )
 
 
 def test_criterion_7_structural_invariants():
-    failures = []
-    for n in range(8):
-        elements = list(involutions(n))
-        for w in elements:
-            poset = ideal(w)
-            filtered = {u for u in elements if bruhat_leq(u, w)}
-            if set(poset.elements) != filtered:
-                failures.append(("subword vs filter", w.word))
-            for lower, upper in covers_from_leq(poset):
-                if rank(upper) != rank(lower) + 1:
-                    failures.append(("gradedness", w.word))
-                    break
-            if is_boolean_lattice(poset) != (len(poset) == 2 ** rank(w)):
-                failures.append(("boolean size", w.word))
-            if n <= 6 and not product_decomposition_check(w):
-                failures.append(("product decomposition", w.word))
     _report(
         7,
-        "ideals: subword = filter and graded (n <= 7), component product (n <= 6), 2^rank sizes",
-        failures,
+        "ideals: subword = filter, order = bruhat_leq (so graded) and 2^rank sizes"
+        " (n <= 7), component product (n <= 6)",
+        _failures(check_ideals(7, 6)),
     )
 
 

@@ -7,6 +7,8 @@ import pytest
 
 from boolinv import boolean
 from boolinv.cli import main
+from boolinv.counting import signed_involutions
+from boolinv.signed import format_signed, is_boolean_signed
 
 
 def run_cli(capsys, *argv):
@@ -48,7 +50,7 @@ def test_check_parse_errors(capsys):
     code, _, err = run_cli(capsys, "check", "43x21")
     assert code == 2 and "bad character" in err
     code, _, err = run_cli(capsys, "check", "--method", "nope", "4321")
-    assert code == 2 and "bad method" in err
+    assert code == 2 and "unknown method" in err
 
 
 def test_check_all_methods(capsys):
@@ -143,6 +145,34 @@ def test_enumerate_sharding(capsys):
     assert sorted(pieces) == sorted(whole)
     code, _, err = run_cli(capsys, "enumerate", "--n", "4", "--shard", "3")
     assert code == 2 and "bad shard" in err
+
+
+def test_enumerate_signed_boolean_only_matches_verdicts(capsys):
+    for n in range(6):
+        for shard, num_shards in ((0, 1), (0, 3), (1, 3), (2, 3)):
+            argv = ["enumerate", "--n", str(n), "--signed", "--boolean-only"]
+            argv += ["--shard", f"{shard}/{num_shards}"] if num_shards > 1 else []
+            expected = "".join(
+                format_signed(w) + "\n"
+                for w in signed_involutions(n, shard, num_shards)
+                if is_boolean_signed(w).is_boolean
+            )
+            assert run_cli(capsys, *argv) == (0, expected, "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "--n", "-1"),
+        ("enumerate", "--n", "-2", "--boolean-only"),
+        ("enumerate", "--n", "-1", "--signed"),
+        ("selftest", "--max-n", "-3"),
+    ],
+)
+def test_negative_sizes_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: negative size")
 
 
 def test_env_var_format(capsys, monkeypatch):

@@ -139,6 +139,14 @@ def test_signed_stream_sharding():
     assert sorted(w for s in shards for w in s) == full
 
 
+@pytest.mark.parametrize(
+    "stream, n", [(involutions, -1), (boolean_involutions, -2), (signed_involutions, -1)]
+)
+def test_streams_refuse_negative_sizes(stream, n):
+    with pytest.raises(ValueError, match="negative size"):
+        next(stream(n))
+
+
 def test_brute_base_cell_formulas():
     table = brute_inv_exc_counts(8)
     for n in range(1, 9):
@@ -211,12 +219,6 @@ def test_series_bounds_checking():
         h.coefficient((5,))
     with pytest.raises(ValueError, match="expected 1 exponents"):
         h.coefficient((1, 2))
-
-
-def test_series_json():
-    payload = json.loads(total_series(3).to_json())
-    assert payload["variables"] == ["x"]
-    assert payload["coefficients"] == {"1": 1, "2": 2, "3": 4}
 
 
 def test_parallel_brute_matches_serial():
