@@ -317,6 +317,22 @@ GOLDEN_STDOUT = [
         0,
         "b29249d530231ad9cc04de95a24a1ba3d37f678d5a701370e366a669233bd822",
     ),
+    # Recorded before the signed stream was built from the classical walk.
+    (
+        ("enumerate", "--signed", "--n", "6"),
+        0,
+        "845f2957387c03d41e8831f939d04ab34639f4c3758bafb46186b5e520f628db",
+    ),
+    (
+        ("enumerate", "--signed", "--n", "6", "--shard", "2/3"),
+        0,
+        "e59595369989340c22239cf0285f6eb8237508e0b764e59b74a00902a91e4f79",
+    ),
+    (
+        ("enumerate", "--signed", "--n", "7", "--boolean-only"),
+        0,
+        "9d6342b7983a08a4cd274a9b09a2f0a4c2b30171caa464d63ca4d92f485755ea",
+    ),
 ]
 
 
