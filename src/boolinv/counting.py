@@ -18,8 +18,9 @@ stream.  It is sharded over at most one process per CPU and refused up
 front when its predicted work exceeds MAX_BRUTE_WORK.  The
 recurrence route fills sizes n >= 4 from the three previous sizes, each
 row only as far in l as its source rows reach; rows below that, and the
-cells with few inversions or no excedances, come from closed base formulas
-and small brute-forced seed rows.  The series route expands the generating
+cells with few inversions or no excedances, come from closed base formulas.
+The rank and total recurrences run from their own base values, so none
+reads the brute route.  The series route expands the generating
 functions one size at a time over their nonzero coefficients.  These two
 refuse up front a table whose predicted work exceeds MAX_TABLE_WORK.  All
 routes must agree; `cross_validate` checks them against each other, against
@@ -30,14 +31,14 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import takewhile
+from itertools import product, takewhile
 from typing import Iterator
 
 from .involution_words import ResourceLimitError
 from .motzkin import count_restricted
 from .permutations import Involution, _trusted_involution, inversion_count
 from .series import inv_exc_series, rank_series, total_series
-from .signed import SignedInvolution
+from .signed import SignedInvolution, _trusted_signed_involution
 
 MAX_STREAM_N = 14
 MAX_SIGNED_STREAM_N = 7
@@ -120,11 +121,15 @@ def _elements(n: int, shard: int, num_shards: int, pruned: bool) -> Iterator[Inv
             yield _trusted_involution(tuple(word))
 
 
+def _check_size(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"negative size {n}")
+
+
 def _check_stream(
     n: int, shard: int, num_shards: int, guard: int = MAX_STREAM_N, kind: str = "stream"
 ) -> None:
-    if n < 0:
-        raise ValueError(f"negative size {n}")
+    _check_size(n)
     if n > guard:
         raise ResourceLimitError(f"n {n} exceeds {kind} guard {guard}")
     if not 0 <= shard < num_shards:
@@ -156,32 +161,22 @@ def signed_involutions(
 ) -> Iterator[SignedInvolution]:
     """
     All involutions among signed permutations of [+-n], in lexicographic
-    window order, shardable like `involutions`.
+    window order, shardable like `involutions`: each involution w of the
+    absolute values with one sign per cycle, c -> +-w(c) and w(c) -> +-c.
     """
     _check_stream(n, shard, num_shards, MAX_SIGNED_STREAM_N, "signed")
-    window = [0] * n
-
-    def fill(free: tuple[int, ...]) -> Iterator[None]:
-        if not free:
-            yield
-            return
-        p = free[0]
-        rest = free[1:]
-        candidates = sorted([-q for q in rest] + [-p, p] + list(rest))
-        for v in candidates:
-            window[p - 1] = v
-            if abs(v) == p:
-                yield from fill(rest)
-            else:
-                q = abs(v)
-                window[q - 1] = p if v > 0 else -p
-                yield from fill(tuple(r for r in rest if r != q))
-                window[q - 1] = 0
-        window[p - 1] = 0
-
-    for index, _ in enumerate(fill(tuple(range(1, n + 1)))):
-        if index % num_shards == shard:
-            yield SignedInvolution(tuple(window))
+    # Sorted whole; the guard keeps that to the 6512 windows of n = 7.
+    windows = []
+    for _, word in _walk(n):
+        leads = [(c, v) for c, v in enumerate(word, start=1) if v >= c]
+        for signs in product((1, -1), repeat=len(leads)):
+            window = [0] * n
+            for (c, v), sign in zip(leads, signs):
+                window[c - 1], window[v - 1] = sign * v, sign * c
+            windows.append(tuple(window))
+    windows.sort()
+    for window in windows[shard::num_shards]:
+        yield _trusted_signed_involution(window)
 
 
 def _brute_shard(args: tuple[int, int, int]) -> InvExcTable:
@@ -219,18 +214,26 @@ def brute_inv_exc_counts(n_max: int, jobs: int = 1) -> InvExcTable:
     return table
 
 
+def _total_recurrence() -> Iterator[int]:
+    """h(1), h(2), ...: the Boolean involutions of each size, by
+    h(n) = 2h(n-1) + h(n-2) - h(n-3) from h(-2), h(-1), h(0) = 2, 1, 1."""
+    a, b, c = 2, 1, 1
+    while True:
+        a, b, c = b, c, 2 * c + b - a
+        yield c
+
+
 def _check_brute_work(n_max: int) -> None:
     """
-    Refuse, before any element is walked, a brute table whose predicted
-    work, the sum of n h(n) over 1 <= n <= n_max, exceeds MAX_BRUTE_WORK.
-    The totals h come from their recurrence; they only size the run.  The
-    sum stops once over the limit.
+    Refuse, before any element is walked, a negative size or a brute table
+    whose predicted work, the sum of n h(n) over 1 <= n <= n_max, exceeds
+    MAX_BRUTE_WORK.  The totals h come from their recurrence; they only
+    size the run.  The sum stops once over the limit.
     """
+    _check_size(n_max)
     work = 0
-    totals = [2, 1, 1]  # h(-2), h(-1), h(0): the recurrence run back from h(1..3)
-    for n in range(1, n_max + 1):
-        totals.append(2 * totals[-1] + totals[-2] - totals[-3])
-        work += n * totals[-1]
+    for n, total in zip(range(1, n_max + 1), _total_recurrence()):
+        work += n * total
         if work > MAX_BRUTE_WORK:
             raise ResourceLimitError(
                 f"n_max {n_max} exceeds brute guard {MAX_BRUTE_WORK}"
@@ -272,11 +275,12 @@ _ROW_CELLS = {
 
 def _check_table_work(stat: str, n_max: int) -> None:
     """
-    Refuse, before any cell is filled, a recurrence or series table whose
-    predicted work exceeds MAX_TABLE_WORK: the cells of each row times 2n,
-    a bound on the bit length of its counts (each is below the total for
-    size n, which grows like 2.25^n).  The sum stops once over the limit.
+    Refuse, before any cell is filled, a negative size or a recurrence or
+    series table whose predicted work exceeds MAX_TABLE_WORK: the cells of
+    each row times 2n, a bound on the bit length of its counts (each is below
+    the total for size n, which grows like 2.25^n), summed until over.
     """
+    _check_size(n_max)
     work = 0
     for n in range(1, n_max + 1):
         work += _ROW_CELLS[stat](n) * 2 * n
@@ -356,47 +360,36 @@ def recurrence_rank_counts(n_max: int) -> RankTable:
 
       r(n,k) = r(n-1,k) + r(n-1,k-1) + r(n-2,k-2) - r(n-3,k-2)
 
-    for n >= 4 and k >= 2, with r(n,0) = 1 and r(n,1) = n-1, and sizes up
-    to 3 seeded by brute force.
+    for n >= 1, over r(0,0) = 1 with every other cell of size n <= 0 or
+    rank k < 0 zero; it gives r(n,0) = 1 and r(n,1) = n-1.
     """
     _check_table_work("g", n_max)
-    table: RankTable = dict(brute_rank_counts(min(n_max, 3)))
+    table: RankTable = {}
 
     def lookup(n: int, k: int) -> int:
         if k < 0:
             return 0
-        if n <= 1:
-            return 1 if k == 0 else 0
+        if n <= 0:
+            return 1 if (n, k) == (0, 0) else 0
         return table.get((n, k), 0)
 
-    for n in range(4, n_max + 1):
+    for n in range(1, n_max + 1):
         for k in range(0, n):
-            if k == 0:
-                value = 1
-            elif k == 1:
-                value = n - 1
-            else:
-                value = (
-                    lookup(n - 1, k)
-                    + lookup(n - 1, k - 1)
-                    + lookup(n - 2, k - 2)
-                    - lookup(n - 3, k - 2)
-                )
+            value = (
+                lookup(n - 1, k)
+                + lookup(n - 1, k - 1)
+                + lookup(n - 2, k - 2)
+                - lookup(n - 3, k - 2)
+            )
             if value:
                 table[(n, k)] = value
     return table
 
 
 def recurrence_totals(n_max: int) -> TotalTable:
-    """
-    Totals by t(n) = 2t(n-1) + t(n-2) - t(n-3) for n >= 4, seeded by brute
-    force below that.
-    """
+    """Totals by the recurrence of `_total_recurrence`."""
     _check_table_work("h", n_max)
-    table: TotalTable = dict(brute_totals(min(n_max, 3)))
-    for n in range(4, n_max + 1):
-        table[n] = 2 * table[n - 1] + table[n - 2] - table.get(n - 3, 1)
-    return table
+    return dict(zip(range(1, n_max + 1), _total_recurrence()))
 
 
 def _drop_size_zero(coeffs: dict) -> dict:

@@ -95,9 +95,6 @@ class IdealPoset:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def index(self, w: Involution) -> int:
-        return self.elements.index(w)
-
     def rank_counts(self) -> list[int]:
         """Number of elements of each rank, from 0 up to rank(root)."""
         counts = [0] * (self.ranks[-1] + 1 if self.elements else 1)

@@ -76,13 +76,9 @@ def expand_rational(numerator: Terms, denominator: Terms, bounds: tuple[int, ...
     return coeffs
 
 
-def inv_exc_series(n_max: int, inv_max: int | None = None, exc_max: int | None = None) -> SeriesExpansion:
+def inv_exc_series(n_max: int) -> SeriesExpansion:
     """Series in (x, y, z) counting Boolean involutions by size, inversions
-    and excedances."""
-    if inv_max is None:
-        inv_max = 2 * n_max
-    if exc_max is None:
-        exc_max = n_max // 2
+    and excedances, cut at 2 n_max inversions and n_max // 2 excedances."""
     numerator = {(2, 1, 1): 1, (1, 0, 0): 1, (2, 2, 0): -1, (3, 3, 1): -1}
     denominator = {
         (0, 0, 0): 1,
@@ -93,19 +89,18 @@ def inv_exc_series(n_max: int, inv_max: int | None = None, exc_max: int | None =
         (2, 3, 1): -1,
         (3, 3, 1): 1,
     }
-    bounds = (n_max, inv_max, exc_max)
+    bounds = (n_max, 2 * n_max, n_max // 2)
     return SeriesExpansion(
         ("x", "y", "z"), bounds, expand_rational(numerator, denominator, bounds)
     )
 
 
-def rank_series(n_max: int, rank_max: int | None = None) -> SeriesExpansion:
-    """Series in (x, t) counting Boolean involutions by size and rank."""
-    if rank_max is None:
-        rank_max = n_max
+def rank_series(n_max: int) -> SeriesExpansion:
+    """Series in (x, t) counting Boolean involutions by size and rank, cut at
+    rank n_max."""
     numerator = {(1, 0): 1, (3, 2): -1}
     denominator = {(0, 0): 1, (1, 0): -1, (1, 1): -1, (2, 2): -1, (3, 2): 1}
-    bounds = (n_max, rank_max)
+    bounds = (n_max, n_max)
     return SeriesExpansion(
         ("x", "t"), bounds, expand_rational(numerator, denominator, bounds)
     )

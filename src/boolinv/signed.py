@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .boolean import BooleanVerdict, InvariantViolationError, has_long_crossing, with_witnesses
 from .patterns import SIGNED_FORBIDDEN_PATTERNS, first_occurrence, freeze_signed_window
-from .permutations import Involution, ParseError, Permutation, parse_int_tokens
+from .permutations import ParseError, Permutation, _trusted_involution, parse_int_tokens
 
 SIGNED_METHODS = ("embedding", "signed_patterns", "all")
 
@@ -78,8 +78,18 @@ class EmbeddedPermutation:
         return self.perm.n // 2
 
 
+def _trusted_signed_involution(window: tuple[int, ...]) -> SignedInvolution:
+    """
+    A SignedInvolution on a tuple the caller has built as one, without the
+    window and self-inverse checks of the validating constructor.
+    """
+    w = object.__new__(SignedInvolution)
+    object.__setattr__(w, "window", window)
+    return w
+
+
 def signed_identity(n: int) -> SignedInvolution:
-    return SignedInvolution(tuple(range(1, n + 1)))
+    return _trusted_signed_involution(tuple(range(1, n + 1)))
 
 
 def parse_signed(text: str) -> SignedPermutation:
@@ -93,70 +103,47 @@ def parse_signed(text: str) -> SignedPermutation:
         if abs(v) in seen:
             raise ParseError(f"duplicate absolute value {abs(v)}")
         seen.add(abs(v))
-    window = tuple(values)
-    candidate = SignedPermutation(window)
-    return SignedInvolution(window) if candidate.is_involution() else candidate
+    w = SignedPermutation(tuple(values))
+    return _trusted_signed_involution(w.window) if w.is_involution() else w
 
 
 def format_signed(w: SignedPermutation) -> str:
     return ",".join(str(v) for v in w.window)
 
 
-def compose_signed(u: SignedPermutation, v: SignedPermutation) -> SignedPermutation:
-    if u.n != v.n:
-        raise ValueError(f"size mismatch: {u.n} vs {v.n}")
-    window = tuple(u(v(i)) for i in range(1, u.n + 1))
-    candidate = SignedPermutation(window)
-    return SignedInvolution(window) if candidate.is_involution() else candidate
-
-
-def signed_generator(n: int, i: int) -> SignedPermutation:
-    """Generator i of the signed permutation group: i = 0 negates the first
-    letter, i >= 1 swaps letters i and i+1 on both sides of zero."""
-    if not 0 <= i <= n - 1:
-        raise ValueError(f"generator {i} out of range [0, {n - 1}]")
-    window = list(range(1, n + 1))
-    if i == 0:
-        window[0] = -1
-    else:
-        window[i - 1], window[i] = i + 1, i
-    return SignedPermutation(tuple(window))
-
-
 def embed(w: SignedPermutation) -> EmbeddedPermutation:
     """
     The permutation of [2n] induced by w under the relabelling
     -n, ..., -1, 1, ..., n -> 1, ..., 2n; an `Involution` when w is one.
+    Position -i holds -w(i): the first half reads the window negated, backwards.
     """
     n = w.n
 
     def relabel(v: int) -> int:
-        return v + n + 1 if v < 0 else v + n
+        return v + n + (v < 0)
 
-    word = []
-    for p in range(1, 2 * n + 1):
-        i = p - n - 1 if p <= n else p - n
-        word.append(relabel(w(i)))
+    word = [relabel(-v) for v in reversed(w.window)] + [relabel(v) for v in w.window]
     perm = Permutation(tuple(word))
     if perm.is_involution():
-        perm = Involution(perm.word)
+        perm = _trusted_involution(perm.word)
     return EmbeddedPermutation(perm)
 
 
 def apply_letter_signed(w: SignedInvolution, i: int) -> SignedInvolution:
     """
-    Act on a signed involution by generator letter i (0-based): multiply on
-    the right when the generator commutes with w, otherwise conjugate.
+    Act on a signed involution by letter i as `apply_letter` does: w*s_i if
+    s_i w s_i = w, otherwise s_i w s_i.  On values, s_0 negates +-1 and s_i
+    (i >= 1) swaps the absolute values i and i+1, keeping the sign.
     """
     if not w.is_involution():
         raise ValueError(f"not an involution: {w.window}")
-    s = signed_generator(w.n, i)
-    conj = compose_signed(s, compose_signed(w, s))
-    if conj == w:
-        result = compose_signed(w, s)
-    else:
-        result = conj
-    return SignedInvolution(result.window)
+    n = w.n
+    if not 0 <= i <= n - 1:
+        raise ValueError(f"letter {i} out of range [0, {n - 1}]")
+    s = {1: -1, -1: 1} if i == 0 else {i: i + 1, i + 1: i, -i: -i - 1, -i - 1: -i}
+    times = tuple(w(s.get(j, j)) for j in range(1, n + 1))
+    conj = tuple(s.get(v, v) for v in times)
+    return _trusted_signed_involution(times if conj == w.window else conj)
 
 
 def is_boolean_signed(w: SignedInvolution, method: str = "embedding") -> BooleanVerdict:

@@ -140,11 +140,6 @@ def subword_evaluations(w: Involution):
     return seen
 
 
-def bruhat_leq_subword(u: Involution, w: Involution) -> bool:
-    """Order oracle: u <= w iff u appears among the subword evaluations."""
-    return u in subword_evaluations(w)
-
-
 def motzkin_strings(n):
     """Every valid Motzkin step string of length n, by filtering 3^n words."""
     out = []
@@ -259,6 +254,33 @@ def nested_involution_words(n):
             yield from fill(rest[:k] + rest[k + 1:])
             word[q - 1] = q
         word[p - 1] = p
+
+    return list(fill(tuple(range(1, n + 1))))
+
+
+def nested_signed_windows(n):
+    """The windows of every signed involution of [+-n], lexicographic, by
+    the recursive fill: the first free point p takes each of +-p and +-q
+    (q a larger free point, which then takes +-p) in sorted order, one
+    nested generator per free point."""
+    window = [0] * n
+
+    def fill(free):
+        if not free:
+            yield tuple(window)
+            return
+        p = free[0]
+        rest = free[1:]
+        for v in sorted([-q for q in rest] + [-p, p] + list(rest)):
+            window[p - 1] = v
+            if abs(v) == p:
+                yield from fill(rest)
+            else:
+                q = abs(v)
+                window[q - 1] = p if v > 0 else -p
+                yield from fill(tuple(r for r in rest if r != q))
+                window[q - 1] = 0
+        window[p - 1] = 0
 
     return list(fill(tuple(range(1, n + 1))))
 

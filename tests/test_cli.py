@@ -167,6 +167,12 @@ def test_enumerate_signed_boolean_only_matches_verdicts(capsys):
         ("enumerate", "--n", "-2", "--boolean-only"),
         ("enumerate", "--n", "-1", "--signed"),
         ("selftest", "--max-n", "-3"),
+        *[
+            ("table", stat, "--max-n", "-1", "--method", method)
+            for stat in "fgh"
+            for method in ("brute", "recurrence", "gf")
+        ],
+        ("table", "h", "--max-n", "-1", "--method", "verify"),
     ],
 )
 def test_negative_sizes_exit_2(capsys, argv):

@@ -33,6 +33,7 @@ from oracles import (
     filtered_inv_exc_counts,
     full_range_recurrence_inv_exc,
     nested_involution_words,
+    nested_signed_windows,
 )
 
 INVOLUTION_COUNTS = [1, 1, 2, 4, 10, 26, 76, 232, 764, 2620]
@@ -131,6 +132,17 @@ def test_signed_stream_counts():
         next(signed_involutions(8))
 
 
+def test_signed_stream_matches_nested_oracle():
+    for n in range(8):
+        full = nested_signed_windows(n)
+        assert [w.window for w in signed_involutions(n)] == full
+        if n <= 6:
+            for num_shards in (2, 3, 5):
+                for shard in range(num_shards):
+                    windows = [w.window for w in signed_involutions(n, shard, num_shards)]
+                    assert windows == full[shard::num_shards]
+
+
 def test_signed_stream_sharding():
     full = sorted(w.window for w in signed_involutions(4))
     shards = [
@@ -140,7 +152,23 @@ def test_signed_stream_sharding():
 
 
 @pytest.mark.parametrize(
-    "stream, n", [(involutions, -1), (boolean_involutions, -2), (signed_involutions, -1)]
+    "stream, n",
+    [
+        (involutions, -1),
+        (boolean_involutions, -2),
+        (signed_involutions, -1),
+        # the table routes and cross_validate refuse before returning
+        (brute_inv_exc_counts, -1),
+        (brute_rank_counts, -1),
+        (brute_totals, -1),
+        (recurrence_inv_exc_counts, -1),
+        (recurrence_rank_counts, -1),
+        (recurrence_totals, -1),
+        (series_inv_exc_counts, -1),
+        (series_rank_counts, -1),
+        (series_totals, -1),
+        (cross_validate, -1),
+    ],
 )
 def test_streams_refuse_negative_sizes(stream, n):
     with pytest.raises(ValueError, match="negative size"):
@@ -182,6 +210,16 @@ def test_recurrence_examples():
     assert recurrence_totals(5) == {1: 1, 2: 2, 3: 4, 4: 9, 5: 20}
     ranks = recurrence_rank_counts(4)
     assert [ranks.get((4, k), 0) for k in range(4)] == [1, 3, 3, 2]
+
+
+def test_recurrence_routes_do_not_walk(monkeypatch):
+    # cross_validate compares brute against them, so they must not read it
+    def walk(*args):
+        raise AssertionError("a recurrence route walked")
+
+    monkeypatch.setattr(counting, "_walk", walk)
+    assert recurrence_rank_counts(12) == series_rank_counts(12)
+    assert recurrence_totals(12) == series_totals(12)
 
 
 def test_three_way_agreement_small():

@@ -135,14 +135,6 @@ def test_is_boolean_lattice_examples():
     assert is_boolean_lattice(ideal(parse_permutation("3412"))) is True
 
 
-def test_boolean_ideals_have_power_of_two_size():
-    for n in range(7):
-        for w in involutions(n):
-            poset = ideal(w)
-            if is_boolean_lattice(poset):
-                assert len(poset) == 2 ** rank(w)
-
-
 def test_hasse_edges_examples():
     assert hasse_edges(ideal(identity(5))) == []
     diamond_edges = hasse_edges(ideal(parse_permutation("321")))

@@ -123,19 +123,6 @@ def test_round_trip_on_restricted_paths():
             assert involution_to_path(w).steps == steps
 
 
-def test_round_trip_on_boolean_involutions():
-    for n in range(10):
-        booleans = 0
-        for w in involutions(n):
-            if has_long_crossing(w):
-                continue
-            booleans += 1
-            path = involution_to_path(w)
-            assert is_restricted(path)
-            assert path_to_involution(path) == w
-        assert booleans == count_restricted(n)
-
-
 def test_statistic_transport():
     for n in range(9):
         for w in involutions(n):

@@ -1,7 +1,7 @@
 import pytest
 
 from boolinv import boolean, signed
-from boolinv.boolean import InvariantViolationError, has_long_crossing
+from boolinv.boolean import InvariantViolationError
 from boolinv.counting import signed_involutions
 from boolinv.involution_words import evaluate_word
 from boolinv.patterns import SIGNED_FORBIDDEN_PATTERNS, avoids_all, parse_signed_pattern
@@ -10,12 +10,10 @@ from boolinv.signed import (
     EmbeddedPermutation,
     SignedInvolution,
     apply_letter_signed,
-    compose_signed,
     embed,
     format_signed,
     is_boolean_signed,
     parse_signed,
-    signed_generator,
     signed_identity,
 )
 
@@ -71,18 +69,13 @@ def test_embedded_permutation_rejects_asymmetric():
         EmbeddedPermutation(parse_permutation("2134"))
 
 
-def test_generators():
-    assert signed_generator(3, 0).window == (-1, 2, 3)
-    assert signed_generator(3, 1).window == (2, 1, 3)
-    assert signed_generator(3, 2).window == (1, 3, 2)
-    with pytest.raises(ValueError, match="out of range"):
-        signed_generator(3, 3)
-
-
 def test_apply_letter_signed_examples():
     e = signed_identity(3)
     assert apply_letter_signed(e, 0).window == (-1, 2, 3)
     assert apply_letter_signed(e, 1).window == (2, 1, 3)
+    assert apply_letter_signed(e, 2).window == (1, 3, 2)
+    with pytest.raises(ValueError, match="out of range"):
+        apply_letter_signed(e, 3)
     for i in range(2):
         w = parse_signed("-1,-2")
         assert apply_letter_signed(apply_letter_signed(w, i), i) == w
@@ -152,27 +145,10 @@ def test_methods_agree_small():
             assert is_boolean_signed(w, "all").is_boolean == a
 
 
-def test_boolean_signed_equivalent_to_embedded_crossing():
-    for n in range(1, 5):
-        for w in signed_involutions(n):
-            image = Involution(embed(w).perm.word)
-            assert is_boolean_signed(w, "signed_patterns").is_boolean == (
-                not has_long_crossing(image)
-            )
-
-
 def test_methods_agree_n6():
     # the larger sweep: 1384 signed involutions
     for w in signed_involutions(6):
         is_boolean_signed(w, "all")  # raises on disagreement
-
-
-def test_compose_signed():
-    u = parse_signed("2,1,-3")
-    v = parse_signed("-1,3,2")
-    uv = compose_signed(u, v)
-    assert uv.window == tuple(u(v(i)) for i in range(1, 4))
-    assert compose_signed(u, u) == signed_identity(3)
 
 
 def test_avoids_all_signed_dispatch():
