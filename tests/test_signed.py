@@ -69,13 +69,20 @@ def test_embedded_permutation_rejects_asymmetric():
         EmbeddedPermutation(parse_permutation("2134"))
 
 
-def test_apply_letter_signed_examples():
+def test_generators():
+    # the letter i acts on the identity as the generator s_i
     e = signed_identity(3)
     assert apply_letter_signed(e, 0).window == (-1, 2, 3)
     assert apply_letter_signed(e, 1).window == (2, 1, 3)
     assert apply_letter_signed(e, 2).window == (1, 3, 2)
     with pytest.raises(ValueError, match="out of range"):
         apply_letter_signed(e, 3)
+
+
+def test_apply_letter_signed_examples():
+    e = signed_identity(3)
+    assert apply_letter_signed(e, 0).window == (-1, 2, 3)
+    assert apply_letter_signed(e, 1).window == (2, 1, 3)
     for i in range(2):
         w = parse_signed("-1,-2")
         assert apply_letter_signed(apply_letter_signed(w, i), i) == w
