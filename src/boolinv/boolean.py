@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 from . import ideals
 from .involution_words import Word, evaluate_word, reduced_word
 from .patterns import FORBIDDEN_PATTERNS, Occurrence, SignedPattern, first_occurrence
-from .permutations import Involution, Permutation, format_permutation, sum_blocks
+from .permutations import Involution, Permutation, _tag_involution, format_permutation, sum_blocks
 
 if TYPE_CHECKING:
     from .signed import SignedPermutation
@@ -84,11 +84,11 @@ def restrict(w: Permutation, positions: Iterable[int]) -> Permutation:
     moved positions map among themselves.
     """
     keep = set(positions)
-    word = [w.word[i - 1] if i in keep else i for i in range(1, w.n + 1)]
-    if sorted(word) != list(range(1, w.n + 1)):
-        raise ValueError(f"restriction to {sorted(keep)} is not a permutation")
-    perm = Permutation(tuple(word))
-    return Involution(perm.word) if perm.is_involution() else perm
+    try:
+        perm = Permutation(tuple(w.word[i - 1] if i in keep else i for i in range(1, w.n + 1)))
+    except ValueError:
+        raise ValueError(f"restriction to {sorted(keep)} is not a permutation") from None
+    return _tag_involution(perm.word)
 
 
 def long_crossing_pairs(w: Involution) -> list[tuple[int, int]]:

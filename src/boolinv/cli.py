@@ -29,13 +29,7 @@ from .permutations import (
     format_permutation,
     parse_permutation,
 )
-from .signed import (
-    SignedInvolution,
-    embed,
-    format_signed,
-    is_boolean_signed,
-    parse_signed,
-)
+from .signed import SignedInvolution, _signed_verdict, embed, format_signed, parse_signed
 
 USAGE_ERROR = 2
 INVARIANT_FAILURE = 3
@@ -95,9 +89,9 @@ def _print_verdict(payload: dict, fmt: str) -> None:
 def cmd_check(args: argparse.Namespace) -> int:
     if args.signed:
         w = _parse_signed_involution(args.element)
-        verdict = is_boolean_signed(w, args.method or "embedding")
-        profile = rank_profile(embed(w).perm)
-        payload = _verdict_payload(format_signed(w), verdict, profile)
+        image = embed(w).perm
+        verdict = _signed_verdict(w, image, args.method or "embedding")
+        payload = _verdict_payload(format_signed(w), verdict, rank_profile(image))
         payload["signed"] = True
     else:
         w = _parse_involution(args.element)
@@ -106,18 +100,6 @@ def cmd_check(args: argparse.Namespace) -> int:
     _print_verdict(payload, args.format or _default_format())
     return 0 if verdict.is_boolean else 1
 
-
-_TABLE_BUILDERS = {
-    ("f", "brute"): lambda n, jobs: counting.brute_inv_exc_counts(n, jobs),
-    ("f", "recurrence"): lambda n, jobs: counting.recurrence_inv_exc_counts(n),
-    ("f", "gf"): lambda n, jobs: counting.series_inv_exc_counts(n),
-    ("g", "brute"): lambda n, jobs: counting.brute_rank_counts(n, jobs),
-    ("g", "recurrence"): lambda n, jobs: counting.recurrence_rank_counts(n),
-    ("g", "gf"): lambda n, jobs: counting.series_rank_counts(n),
-    ("h", "brute"): lambda n, jobs: counting.brute_totals(n, jobs),
-    ("h", "recurrence"): lambda n, jobs: counting.recurrence_totals(n),
-    ("h", "gf"): lambda n, jobs: counting.series_totals(n),
-}
 
 _TABLE_COLUMNS = {
     "f": ("n", "inversions", "excedances", "count"),
@@ -131,7 +113,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         report = counting.cross_validate(args.max_n, jobs=args.jobs)
         print(report.summary())
         return 0 if report.passed else 1
-    table = _TABLE_BUILDERS[(args.stat, args.method)](args.max_n, args.jobs)
+    table = counting.build_table(args.stat, args.method, args.max_n, args.jobs)
     fmt = args.format or _default_format()
     if fmt == "tsv" or fmt == "text":
         sys.stdout.write(counting.table_to_tsv(table, _TABLE_COLUMNS[args.stat]))
@@ -218,10 +200,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("table", help="emit a counting table")
-    p.add_argument("stat", choices=("f", "g", "h"),
+    p.add_argument("stat", choices=tuple(counting.TABLE_ROUTES),
                    help="f: by inversions and excedances; g: by rank; h: totals")
     p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--method", choices=("brute", "recurrence", "gf", "verify"),
+    p.add_argument("--method", choices=(*counting.TABLE_METHODS, "verify"),
                    default="recurrence")
     p.add_argument("--format", choices=("json", "tsv", "text"), default=None)
     p.add_argument("--jobs", type=int, default=1)

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import product, takewhile
+from itertools import accumulate, islice, product, takewhile
 from typing import Iterator
 
 from .involution_words import ResourceLimitError
@@ -223,22 +223,24 @@ def _total_recurrence() -> Iterator[int]:
         yield c
 
 
+def _check_work(n_max: int, rows: Iterator[int], limit: int, refusal: str) -> None:
+    """Refuse a negative size, or a run whose predicted work, the sum of the
+    first n_max `rows` (sizes 1, 2, ...), exceeds limit; the sum stops once over."""
+    _check_size(n_max)
+    if any(work > limit for work in accumulate(islice(rows, n_max))):
+        raise ResourceLimitError(refusal)
+
+
 def _check_brute_work(n_max: int) -> None:
     """
     Refuse, before any element is walked, a negative size or a brute table
     whose predicted work, the sum of n h(n) over 1 <= n <= n_max, exceeds
     MAX_BRUTE_WORK.  The totals h come from their recurrence; they only
-    size the run.  The sum stops once over the limit.
+    size the run.
     """
-    _check_size(n_max)
-    work = 0
-    for n, total in zip(range(1, n_max + 1), _total_recurrence()):
-        work += n * total
-        if work > MAX_BRUTE_WORK:
-            raise ResourceLimitError(
-                f"n_max {n_max} exceeds brute guard {MAX_BRUTE_WORK}"
-                " (Boolean involutions times n)"
-            )
+    rows = (n * h for n, h in enumerate(_total_recurrence(), start=1))
+    refusal = f"n_max {n_max} exceeds brute guard {MAX_BRUTE_WORK} (Boolean involutions times n)"
+    _check_work(n_max, rows, MAX_BRUTE_WORK, refusal)
 
 
 def rank_counts_from_inv_exc(table: InvExcTable) -> RankTable:
@@ -278,17 +280,11 @@ def _check_table_work(stat: str, n_max: int) -> None:
     Refuse, before any cell is filled, a negative size or a recurrence or
     series table whose predicted work exceeds MAX_TABLE_WORK: the cells of
     each row times 2n, a bound on the bit length of its counts (each is below
-    the total for size n, which grows like 2.25^n), summed until over.
+    the total for size n, which grows like 2.25^n).
     """
-    _check_size(n_max)
-    work = 0
-    for n in range(1, n_max + 1):
-        work += _ROW_CELLS[stat](n) * 2 * n
-        if work > MAX_TABLE_WORK:
-            raise ResourceLimitError(
-                f"table {stat} to n_max {n_max} exceeds work guard {MAX_TABLE_WORK}"
-                " (cells times count bits)"
-            )
+    rows = (_ROW_CELLS[stat](n) * 2 * n for n in range(1, n_max + 1))
+    refusal = f"table {stat} to n_max {n_max} exceeds work guard {MAX_TABLE_WORK}"
+    _check_work(n_max, rows, MAX_TABLE_WORK, refusal + " (cells times count bits)")
 
 
 def _base_inv_exc(n: int, length: int, exc: int) -> int:
@@ -416,6 +412,24 @@ def series_totals(n_max: int) -> TotalTable:
     return {key[0]: value for key, value in coeffs.items() if key[0] >= 1}
 
 
+# The brute, recurrence and gf route of each table by function name, looked
+# up when called, so that a rebound module attribute is the one that runs.
+TABLE_METHODS = ("brute", "recurrence", "gf")
+TABLE_ROUTES = {
+    "f": ("brute_inv_exc_counts", "recurrence_inv_exc_counts", "series_inv_exc_counts"),
+    "g": ("brute_rank_counts", "recurrence_rank_counts", "series_rank_counts"),
+    "h": ("brute_totals", "recurrence_totals", "series_totals"),
+}
+_TABLE_NAMES = {"f": "inversion/excedance counts", "g": "rank counts", "h": "totals"}
+
+
+def build_table(stat: str, method: str, n_max: int, jobs: int = 1) -> dict:
+    """Table `stat` (f, g or h) to n_max by `method` (brute, recurrence or
+    gf) through its route in TABLE_ROUTES; the brute routes take jobs."""
+    route = globals()[TABLE_ROUTES[stat][TABLE_METHODS.index(method)]]
+    return route(n_max, jobs) if method == "brute" else route(n_max)
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -467,42 +481,21 @@ def cross_validate(n_max: int, jobs: int = 1) -> CrossValidationReport:
     restricted Motzkin path counts against the totals.
     """
     _check_brute_work(n_max)
-    brute_f = brute_inv_exc_counts(n_max, jobs) if n_max >= 1 else {}
-    brute_g = rank_counts_from_inv_exc(brute_f)
-    brute_h = totals_from_rank_counts(brute_g)
+    brute = {"f": brute_inv_exc_counts(n_max, jobs) if n_max >= 1 else {}}
+    brute["g"] = rank_counts_from_inv_exc(brute["f"])
+    brute["h"] = totals_from_rank_counts(brute["g"])
     checks = [
-        _compare_tables(
-            "inversion/excedance counts: brute = recurrence = series",
-            {
-                "brute": brute_f,
-                "recurrence": recurrence_inv_exc_counts(n_max),
-                "series": series_inv_exc_counts(n_max),
-            },
-        ),
-        _compare_tables(
-            "rank counts: brute = recurrence = series",
-            {
-                "brute": brute_g,
-                "recurrence": recurrence_rank_counts(n_max),
-                "series": series_rank_counts(n_max),
-            },
-        ),
-        _compare_tables(
-            "totals: brute = recurrence = series",
-            {
-                "brute": brute_h,
-                "recurrence": recurrence_totals(n_max),
-                "series": series_totals(n_max),
-            },
-        ),
-        _compare_tables(
-            "restricted Motzkin paths = totals",
-            {
-                "paths": {n: count_restricted(n) for n in range(1, n_max + 1)},
-                "totals": brute_h,
-            },
-        ),
+        _compare_tables(f"{name}: brute = recurrence = series", {
+            "brute": brute[stat],
+            "recurrence": build_table(stat, "recurrence", n_max),
+            "series": build_table(stat, "gf", n_max),
+        })
+        for stat, name in _TABLE_NAMES.items()
     ]
+    paths = {n: count_restricted(n) for n in range(1, n_max + 1)}
+    checks.append(_compare_tables(
+        "restricted Motzkin paths = totals", {"paths": paths, "totals": brute["h"]}
+    ))
     return CrossValidationReport(n_max, tuple(checks))
 
 

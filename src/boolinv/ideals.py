@@ -1,15 +1,16 @@
 """
 Principal order ideals in the Bruhat order on involutions.
 
-Bruhat comparison uses the classical dominance criterion on prefix rank
-matrices, so no reflection set is ever materialized.  The ideal below an
-involution w is generated from one reduced involution word of w: evaluating
-every subword yields exactly the involutions below w.
+Bruhat comparison, in `bruhat_leq` and in `ideal` alike, is the classical
+dominance criterion on prefix rank matrices, each packed into one integer
+with a guard bit per entry and compared by one big-integer subtraction; no
+reflection set is ever materialized.  The ideal below an involution w is
+generated from one reduced involution word of w: evaluating every subword
+yields exactly the involutions below w.
 
 The order is graded by rank (Incitti 2004), so the comparable pairs of
-adjacent ranks are exactly its covers.  Only those pairs are compared, each
-by one big-integer subtraction on prefix rank tables packed with a guard bit
-per entry.  Down-sets are integer bitsets, filled one rank layer at a time.
+adjacent ranks are exactly its covers.  Only those pairs are compared.
+Down-sets are integer bitsets, filled one rank layer at a time.
 
 Boolean-lattice certification maps each element to the set of atoms below
 it; the ideal is a Boolean lattice iff that map is injective onto the full
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import IO
+from typing import IO, Callable
 
 from .involution_words import (
     ResourceLimitError,
@@ -34,17 +35,28 @@ from .permutations import Involution, Permutation, format_permutation, identity
 IDEAL_MAX_ELEMENTS = 8192
 
 
-def prefix_rank_table(w: Permutation) -> tuple[tuple[int, ...], ...]:
-    """R[i][j] = #{k <= i : w(k) >= j} for 0 <= i <= n, 1 <= j <= n."""
-    n = w.n
-    rows = [tuple([0] * (n + 1))]
-    counts = [0] * (n + 1)
-    for i in range(1, n + 1):
-        v = w.word[i - 1]
-        for j in range(1, v + 1):
-            counts[j] += 1
-        rows.append(tuple(counts))
-    return tuple(rows)
+def _dominance_packing(n: int) -> tuple[Callable[[Permutation], int], int]:
+    """
+    (pack, guard) for S_n.  pack(w) holds w's prefix rank table
+    R[i][j] = #{k <= i : w(k) >= j}, rows and columns 1..n, row-major in
+    `width`-bit fields from the lowest; guard sets the top bit of each
+    field.  Every entry is at most n < 2**(width - 1), so subtracting
+    pack(u) from pack(w) | guard never borrows across fields: u <= w in
+    the Bruhat order iff ((pack(w) | guard) - pack(u)) keeps every guard.
+    """
+    width = n.bit_length() + 1
+    unit = (1 << width) - 1
+    ones = [((1 << v * width) - 1) // unit for v in range(n + 1)]  # 1 in columns 1..v
+    stride = n * width
+
+    def pack(w: Permutation) -> int:
+        packed = row = 0
+        for i, v in enumerate(w.word):
+            row += ones[v]
+            packed |= row << i * stride
+        return packed
+
+    return pack, ((1 << n * stride) - 1) // unit << (width - 1)
 
 
 def bruhat_leq(u: Permutation, w: Permutation) -> bool:
@@ -54,20 +66,8 @@ def bruhat_leq(u: Permutation, w: Permutation) -> bool:
     """
     if u.n != w.n:
         raise ValueError(f"size mismatch: {u.n} vs {w.n}")
-    ru, rw = prefix_rank_table(u), prefix_rank_table(w)
-    return all(
-        ru[i][j] <= rw[i][j] for i in range(1, u.n + 1) for j in range(1, u.n + 1)
-    )
-
-
-def _packed_prefix_ranks(w: Permutation, width: int, ones: list[int]) -> int:
-    """prefix_rank_table(w) rows 1..n, columns 1..n, row-major in `width`-bit
-    fields from the lowest; ones[v] has a 1 in the fields of columns 1..v."""
-    packed = row = 0
-    for i, v in enumerate(w.word):
-        row += ones[v]
-        packed |= row << i * w.n * width
-    return packed
+    pack, guard = _dominance_packing(u.n)
+    return ((pack(w) | guard) - pack(u)) & guard == guard
 
 
 @dataclass(frozen=True)
@@ -130,14 +130,8 @@ def ideal(w: Involution) -> IdealPoset:
     n = w.n
     if elements[0] != identity(n) or elements[-1] != w:
         raise AssertionError(f"ideal of {w.word} lost its extremes")
-    # Every entry is at most n < 2**(width - 1), so subtracting a packed
-    # table u from a table v with every top (guard) bit set never borrows
-    # across fields: u <= v entrywise iff ((v | guard) - u) keeps every guard.
-    width = n.bit_length() + 1
-    unit = (1 << width) - 1
-    ones = [((1 << v * width) - 1) // unit for v in range(n + 1)]
-    guard = ((1 << n * n * width) - 1) // unit << (width - 1)
-    packed = [_packed_prefix_ranks(u, width, ones) for u in elements]
+    pack, guard = _dominance_packing(n)
+    packed = [pack(u) for u in elements]
     raised = [v | guard for v in packed]
     bounds = [ranks.index(k) for k in range(r + 1)] + [len(ranks)]
     below = [1 << b for b in range(len(elements))]

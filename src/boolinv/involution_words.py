@@ -37,9 +37,11 @@ def apply_letter(w: Involution, i: int) -> Involution:
     """
     Act on w by letter i: w*s_i if s_i w s_i = w, otherwise s_i w s_i.
     The result is again an involution whose rank differs from w's by one,
-    so for an Involution it is built without revalidation; any other input
-    is validated and raises ValueError when it is not an involution.
+    so it is built without revalidation; an input not typed Involution is
+    validated and raises ValueError when it is not an involution.
     """
+    if not isinstance(w, Involution):
+        w = Involution(w.word)
     n = w.n
     if not 1 <= i <= n - 1:
         raise ValueError(f"letter {i} out of range [1, {n - 1}]")
@@ -53,8 +55,7 @@ def apply_letter(w: Involution, i: int) -> Involution:
     if conj == word:
         word[i - 1], word[i] = b, a
         conj = word
-    build = _trusted_involution if isinstance(w, Involution) else Involution
-    return build(tuple(conj))
+    return _trusted_involution(tuple(conj))
 
 
 def evaluate_word(letters: Iterable[int], n: int) -> Involution:

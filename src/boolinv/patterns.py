@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .permutations import Permutation, parse_int_tokens, parse_permutation, sum_blocks
+from .permutations import Permutation, check_word, parse_int_tokens, parse_permutation, sum_blocks
 
 if TYPE_CHECKING:
     from .signed import SignedPermutation
@@ -42,14 +42,6 @@ class Occurrence:
             raise ValueError("positions and values differ in length")
 
 
-def freeze_signed_window(obj, kind: str) -> None:
-    """Store obj.window as a tuple; its absolute values must be 1..m."""
-    window = tuple(obj.window)
-    object.__setattr__(obj, "window", window)
-    if sorted(abs(v) for v in window) != list(range(1, len(window) + 1)):
-        raise ValueError(f"not a signed {kind} window: {window}")
-
-
 @dataclass(frozen=True)
 class SignedPattern:
     """A pattern over {-m..-1, 1..m}; absolute values form a permutation."""
@@ -57,7 +49,7 @@ class SignedPattern:
     window: tuple[int, ...]
 
     def __post_init__(self):
-        freeze_signed_window(self, "pattern")
+        object.__setattr__(self, "window", check_word(self.window, signed=True))
 
     @property
     def n(self) -> int:

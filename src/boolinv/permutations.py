@@ -16,7 +16,8 @@ from typing import NamedTuple, Sequence
 
 
 class ParseError(ValueError):
-    """Raised when a textual permutation/path/window cannot be parsed."""
+    """Raised when a textual permutation/path/window cannot be parsed, or
+    when a word or signed window is not a permutation of [n]."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -26,10 +27,7 @@ class Permutation:
     word: tuple[int, ...]
 
     def __post_init__(self):
-        word = tuple(self.word)
-        object.__setattr__(self, "word", word)
-        if sorted(word) != list(range(1, len(word) + 1)):
-            raise ValueError(f"not a permutation of [{len(word)}]: {word}")
+        object.__setattr__(self, "word", check_word(self.word))
 
     @property
     def n(self) -> int:
@@ -79,14 +77,40 @@ class ExcedanceProfile(NamedTuple):
     fixed: frozenset[int]
 
 
+def check_word(values: Sequence[int], signed: bool = False) -> tuple[int, ...]:
+    """The values as a tuple, checked in one pass to be a permutation word of
+    [n] (with `signed`, in absolute value); ParseError names the first
+    value out of range or repeated."""
+    word = tuple(values)
+    n = len(word)
+    seen = bytearray(n + 1)
+    for v in word:
+        a = abs(v) if signed else v
+        if not 0 < a <= n:
+            span = f"[+-{n}]" if signed else f"[1, {n}]"
+            raise ParseError(f"value {v} out of range {span}")
+        if seen[a]:
+            raise ParseError(f"duplicate {'absolute ' if signed else ''}value {a}")
+        seen[a] = 1
+    return word
+
+
 def _trusted_involution(word: tuple[int, ...]) -> Involution:
     """
     An Involution on a tuple the caller has built as one, without the
-    sorting and self-inverse checks of the validating constructor.
+    word and self-inverse checks of the validating constructor.
     """
     w = object.__new__(Involution)
     object.__setattr__(w, "word", word)
     return w
+
+
+def _tag_involution(word: tuple[int, ...]) -> Permutation:
+    """A word the caller has checked or built as a permutation, unchecked:
+    an Involution when it is self-inverse, else a Permutation."""
+    w = object.__new__(Permutation)
+    object.__setattr__(w, "word", word)
+    return _trusted_involution(word) if w.is_involution() else w
 
 
 def identity(n: int) -> Involution:
@@ -123,7 +147,7 @@ def parse_permutation(text: str) -> Permutation:
             if ch not in "123456789":
                 raise ParseError(f"bad character {ch!r} in digit string {text!r}")
             values.append(int(ch))
-    return _as_permutation(values)
+    return _tag_involution(check_word(values))
 
 
 def parse_int_tokens(text: str) -> list[int]:
@@ -138,22 +162,6 @@ def parse_int_tokens(text: str) -> list[int]:
         except ValueError:
             raise ParseError(f"bad token {token!r} at position {pos}") from None
     return values
-
-
-def _as_permutation(values: Sequence[int]) -> Permutation:
-    n = len(values)
-    seen = set()
-    for v in values:
-        if not 1 <= v <= n:
-            raise ParseError(f"value {v} out of range [1, {n}]")
-        if v in seen:
-            raise ParseError(f"duplicate value {v}")
-        seen.add(v)
-    word = tuple(values)
-    perm = Permutation(word)
-    if perm.is_involution():
-        return Involution(word)
-    return perm
 
 
 def format_permutation(w: Permutation) -> str:
@@ -241,14 +249,14 @@ def compose(u: Permutation, v: Permutation) -> Permutation:
     """The product u*v acting as (u*v)(i) = u(v(i))."""
     if u.n != v.n:
         raise ValueError(f"size mismatch: {u.n} vs {v.n}")
-    return _as_permutation([u.word[x - 1] for x in v.word])
+    return _tag_involution(tuple([u.word[x - 1] for x in v.word]))
 
 
 def inverse(w: Permutation) -> Permutation:
     inv = [0] * w.n
     for i, v in enumerate(w.word, start=1):
         inv[v - 1] = i
-    return _as_permutation(inv)
+    return _tag_involution(tuple(inv))
 
 
 def conjugate(w: Permutation, t: tuple[int, int]) -> Permutation:

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .boolean import BooleanVerdict, InvariantViolationError, has_long_crossing, with_witnesses
-from .patterns import SIGNED_FORBIDDEN_PATTERNS, first_occurrence, freeze_signed_window
-from .permutations import ParseError, Permutation, _trusted_involution, parse_int_tokens
+from .patterns import SIGNED_FORBIDDEN_PATTERNS, first_occurrence
+from .permutations import Involution, Permutation, _tag_involution, check_word, parse_int_tokens
 
 SIGNED_METHODS = ("embedding", "signed_patterns", "all")
 
@@ -27,7 +27,7 @@ class SignedPermutation:
     window: tuple[int, ...]
 
     def __post_init__(self):
-        freeze_signed_window(self, "permutation")
+        object.__setattr__(self, "window", check_word(self.window, signed=True))
 
     @property
     def n(self) -> int:
@@ -94,16 +94,7 @@ def signed_identity(n: int) -> SignedInvolution:
 
 def parse_signed(text: str) -> SignedPermutation:
     """Comma-separated signed integers, e.g. "2,1,-3"."""
-    values = parse_int_tokens(text)
-    n = len(values)
-    seen = set()
-    for v in values:
-        if v == 0 or abs(v) > n:
-            raise ParseError(f"value {v} out of range [+-{n}]")
-        if abs(v) in seen:
-            raise ParseError(f"duplicate absolute value {abs(v)}")
-        seen.add(abs(v))
-    w = SignedPermutation(tuple(values))
+    w = SignedPermutation(tuple(parse_int_tokens(text)))
     return _trusted_signed_involution(w.window) if w.is_involution() else w
 
 
@@ -123,10 +114,7 @@ def embed(w: SignedPermutation) -> EmbeddedPermutation:
         return v + n + (v < 0)
 
     word = [relabel(-v) for v in reversed(w.window)] + [relabel(v) for v in w.window]
-    perm = Permutation(tuple(word))
-    if perm.is_involution():
-        perm = _trusted_involution(perm.word)
-    return EmbeddedPermutation(perm)
+    return EmbeddedPermutation(_tag_involution(tuple(word)))
 
 
 def apply_letter_signed(w: SignedInvolution, i: int) -> SignedInvolution:
@@ -156,11 +144,16 @@ def is_boolean_signed(w: SignedInvolution, method: str = "embedding") -> Boolean
     pair and repeat-free word refer to the embedded image, and its pattern
     witness is a signed pattern.
     """
+    return _signed_verdict(w, embed(w).perm, method)
+
+
+def _signed_verdict(w: SignedInvolution, image: Permutation, method: str) -> BooleanVerdict:
+    """`is_boolean_signed(w, method)`, given the embedded image of w, which
+    `embed` has tagged an Involution exactly when w is one."""
     if method not in SIGNED_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {SIGNED_METHODS}")
-    if not w.is_involution():
+    if not isinstance(image, Involution):
         raise ValueError(f"not an involution: {w.window}")
-    image = embed(w).perm
     if method == "embedding":
         return with_witnesses(image, not has_long_crossing(image), w, SIGNED_FORBIDDEN_PATTERNS)
     hit = first_occurrence(w, SIGNED_FORBIDDEN_PATTERNS)

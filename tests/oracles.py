@@ -306,3 +306,44 @@ def filtered_inv_exc_counts(n_max, shard=0, num_shards=1):
                 key = (n, inversion_count(word), sum(1 for i, v in enumerate(word, 1) if v > i))
                 table[key] = table.get(key, 0) + 1
     return table
+
+
+def prefix_rank_table(word):
+    """R[i][j] = #{k <= i : w(k) >= j} for 0 <= i <= n, 1 <= j <= n."""
+    n = len(word)
+    rows = [tuple([0] * (n + 1))]
+    counts = [0] * (n + 1)
+    for i in range(1, n + 1):
+        for j in range(1, word[i - 1] + 1):
+            counts[j] += 1
+        rows.append(tuple(counts))
+    return tuple(rows)
+
+
+def bruhat_leq_by_matrix(u, w):
+    """Bruhat u <= w by comparing the full prefix rank matrices of the two
+    words entry by entry."""
+    ru, rw = prefix_rank_table(u), prefix_rank_table(w)
+    n = len(u)
+    return all(ru[i][j] <= rw[i][j] for i in range(1, n + 1) for j in range(1, n + 1))
+
+
+def is_permutation_word(values):
+    """The permutation check by sorting: the values are exactly 1..n."""
+    return sorted(values) == list(range(1, len(values) + 1))
+
+
+def is_signed_window(values):
+    """The signed-window check by sorting: the absolute values are 1..n."""
+    return is_permutation_word([abs(v) for v in values])
+
+
+def is_self_inverse(values):
+    """w(w(i)) = i for every i, on a permutation word or a signed window,
+    each applied through the sign rule w(-i) = -w(i)."""
+
+    def apply(i):
+        v = values[abs(i) - 1]
+        return v if i > 0 else -v
+
+    return all(apply(apply(i)) == i for i in range(1, len(values) + 1))

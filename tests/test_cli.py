@@ -44,6 +44,17 @@ def test_check_signed(capsys):
     assert code == 0
 
 
+def test_check_signed_embeds_once(capsys, monkeypatch):
+    from boolinv import cli, signed
+
+    real, calls = signed.embed, []
+    for module in (cli, signed):
+        monkeypatch.setattr(module, "embed", lambda w: calls.append(w) or real(w))
+    code, out, _ = run_cli(capsys, "check", "--signed", "--", "-1,-2")
+    assert code == 1 and json.loads(out)["rank"] == 4
+    assert calls == [signed.parse_signed("-1,-2")]
+
+
 def test_check_parse_errors(capsys):
     code, _, err = run_cli(capsys, "check", "4312")  # not an involution
     assert code == 2 and "not an involution" in err

@@ -396,6 +396,22 @@ def test_cross_validate():
         cross_validate(16)
 
 
+def test_table_routes_are_looked_up_when_called(monkeypatch, capsys):
+    # A tracer rebinds module attributes, so cross_validate and `table`
+    # must call what the attribute holds when they run.
+    from boolinv.cli import main
+
+    real, calls = recurrence_rank_counts, []
+    monkeypatch.setattr(
+        counting, "recurrence_rank_counts", lambda n_max: calls.append(n_max) or real(n_max)
+    )
+    assert cross_validate(4).passed and calls == [4]
+    assert main(["table", "g", "--max-n", "3", "--method", "recurrence"]) == 0
+    assert calls == [4, 3] and json.loads(capsys.readouterr().out) == {
+        f"{n},{k}": count for (n, k), count in real(3).items()
+    }
+
+
 def test_exports():
     totals = brute_totals(3)
     tsv = table_to_tsv(totals, ("n", "count"))

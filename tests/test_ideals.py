@@ -16,7 +16,7 @@ from boolinv.ideals import (
 from boolinv.involution_words import ResourceLimitError, rank
 from boolinv.permutations import Involution, identity, parse_permutation
 from boolinv.selfcheck import product_decomposition_check
-from oracles import covers_from_leq, subword_evaluations
+from oracles import bruhat_leq_by_matrix, covers_from_leq, subword_evaluations
 
 
 def test_bruhat_leq_examples():
@@ -59,6 +59,23 @@ def test_bruhat_leq_matches_definition_on_full_group():
         for u in elements:
             for w in elements:
                 assert bruhat_leq(u, w) == (w.word in above[u.word]), (u, w)
+
+
+def test_bruhat_leq_matches_full_matrix_oracle():
+    # bruhat_leq is public for any permutation, so non-involutions too
+    from itertools import permutations as all_perms
+
+    from boolinv.permutations import Permutation
+
+    for n in range(6):
+        elements = [Permutation(word) for word in all_perms(range(1, n + 1))]
+        for u in elements:
+            for w in elements:
+                assert bruhat_leq(u, w) == bruhat_leq_by_matrix(u.word, w.word), (u, w)
+    elements = list(involutions(6))
+    for u in elements:
+        for w in elements:
+            assert bruhat_leq(u, w) == bruhat_leq_by_matrix(u.word, w.word), (u, w)
 
 
 def test_bruhat_leq_is_partial_order():

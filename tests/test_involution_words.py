@@ -61,7 +61,8 @@ def test_apply_letter_equals_validated_rebuild():
 
 def test_apply_letter_validates_other_inputs():
     assert type(apply_letter(Permutation((2, 1, 3)), 2)) is Involution
-    with pytest.raises(ValueError, match="not self-inverse"):
+    # the message names the input word, not the word the letter made of it
+    with pytest.raises(ValueError, match=r"not self-inverse: \(2, 3, 1\)"):
         apply_letter(Permutation((2, 3, 1)), 1)
 
 

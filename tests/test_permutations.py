@@ -1,4 +1,4 @@
-from itertools import permutations as itertools_permutations
+from itertools import permutations as itertools_permutations, product
 
 import pytest
 from hypothesis import given
@@ -24,7 +24,14 @@ from boolinv.permutations import (
     sum_blocks,
     transposition,
 )
-from oracles import crossing_components, inversion_count
+from boolinv.signed import SignedInvolution, SignedPermutation, parse_signed
+from oracles import (
+    crossing_components,
+    inversion_count,
+    is_permutation_word,
+    is_self_inverse,
+    is_signed_window,
+)
 
 
 def test_parse_worked_example():
@@ -179,3 +186,44 @@ def test_streamed_involutions_equal_validated_ones():
             assert type(w) is Involution
             assert w == rebuilt and hash(w) == hash(rebuilt) and w.word == rebuilt.word
             assert isinstance(w.word, tuple) and w.is_involution()
+
+
+def _outcome(build, arg):
+    """What build(arg) returns, or the class of the ValueError it raises."""
+    try:
+        return build(arg)
+    except ValueError as exc:
+        return type(exc)
+
+
+def test_constructors_and_parsers_accept_as_the_sorting_checks_did():
+    # Every word of length <= 4 over -5..5, against oracle copies of the
+    # checks each entry point made before they shared one validator.  The
+    # parsers refuse the empty text too, and every refusal is a ParseError.
+    for n in range(5):
+        for values in product(range(-5, 6), repeat=n):
+            perm, window = is_permutation_word(values), is_signed_window(values)
+            involution = window and is_self_inverse(values)
+            text = ",".join(map(str, values))
+            for build, arg, accepted, kind in [
+                (Permutation, values, perm, Permutation),
+                (Involution, values, perm and involution, Involution),
+                (parse_permutation, text, perm and n > 0,
+                 Involution if involution else Permutation),
+                (SignedPermutation, values, window, SignedPermutation),
+                (SignedInvolution, values, involution, SignedInvolution),
+                (parse_signed, text, window and n > 0,
+                 SignedInvolution if involution else SignedPermutation),
+            ]:
+                got = _outcome(build, arg)
+                if accepted:
+                    assert type(got) is kind, (build, values, got)
+                    assert getattr(got, "word", getattr(got, "window", None)) == values
+                else:
+                    refusal = ParseError if isinstance(arg, str) else ValueError
+                    assert isinstance(got, type) and issubclass(got, refusal), (build, values)
+    # the constructors now name the offender as the parsers do
+    with pytest.raises(ParseError, match="duplicate value 1"):
+        Permutation((1, 1))
+    with pytest.raises(ParseError, match=r"value -3 out of range \[\+-2\]"):
+        SignedPermutation((1, -3))

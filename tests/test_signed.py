@@ -47,6 +47,19 @@ def test_signed_involution_validation():
     assert parse_signed("-2,-1").is_involution()
 
 
+def test_verdict_trusts_the_signed_involution_type(monkeypatch):
+    w = parse_signed("2,1,-3")
+    expected = is_boolean_signed(w, "all")
+    with pytest.raises(ValueError, match="not an involution"):
+        is_boolean_signed(signed.SignedPermutation((2, -1)))
+
+    def refuse(self):
+        raise AssertionError("is_involution re-run on a SignedInvolution")
+
+    monkeypatch.setattr(signed.SignedPermutation, "is_involution", refuse)
+    assert is_boolean_signed(w, "all") == expected
+
+
 def test_embed_examples():
     assert embed(parse_signed("-1")).perm == parse_permutation("21")
     assert embed(parse_signed("-1,-2")).perm == parse_permutation("4321")
