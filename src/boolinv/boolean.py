@@ -105,28 +105,25 @@ def long_crossing_pairs(w: Involution) -> list[tuple[int, int]]:
 def first_long_crossing_pair(w: Involution) -> tuple[int, int] | None:
     """
     The first pair of `long_crossing_pairs(w)`, or None, in linear time: the
-    smallest i whose next excedance j > i has j <= w(i) - 2.
+    first i whose next excedance j > i has j <= w(i) - 2.  One forward scan,
+    moving j on to the next excedance once i reaches it.
     """
-    first = None
-    next_excedance = w.n + 1
-    for i in range(w.n, 0, -1):
-        v = w.word[i - 1]
-        if next_excedance <= v - 2:
-            first = (i, next_excedance)
-        if v > i:
-            next_excedance = i
-    return first
+    word = w.word
+    n = len(word)
+    j = 1
+    for i, v in enumerate(word, start=1):
+        if j <= i:
+            j = i + 1
+            while j <= n and word[j - 1] <= j:
+                j += 1
+        if j <= v - 2:
+            return i, j
+    return None
 
 
 def has_long_crossing(w: Involution) -> bool:
-    """Linear-time emptiness test: scan excedances against the prefix max."""
-    prefix_max = 0
-    for j, v in enumerate(w.word, start=1):
-        if v > j and prefix_max > j + 1:
-            return True
-        if v > prefix_max:
-            prefix_max = v
-    return False
+    """Whether w has a long-crossing pair, by the forward scan."""
+    return first_long_crossing_pair(w) is not None
 
 
 def _decide(w: Involution, method: str, hit: tuple[Permutation, Occurrence] | None) -> bool:
@@ -197,8 +194,8 @@ def repeat_free_word(w: Involution) -> Word:
     lo = i_1 < i_2 < ... < i_k, the word takes every letter lo..hi-1 except
     i_2, ..., i_k in increasing order, then appends i_2, ..., i_k.
     """
-    if has_long_crossing(w):
-        pair = first_long_crossing_pair(w)
+    pair = first_long_crossing_pair(w)
+    if pair is not None:
         raise ValueError(f"{w.word} is not Boolean; long-crossing pair {pair}")
     letters: list[int] = []
     for lo, hi in connected_components(w).components:

@@ -16,11 +16,13 @@ so only the Boolean involutions are visited, each decided on its prefixes
 by the long-crossing criterion rather than filtered from the whole
 stream.  It is sharded over at most one process per CPU and refused up
 front when its predicted work exceeds MAX_BRUTE_WORK.  The
-recurrence route fills sizes n >= 4 from the three previous sizes, each
-row only as far in l as its source rows reach; rows below that, and the
-cells with few inversions or no excedances, come from closed base formulas.
-The rank and total recurrences run from their own base values, so none
-reads the brute route.  The series route expands the generating
+inversion/excedance and rank recurrences run from the empty involution
+alone, the total recurrence from its three start values, so none reads
+the brute or the series route.  No base cells are needed: with F = N/D
+the inversion/excedance series, (1 + F) D = 1 - xy^2 - x^2y^3z, and both
+correction cells, (1, 2, 0) and (2, 3, 1), lie beyond the n(n-1)/2
+inversions the recurrence fills; each row runs only as far in l as its
+source rows reach.  The series route expands the generating
 functions one size at a time over their nonzero coefficients.  These two
 refuse up front a table whose predicted work exceeds MAX_TABLE_WORK.  All
 routes must agree; `cross_validate` checks them against each other, against
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import accumulate, islice, product, takewhile
+from itertools import accumulate, islice, product
 from typing import Iterator
 
 from .involution_words import ResourceLimitError
@@ -287,23 +289,6 @@ def _check_table_work(stat: str, n_max: int) -> None:
     _check_work(n_max, rows, MAX_TABLE_WORK, refusal + " (cells times count bits)")
 
 
-def _base_inv_exc(n: int, length: int, exc: int) -> int:
-    """
-    Closed forms covering sizes up to 3, inversion counts up to 2, and the
-    no-excedance column; all other cells there vanish:
-      (n, 0, 0) -> 1; (n, 1, 1) -> n-1; (n, 2, 2) -> (n^2-5n+6)/2; (3, 3, 1) -> 1.
-    """
-    if length == 0 and exc == 0:
-        return 1
-    if n >= 2 and length == 1 and exc == 1:
-        return n - 1
-    if n >= 4 and length == 2 and exc == 2:
-        return (n * n - 5 * n + 6) // 2
-    if (n, length, exc) == (3, 3, 1):
-        return 1
-    return 0
-
-
 def recurrence_inv_exc_counts(n_max: int) -> InvExcTable:
     """
     Fill the inversion/excedance table by the six-term recurrence
@@ -311,42 +296,34 @@ def recurrence_inv_exc_counts(n_max: int) -> InvExcTable:
       b(n,l,a) = b(n-1,l,a) + b(n-1,l-2,a) + b(n-2,l-1,a-1) - b(n-2,l-2,a)
                  + b(n-2,l-3,a-1) - b(n-3,l-3,a-1)
 
-    valid for n >= 4, l >= 3, a >= 1, over the base cells of
-    `_base_inv_exc`.  Out-of-range arguments count as zero; sizes 0 and 1
-    contribute only the empty cell.  Row n runs l only up to the highest
-    value its source rows reach, max(top(n-1) + 2, top(n-2) + 3,
-    top(n-3) + 3) with top(m) the largest l of a nonzero cell in row m,
-    and up to 3 for the base rows n <= 3: every cell beyond is zero.
+    for n >= 1 over the cells with l <= n(n-1)/2 and a <= n/2, from the
+    empty involution b(0,0,0) = 1 alone; every other cell of size n <= 0,
+    and every cell with l < 0 or a < 0, is zero.  Row n runs l only up to
+    the highest value its source rows reach, max(top(n-1) + 2, top(n-2) + 3,
+    top(n-3) + 3) with top(m) the largest l of a nonzero cell in row m:
+    every cell beyond is zero.
     """
     _check_table_work("f", n_max)
-    table: InvExcTable = {}
-    top = [0] * (n_max + 1)
-
-    def lookup(n: int, length: int, exc: int) -> int:
-        if length < 0 or exc < 0:
-            return 0
-        if n <= 1:
-            return 1 if length == 0 and exc == 0 else 0
-        return table.get((n, length, exc), 0)
-
+    table: InvExcTable = {(0, 0, 0): 1}
+    get = table.get
+    top = [0, 0, 0]  # top(m) of every row m so far, from m = -2
     for n in range(1, n_max + 1):
-        reach = 3 if n <= 3 else max(top[n - 1] + 2, top[n - 2] + 3, top[n - 3] + 3)
+        reach = max(top[-1] + 2, top[-2] + 3, top[-3] + 3)
+        top.append(0)
         for length in range(0, min(reach, n * (n - 1) // 2) + 1):
             for exc in range(0, n // 2 + 1):
-                if n <= 3 or length <= 2 or exc == 0:
-                    value = _base_inv_exc(n, length, exc)
-                else:
-                    value = (
-                        lookup(n - 1, length, exc)
-                        + lookup(n - 1, length - 2, exc)
-                        + lookup(n - 2, length - 1, exc - 1)
-                        - lookup(n - 2, length - 2, exc)
-                        + lookup(n - 2, length - 3, exc - 1)
-                        - lookup(n - 3, length - 3, exc - 1)
-                    )
+                value = (
+                    get((n - 1, length, exc), 0)
+                    + get((n - 1, length - 2, exc), 0)
+                    + get((n - 2, length - 1, exc - 1), 0)
+                    - get((n - 2, length - 2, exc), 0)
+                    + get((n - 2, length - 3, exc - 1), 0)
+                    - get((n - 3, length - 3, exc - 1), 0)
+                )
                 if value:
                     table[(n, length, exc)] = value
-                    top[n] = length
+                    top[-1] = length
+    del table[(0, 0, 0)]
     return table
 
 
@@ -360,25 +337,19 @@ def recurrence_rank_counts(n_max: int) -> RankTable:
     rank k < 0 zero; it gives r(n,0) = 1 and r(n,1) = n-1.
     """
     _check_table_work("g", n_max)
-    table: RankTable = {}
-
-    def lookup(n: int, k: int) -> int:
-        if k < 0:
-            return 0
-        if n <= 0:
-            return 1 if (n, k) == (0, 0) else 0
-        return table.get((n, k), 0)
-
+    table: RankTable = {(0, 0): 1}
+    get = table.get
     for n in range(1, n_max + 1):
         for k in range(0, n):
             value = (
-                lookup(n - 1, k)
-                + lookup(n - 1, k - 1)
-                + lookup(n - 2, k - 2)
-                - lookup(n - 3, k - 2)
+                get((n - 1, k), 0)
+                + get((n - 1, k - 1), 0)
+                + get((n - 2, k - 2), 0)
+                - get((n - 3, k - 2), 0)
             )
             if value:
                 table[(n, k)] = value
+    del table[(0, 0)]
     return table
 
 
@@ -388,28 +359,20 @@ def recurrence_totals(n_max: int) -> TotalTable:
     return dict(zip(range(1, n_max + 1), _total_recurrence()))
 
 
-def _drop_size_zero(coeffs: dict) -> dict:
-    """Delete, in place, the n = 0 cells that lead a series' key order."""
-    for key in list(takewhile(lambda key: key[0] == 0, coeffs)):
-        del coeffs[key]
-    return coeffs
-
-
 def series_inv_exc_counts(n_max: int) -> InvExcTable:
     """Inversion/excedance table read off the three-variable series."""
     _check_table_work("f", n_max)
-    return _drop_size_zero(inv_exc_series(n_max).coefficients)
+    return inv_exc_series(n_max)
 
 
 def series_rank_counts(n_max: int) -> RankTable:
     _check_table_work("g", n_max)
-    return _drop_size_zero(rank_series(n_max).coefficients)
+    return rank_series(n_max)
 
 
 def series_totals(n_max: int) -> TotalTable:
     _check_table_work("h", n_max)
-    coeffs = total_series(n_max).coefficients
-    return {key[0]: value for key, value in coeffs.items() if key[0] >= 1}
+    return {n: value for (n,), value in total_series(n_max).items()}
 
 
 # The brute, recurrence and gf route of each table by function name, looked

@@ -90,8 +90,6 @@ def product_decomposition_check(w: Involution) -> bool:
         part = ideals.ideal(Involution(restrict(w, range(lo, hi + 1)).word))
         size *= len(part)
         gf = _poly_mul(gf, part.rank_counts())
-    while len(gf) > 1 and gf[-1] == 0:
-        gf.pop()
     return size == len(whole) and gf == whole.rank_counts()
 
 

@@ -14,6 +14,13 @@ involutions of S_n with l inversions and a excedances:
   * total_series:    sum of totals, coefficient of x^n
         = x(1 - x^2) / (1 - 2x - x^2 + x^3)
 
+Each series is the dict of its nonzero coefficients, {exponents:
+coefficient}; no numerator has an x^0 term, so none has a size-0
+coefficient.  The inversion/excedance series F = N/D satisfies
+(1 + F) D = 1 - xy^2 - x^2y^3z, whose two correction terms lie beyond
+n(n-1)/2 inversions, so `counting.recurrence_inv_exc_counts` runs from
+the empty involution alone.
+
 Expansion is by series division: with a denominator of constant term 1
 whose other terms all carry a positive power of x, the coefficients in x
 degree n depend only on lower degrees.  So the expansion runs one x degree
@@ -23,27 +30,10 @@ to the whole truncation box.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add, le
 
 Monomial = tuple[int, ...]
 Terms = dict[Monomial, int]
-
-
-@dataclass(frozen=True)
-class SeriesExpansion:
-    """Nonzero coefficients of a series truncated to the given bounds."""
-
-    variables: tuple[str, ...]
-    truncation: tuple[int, ...]
-    coefficients: dict[Monomial, int]
-
-    def coefficient(self, exponents: Monomial) -> int:
-        if len(exponents) != len(self.variables):
-            raise ValueError(f"expected {len(self.variables)} exponents")
-        if any(e > bound for e, bound in zip(exponents, self.truncation)):
-            raise ValueError(f"{exponents} outside truncation {self.truncation}")
-        return self.coefficients.get(tuple(exponents), 0)
 
 
 def expand_rational(numerator: Terms, denominator: Terms, bounds: tuple[int, ...]) -> Terms:
@@ -76,7 +66,7 @@ def expand_rational(numerator: Terms, denominator: Terms, bounds: tuple[int, ...
     return coeffs
 
 
-def inv_exc_series(n_max: int) -> SeriesExpansion:
+def inv_exc_series(n_max: int) -> Terms:
     """Series in (x, y, z) counting Boolean involutions by size, inversions
     and excedances, cut at 2 n_max inversions and n_max // 2 excedances."""
     numerator = {(2, 1, 1): 1, (1, 0, 0): 1, (2, 2, 0): -1, (3, 3, 1): -1}
@@ -89,28 +79,19 @@ def inv_exc_series(n_max: int) -> SeriesExpansion:
         (2, 3, 1): -1,
         (3, 3, 1): 1,
     }
-    bounds = (n_max, 2 * n_max, n_max // 2)
-    return SeriesExpansion(
-        ("x", "y", "z"), bounds, expand_rational(numerator, denominator, bounds)
-    )
+    return expand_rational(numerator, denominator, (n_max, 2 * n_max, n_max // 2))
 
 
-def rank_series(n_max: int) -> SeriesExpansion:
+def rank_series(n_max: int) -> Terms:
     """Series in (x, t) counting Boolean involutions by size and rank, cut at
     rank n_max."""
     numerator = {(1, 0): 1, (3, 2): -1}
     denominator = {(0, 0): 1, (1, 0): -1, (1, 1): -1, (2, 2): -1, (3, 2): 1}
-    bounds = (n_max, n_max)
-    return SeriesExpansion(
-        ("x", "t"), bounds, expand_rational(numerator, denominator, bounds)
-    )
+    return expand_rational(numerator, denominator, (n_max, n_max))
 
 
-def total_series(n_max: int) -> SeriesExpansion:
+def total_series(n_max: int) -> Terms:
     """Series in x counting all Boolean involutions of each size."""
     numerator = {(1,): 1, (3,): -1}
     denominator = {(0,): 1, (1,): -2, (2,): -1, (3,): 1}
-    bounds = (n_max,)
-    return SeriesExpansion(
-        ("x",), bounds, expand_rational(numerator, denominator, bounds)
-    )
+    return expand_rational(numerator, denominator, (n_max,))

@@ -121,17 +121,20 @@ def apply_letter_signed(w: SignedInvolution, i: int) -> SignedInvolution:
     """
     Act on a signed involution by letter i as `apply_letter` does: w*s_i if
     s_i w s_i = w, otherwise s_i w s_i.  On values, s_0 negates +-1 and s_i
-    (i >= 1) swaps the absolute values i and i+1, keeping the sign.
+    (i >= 1) swaps the absolute values i and i+1, keeping the sign.  An
+    input not typed SignedInvolution is checked, and raises ValueError when
+    it is not an involution.
     """
-    if not w.is_involution():
+    if not isinstance(w, SignedInvolution) and not w.is_involution():
         raise ValueError(f"not an involution: {w.window}")
-    n = w.n
+    window, n = w.window, w.n
     if not 0 <= i <= n - 1:
         raise ValueError(f"letter {i} out of range [0, {n - 1}]")
     s = {1: -1, -1: 1} if i == 0 else {i: i + 1, i + 1: i, -i: -i - 1, -i - 1: -i}
-    times = tuple(w(s.get(j, j)) for j in range(1, n + 1))
+    points = (s.get(j, j) for j in range(1, n + 1))
+    times = tuple(window[v - 1] if v > 0 else -window[-v - 1] for v in points)
     conj = tuple(s.get(v, v) for v in times)
-    return _trusted_signed_involution(times if conj == w.window else conj)
+    return _trusted_signed_involution(times if conj == window else conj)
 
 
 def is_boolean_signed(w: SignedInvolution, method: str = "embedding") -> BooleanVerdict:

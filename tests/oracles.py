@@ -6,7 +6,6 @@ different from the ones the library takes.
 from itertools import combinations, product
 
 from boolinv.boolean import has_long_crossing
-from boolinv.counting import _base_inv_exc
 from boolinv.involution_words import apply_letter, rank, reduced_word
 from boolinv.permutations import Involution
 
@@ -204,9 +203,27 @@ def dense_expand_rational(numerator, denominator, bounds):
     return coeffs
 
 
+def base_inv_exc(n, length, exc):
+    """
+    The paper's closed forms covering sizes up to 3, inversion counts up to
+    2, and the no-excedance column; all other cells there vanish:
+      (n, 0, 0) -> 1; (n, 1, 1) -> n-1; (n, 2, 2) -> (n^2-5n+6)/2; (3, 3, 1) -> 1.
+    """
+    if length == 0 and exc == 0:
+        return 1
+    if n >= 2 and length == 1 and exc == 1:
+        return n - 1
+    if n >= 4 and length == 2 and exc == 2:
+        return (n * n - 5 * n + 6) // 2
+    if (n, length, exc) == (3, 3, 1):
+        return 1
+    return 0
+
+
 def full_range_recurrence_inv_exc(n_max):
     """The six-term inversion/excedance recurrence over every cell with
-    l <= n(n-1)/2 and a <= n/2, on the library's base cells."""
+    l <= n(n-1)/2 and a <= n/2, for n >= 4, l >= 3 and a >= 1, on the
+    closed-form base cells of `base_inv_exc` everywhere else."""
     table = {}
 
     def lookup(n, length, exc):
@@ -220,7 +237,7 @@ def full_range_recurrence_inv_exc(n_max):
         for length in range(0, n * (n - 1) // 2 + 1):
             for exc in range(0, n // 2 + 1):
                 if n <= 3 or length <= 2 or exc == 0:
-                    value = _base_inv_exc(n, length, exc)
+                    value = base_inv_exc(n, length, exc)
                 else:
                     value = (
                         lookup(n - 1, length, exc)

@@ -222,6 +222,18 @@ def test_recurrence_routes_do_not_walk(monkeypatch):
     assert recurrence_totals(12) == series_totals(12)
 
 
+def test_recurrence_routes_do_not_expand_series(monkeypatch):
+    # both routes divide by the same denominator; neither may run the other
+    expected = [route(12) for route in (series_inv_exc_counts, series_rank_counts, series_totals)]
+
+    def expand(*args):
+        raise AssertionError("a recurrence route expanded a series")
+
+    monkeypatch.setattr(series, "expand_rational", expand)
+    routes = (recurrence_inv_exc_counts, recurrence_rank_counts, recurrence_totals)
+    assert [route(12) for route in routes] == expected
+
+
 def test_three_way_agreement_small():
     n_max = 8
     brute = brute_inv_exc_counts(n_max)
@@ -242,21 +254,14 @@ def test_marginalization():
 
 
 def test_series_examples():
-    h = total_series(4)
-    assert [h.coefficient((k,)) for k in range(1, 5)] == [1, 2, 4, 9]
+    assert [total_series(4)[(k,)] for k in range(1, 5)] == [1, 2, 4, 9]
     F = inv_exc_series(4)
-    assert F.coefficient((4, 2, 2)) == 1
-    assert all(F.coefficient((n, 0, 0)) == 1 for n in range(1, 5))
-    g = rank_series(4)
-    assert [g.coefficient((4, k)) for k in range(4)] == [1, 3, 3, 2]
-
-
-def test_series_bounds_checking():
-    h = total_series(4)
-    with pytest.raises(ValueError, match="outside truncation"):
-        h.coefficient((5,))
-    with pytest.raises(ValueError, match="expected 1 exponents"):
-        h.coefficient((1, 2))
+    assert F[(4, 2, 2)] == 1
+    assert all(F[(n, 0, 0)] == 1 for n in range(1, 5))
+    assert [rank_series(4)[(4, k)] for k in range(4)] == [1, 3, 3, 2]
+    # no numerator has an x^0 term, so no series has a size-0 cell
+    for expand in (inv_exc_series, rank_series, total_series):
+        assert all(key[0] >= 1 for n in range(13) for key in expand(n))
 
 
 def test_parallel_brute_matches_serial():
@@ -369,7 +374,6 @@ def test_table_work_guard_refuses_up_front(monkeypatch):
     def fill(*args):
         raise AssertionError("a cell was filled")
 
-    monkeypatch.setattr(counting, "_base_inv_exc", fill)
     for name in ("inv_exc_series", "rank_series", "total_series"):
         monkeypatch.setattr(counting, name, fill)
     for route, n_max in [

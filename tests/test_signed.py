@@ -92,6 +92,21 @@ def test_generators():
         apply_letter_signed(e, 3)
 
 
+def test_apply_letter_signed_trusts_the_signed_involution_type(monkeypatch):
+    elements = [w for n in range(1, 5) for w in signed_involutions(n)]
+    expected = [[apply_letter_signed(w, i) for i in range(w.n)] for w in elements]
+    with pytest.raises(ValueError, match="not an involution"):
+        apply_letter_signed(signed.SignedPermutation((2, -1)), 0)
+    untyped = signed.SignedPermutation((2, 1, -3))
+    assert apply_letter_signed(untyped, 1) == apply_letter_signed(parse_signed("2,1,-3"), 1)
+
+    def refuse(self):
+        raise AssertionError("is_involution re-run on a SignedInvolution")
+
+    monkeypatch.setattr(signed.SignedPermutation, "is_involution", refuse)
+    assert [[apply_letter_signed(w, i) for i in range(w.n)] for w in elements] == expected
+
+
 def test_apply_letter_signed_examples():
     e = signed_identity(3)
     assert apply_letter_signed(e, 0).window == (-1, 2, 3)
