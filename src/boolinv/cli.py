@@ -37,7 +37,10 @@ PIPE_CLOSED = 141
 
 
 def _default_format() -> str:
-    return os.environ.get("BOOLINV_FORMAT", "json")
+    fmt = os.environ.get("BOOLINV_FORMAT", "json")
+    if fmt not in ("json", "tsv", "text"):
+        raise ParseError(f"BOOLINV_FORMAT must be json, tsv or text, not {fmt!r}")
+    return fmt
 
 
 def _parse_involution(text: str) -> Involution:
@@ -87,6 +90,7 @@ def _print_verdict(payload: dict, fmt: str) -> None:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    fmt = args.format or _default_format()
     if args.signed:
         w = _parse_signed_involution(args.element)
         image = embed(w).perm
@@ -97,7 +101,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         w = _parse_involution(args.element)
         verdict = is_boolean(w, args.method or "long_crossing")
         payload = _verdict_payload(format_permutation(w), verdict, rank_profile(w))
-    _print_verdict(payload, args.format or _default_format())
+    _print_verdict(payload, fmt)
     return 0 if verdict.is_boolean else 1
 
 
@@ -113,12 +117,20 @@ def cmd_table(args: argparse.Namespace) -> int:
         report = counting.cross_validate(args.max_n, jobs=args.jobs)
         print(report.summary())
         return 0 if report.passed else 1
-    table = counting.build_table(args.stat, args.method, args.max_n, args.jobs)
     fmt = args.format or _default_format()
-    if fmt == "tsv" or fmt == "text":
-        sys.stdout.write(counting.table_to_tsv(table, _TABLE_COLUMNS[args.stat]))
-    else:
-        print(counting.table_to_json(table))
+    table = counting.build_table(args.stat, args.method, args.max_n, args.jobs)
+    # Counts are computed, never parsed: lift the int-to-str limit guarding parsing.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        if fmt == "tsv" or fmt == "text":
+            sys.stdout.write(counting.table_to_tsv(table, _TABLE_COLUMNS[args.stat]))
+        else:
+            print(counting.table_to_json(table))
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return 0
 
 

@@ -1,7 +1,7 @@
 """
 Counting Boolean involutions three independent ways: exhaustive search,
-the linear recurrence, and coefficient extraction from the closed-form
-generating functions.
+the restricted Motzkin paths, and coefficient extraction from the
+closed-form generating functions.
 
 Tables are plain dicts with exact integer values:
 
@@ -15,19 +15,16 @@ point is paired once an earlier pair reaches beyond its right neighbour,
 so only the Boolean involutions are visited, each decided on its prefixes
 by the long-crossing criterion rather than filtered from the whole
 stream.  It is sharded over at most one process per CPU and refused up
-front when its predicted work exceeds MAX_BRUTE_WORK.  The
-inversion/excedance and rank recurrences run from the empty involution
-alone, the total recurrence from its three start values, so none reads
-the brute or the series route.  No base cells are needed: with F = N/D
-the inversion/excedance series, (1 + F) D = 1 - xy^2 - x^2y^3z, and both
-correction cells, (1, 2, 0) and (2, 3, 1), lie beyond the n(n-1)/2
-inversions the recurrence fills; each row runs only as far in l as its
-source rows reach.  The series route expands the generating
-functions one size at a time over their nonzero coefficients.  These two
-refuse up front a table whose predicted work exceeds MAX_TABLE_WORK.  All
-routes must agree; `cross_validate` checks them against each other, against
-the marginalization identities, and against the restricted Motzkin path
-count.
+front when its predicted work exceeds MAX_BRUTE_WORK.  The recurrence
+route counts the restricted Motzkin paths of the paper's bijection by a
+transfer matrix over their height (`motzkin.restricted_path_rows`): rank
+is n minus the returns to the axis, excedances are the up steps and
+inversions 2 rank - ups, so it reads neither the brute nor the series
+route.  The series route expands the generating functions one size at a
+time over their nonzero coefficients.  These two refuse up front a table
+whose predicted work exceeds MAX_TABLE_WORK.  All routes must agree;
+`cross_validate` checks them against each other, against the
+marginalization identities, and against the restricted Motzkin path count.
 """
 from __future__ import annotations
 
@@ -37,7 +34,7 @@ from itertools import accumulate, islice, product
 from typing import Iterator
 
 from .involution_words import ResourceLimitError
-from .motzkin import count_restricted
+from .motzkin import count_restricted, restricted_path_rows
 from .permutations import Involution, _trusted_involution, inversion_count
 from .series import inv_exc_series, rank_series, total_series
 from .signed import SignedInvolution, _trusted_signed_involution
@@ -216,15 +213,6 @@ def brute_inv_exc_counts(n_max: int, jobs: int = 1) -> InvExcTable:
     return table
 
 
-def _total_recurrence() -> Iterator[int]:
-    """h(1), h(2), ...: the Boolean involutions of each size, by
-    h(n) = 2h(n-1) + h(n-2) - h(n-3) from h(-2), h(-1), h(0) = 2, 1, 1."""
-    a, b, c = 2, 1, 1
-    while True:
-        a, b, c = b, c, 2 * c + b - a
-        yield c
-
-
 def _check_work(n_max: int, rows: Iterator[int], limit: int, refusal: str) -> None:
     """Refuse a negative size, or a run whose predicted work, the sum of the
     first n_max `rows` (sizes 1, 2, ...), exceeds limit; the sum stops once over."""
@@ -237,10 +225,10 @@ def _check_brute_work(n_max: int) -> None:
     """
     Refuse, before any element is walked, a negative size or a brute table
     whose predicted work, the sum of n h(n) over 1 <= n <= n_max, exceeds
-    MAX_BRUTE_WORK.  The totals h come from their recurrence; they only
+    MAX_BRUTE_WORK.  The totals h are the restricted path counts; they only
     size the run.
     """
-    rows = (n * h for n, h in enumerate(_total_recurrence(), start=1))
+    rows = (n * row[0, 0] for n, row in enumerate(restricted_path_rows(n_max, 0, 0), start=1))
     refusal = f"n_max {n_max} exceeds brute guard {MAX_BRUTE_WORK} (Boolean involutions times n)"
     _check_work(n_max, rows, MAX_BRUTE_WORK, refusal)
 
@@ -290,73 +278,31 @@ def _check_table_work(stat: str, n_max: int) -> None:
 
 
 def recurrence_inv_exc_counts(n_max: int) -> InvExcTable:
-    """
-    Fill the inversion/excedance table by the six-term recurrence
-
-      b(n,l,a) = b(n-1,l,a) + b(n-1,l-2,a) + b(n-2,l-1,a-1) - b(n-2,l-2,a)
-                 + b(n-2,l-3,a-1) - b(n-3,l-3,a-1)
-
-    for n >= 1 over the cells with l <= n(n-1)/2 and a <= n/2, from the
-    empty involution b(0,0,0) = 1 alone; every other cell of size n <= 0,
-    and every cell with l < 0 or a < 0, is zero.  Row n runs l only up to
-    the highest value its source rows reach, max(top(n-1) + 2, top(n-2) + 3,
-    top(n-3) + 3) with top(m) the largest l of a nonzero cell in row m:
-    every cell beyond is zero.
-    """
+    """The inversion/excedance table from the restricted paths, each row sorted:
+    those with r returns and a up steps count in cell (n, 2(n - r) - a, a)."""
     _check_table_work("f", n_max)
-    table: InvExcTable = {(0, 0, 0): 1}
-    get = table.get
-    top = [0, 0, 0]  # top(m) of every row m so far, from m = -2
-    for n in range(1, n_max + 1):
-        reach = max(top[-1] + 2, top[-2] + 3, top[-3] + 3)
-        top.append(0)
-        for length in range(0, min(reach, n * (n - 1) // 2) + 1):
-            for exc in range(0, n // 2 + 1):
-                value = (
-                    get((n - 1, length, exc), 0)
-                    + get((n - 1, length - 2, exc), 0)
-                    + get((n - 2, length - 1, exc - 1), 0)
-                    - get((n - 2, length - 2, exc), 0)
-                    + get((n - 2, length - 3, exc - 1), 0)
-                    - get((n - 3, length - 3, exc - 1), 0)
-                )
-                if value:
-                    table[(n, length, exc)] = value
-                    top[-1] = length
-    del table[(0, 0, 0)]
+    table: InvExcTable = {}
+    for n, row in enumerate(restricted_path_rows(n_max), start=1):
+        cells = sorted((2 * (n - r) - a, a, count) for (r, a), count in row.items())
+        table.update(((n, length, a), count) for length, a, count in cells)
     return table
 
 
 def recurrence_rank_counts(n_max: int) -> RankTable:
-    """
-    Fill the rank table by the four-term recurrence
-
-      r(n,k) = r(n-1,k) + r(n-1,k-1) + r(n-2,k-2) - r(n-3,k-2)
-
-    for n >= 1, over r(0,0) = 1 with every other cell of size n <= 0 or
-    rank k < 0 zero; it gives r(n,0) = 1 and r(n,1) = n-1.
-    """
+    """The rank table from the restricted paths, each row sorted: those with
+    r returns count in cell (n, n - r)."""
     _check_table_work("g", n_max)
-    table: RankTable = {(0, 0): 1}
-    get = table.get
-    for n in range(1, n_max + 1):
-        for k in range(0, n):
-            value = (
-                get((n - 1, k), 0)
-                + get((n - 1, k - 1), 0)
-                + get((n - 2, k - 2), 0)
-                - get((n - 3, k - 2), 0)
-            )
-            if value:
-                table[(n, k)] = value
-    del table[(0, 0)]
+    table: RankTable = {}
+    for n, row in enumerate(restricted_path_rows(n_max, _ups=0), start=1):
+        cells = sorted(row.items(), reverse=True)  # rank n - r rises as r falls
+        table.update(((n, n - r), count) for (r, _), count in cells)
     return table
 
 
 def recurrence_totals(n_max: int) -> TotalTable:
-    """Totals by the recurrence of `_total_recurrence`."""
+    """Totals as the restricted path counts."""
     _check_table_work("h", n_max)
-    return dict(zip(range(1, n_max + 1), _total_recurrence()))
+    return {n: row[0, 0] for n, row in enumerate(restricted_path_rows(n_max, 0, 0), start=1)}
 
 
 def series_inv_exc_counts(n_max: int) -> InvExcTable:
@@ -422,18 +368,13 @@ class CrossValidationReport:
 
 
 def _compare_tables(name: str, tables: dict[str, dict]) -> CheckResult:
-    items = list(tables.items())
-    reference_name, reference = items[0]
-    for other_name, other in items[1:]:
-        keys = sorted(set(reference) | set(other))
-        for key in keys:
+    (reference_name, reference), *others = tables.items()
+    for other_name, other in others:
+        for key in sorted(set(reference) | set(other)):
             a, b = reference.get(key, 0), other.get(key, 0)
             if a != b:
-                return CheckResult(
-                    name,
-                    False,
-                    f"{reference_name}[{key}]={a} but {other_name}[{key}]={b}",
-                )
+                detail = f"{reference_name}[{key}]={a} but {other_name}[{key}]={b}"
+                return CheckResult(name, False, detail)
     return CheckResult(name, True)
 
 
@@ -474,10 +415,5 @@ def table_to_tsv(table: dict, columns: tuple[str, ...]) -> str:
 def table_to_json(table: dict) -> str:
     import json
 
-    return json.dumps(
-        {
-            ",".join(str(f) for f in (key if isinstance(key, tuple) else (key,))): value
-            for key, value in sorted(table.items())
-        },
-        sort_keys=True,
-    )
+    names = (",".join(map(str, key)) if isinstance(key, tuple) else str(key) for key in table)
+    return json.dumps(dict(zip(names, table.values())), sort_keys=True)

@@ -13,6 +13,7 @@ Path text form: a string over {U, F, D}, e.g. "UUDUDUDDF".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .permutations import Involution, ParseError
 
@@ -118,15 +119,42 @@ def rank_from_path(path: MotzkinPath) -> int:
     return path.n - axis_contacts(path)
 
 
+def _add(*rows: dict) -> dict:
+    out = dict(rows[0])
+    for row in rows[1:]:
+        for key, count in row.items():
+            out[key] = out.get(key, 0) + count
+    return out
+
+
+def _shift(row: dict, returns: int, ups: int) -> dict:
+    return {(r + returns, u + ups): count for (r, u), count in row.items()}
+
+
+def restricted_path_rows(n_max: int, _returns: int = 1, _ups: int = 1) -> Iterator[dict]:
+    """
+    The restricted paths of each length n = 1..n_max in turn, counted as
+    {(returns to the axis, up steps): count}, by a transfer matrix over the
+    height of the last step: flats only below 2, every step onto the axis a
+    return.  A 0 for `_returns` or `_ups` keeps that coordinate at 0, so the
+    rows stay as small as the marginal needs.
+
+    >>> list(restricted_path_rows(3))
+    [{(1, 0): 1}, {(2, 0): 1, (1, 1): 1}, {(3, 0): 1, (2, 1): 2, (1, 1): 1}]
+    """
+    at0, at1, at2 = {(0, 0): 1}, {}, {}
+    for _ in range(n_max):
+        at0, at1, at2 = (
+            _shift(_add(at0, at1), _returns, 0),  # flat at 0, or down from 1
+            _add(_shift(at0, 0, _ups), at1, at2),  # up from 0, flat at 1, down from 2
+            _shift(at1, 0, _ups),  # up from 1
+        )
+        yield at0
+
+
 def count_restricted(n: int) -> int:
-    """
-    Count restricted Motzkin paths of length n by dynamic programming over
-    (position, height), heights capped at 2 and flats allowed below 2.
-    """
+    """Count restricted Motzkin paths of length n, by `restricted_path_rows`."""
     if n < 0:
         raise ValueError("negative length")
-    state = [1, 0, 0]  # paths so far ending at height 0, 1, 2
-    for _ in range(n):
-        at0, at1, at2 = state
-        state = [at0 + at1, at0 + at1 + at2, at1]
-    return state[0]
+    *_, last = ({(0, 0): 1}, *restricted_path_rows(n, 0, 0))
+    return last[0, 0]

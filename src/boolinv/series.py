@@ -16,10 +16,8 @@ involutions of S_n with l inversions and a excedances:
 
 Each series is the dict of its nonzero coefficients, {exponents:
 coefficient}; no numerator has an x^0 term, so none has a size-0
-coefficient.  The inversion/excedance series F = N/D satisfies
-(1 + F) D = 1 - xy^2 - x^2y^3z, whose two correction terms lie beyond
-n(n-1)/2 inversions, so `counting.recurrence_inv_exc_counts` runs from
-the empty involution alone.
+coefficient.  These series share no code with the restricted path
+counts of `motzkin.restricted_path_rows`, so each checks the other.
 
 Expansion is by series division: with a denominator of constant term 1
 whose other terms all carry a positive power of x, the coefficients in x

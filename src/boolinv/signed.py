@@ -48,7 +48,8 @@ class SignedPermutation:
         return f"{type(self).__name__}({format_signed(self)!r})"
 
     def is_involution(self) -> bool:
-        return all(self(self(i)) == i for i in range(1, self.n + 1))
+        w = self.window  # w(w(i)) = i, read off the window by w(-j) = -w(j)
+        return all(w[abs(v) - 1] == (i if v > 0 else -i) for i, v in enumerate(w, start=1))
 
 
 @dataclass(frozen=True, eq=False, repr=False)

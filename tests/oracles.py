@@ -252,6 +252,40 @@ def full_range_recurrence_inv_exc(n_max):
     return table
 
 
+def four_term_rank_recurrence(n_max):
+    """The rank table by the four-term recurrence
+
+      r(n,k) = r(n-1,k) + r(n-1,k-1) + r(n-2,k-2) - r(n-3,k-2)
+
+    for n >= 1 and k < n, over r(0,0) = 1 with every other cell of size
+    n <= 0 or rank k < 0 zero."""
+    table = {(0, 0): 1}
+    get = table.get
+    for n in range(1, n_max + 1):
+        for k in range(0, n):
+            value = (
+                get((n - 1, k), 0)
+                + get((n - 1, k - 1), 0)
+                + get((n - 2, k - 2), 0)
+                - get((n - 3, k - 2), 0)
+            )
+            if value:
+                table[(n, k)] = value
+    del table[(0, 0)]
+    return table
+
+
+def three_term_total_recurrence(n_max):
+    """The totals {n: h(n)} for 1 <= n <= n_max by
+    h(n) = 2h(n-1) + h(n-2) - h(n-3) from h(-2), h(-1), h(0) = 2, 1, 1."""
+    table = {}
+    a, b, c = 2, 1, 1
+    for n in range(1, n_max + 1):
+        a, b, c = b, c, 2 * c + b - a
+        table[n] = c
+    return table
+
+
 def nested_involution_words(n):
     """The words of every involution of S_n, lexicographic, by the recursive
     fill: the first free point is fixed, then paired with each larger free

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from boolinv import boolean
+from boolinv import boolean, counting
 from boolinv.cli import main
 from boolinv.counting import signed_involutions
 from boolinv.signed import format_signed, is_boolean_signed
@@ -198,6 +198,34 @@ def test_env_var_format(capsys, monkeypatch):
     assert out.startswith("element: 1")
 
 
+def test_env_var_format_refused_unless_known(capsys, monkeypatch):
+    monkeypatch.setenv("BOOLINV_FORMAT", "xml")
+    for argv in (("check", "2143"), ("table", "h", "--max-n", "3")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: BOOLINV_FORMAT must be json, tsv or text")
+    code, out, _ = run_cli(capsys, "check", "--format", "json", "2143")
+    assert code == 0 and json.loads(out)["is_boolean"] is True
+    monkeypatch.setenv("BOOLINV_FORMAT", "tsv")
+    _, out, _ = run_cli(capsys, "check", "1")
+    assert out.startswith("element: 1")
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit")
+def test_table_prints_counts_past_the_int_digit_limit(capsys, monkeypatch):
+    monkeypatch.setattr(counting, "build_table", lambda *args: {1: 10**5000})
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for fmt in ("json", "tsv"):
+            code, out, err = run_cli(capsys, "table", "h", "--max-n", "1", "--format", fmt)
+            assert (code, err) == (0, "")
+            assert "1" + "0" * 5000 in out and "1" + "0" * 5001 not in out
+            assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
 def test_selftest_small(capsys):
     code, out, _ = run_cli(capsys, "selftest", "--max-n", "4")
     assert code == 0
@@ -349,6 +377,23 @@ GOLDEN_STDOUT = [
         ("enumerate", "--signed", "--n", "7", "--boolean-only"),
         0,
         "9d6342b7983a08a4cd274a9b09a2f0a4c2b30171caa464d63ca4d92f485755ea",
+    ),
+    # Recorded before the recurrence tables were filled from the restricted
+    # paths.
+    (
+        ("table", "g", "--max-n", "25", "--method", "recurrence"),
+        0,
+        "cf0722411dd30a302a832e30368ec04fa1e52dc204df046ef215b566dfa15975",
+    ),
+    (
+        ("table", "h", "--max-n", "30", "--method", "recurrence"),
+        0,
+        "cac7351e1545c265d82aa4f3508917e6ecd8c5eee455864d46bc5664dc967d4e",
+    ),
+    (
+        ("table", "f", "--max-n", "40", "--method", "recurrence", "--format", "tsv"),
+        0,
+        "ba79a4679c4bb97cb3cef77c3e7015b06f75e0bca1fb9f10edc64a23bf4d1b68",
     ),
 ]
 

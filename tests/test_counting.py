@@ -31,9 +31,11 @@ from oracles import (
     dense_expand_rational,
     filtered_boolean_words,
     filtered_inv_exc_counts,
+    four_term_rank_recurrence,
     full_range_recurrence_inv_exc,
     nested_involution_words,
     nested_signed_windows,
+    three_term_total_recurrence,
 )
 
 INVOLUTION_COUNTS = [1, 1, 2, 4, 10, 26, 76, 232, 764, 2620]
@@ -363,6 +365,13 @@ def test_g_h_routes_match_dense_series(dense_series_routes, recurrence, gf):
         expected = dense_series_routes(gf, n)
         _assert_same_in_order(gf(n), expected)
         _assert_same_in_order(recurrence(n), expected)
+
+
+def test_g_h_routes_match_linear_recurrences():
+    """The path routes against the four-term rank and three-term total
+    recurrences, as ordered item lists."""
+    assert list(recurrence_rank_counts(200).items()) == list(four_term_rank_recurrence(200).items())
+    assert list(recurrence_totals(2000).items()) == list(three_term_total_recurrence(2000).items())
 
 
 def test_recurrence_fills_only_reachable_rows():
