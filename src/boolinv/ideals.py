@@ -1,16 +1,19 @@
 """
 Principal order ideals in the Bruhat order on involutions.
 
-Bruhat comparison, in `bruhat_leq` and in `ideal` alike, is the classical
-dominance criterion on prefix rank matrices, each packed into one integer
-with a guard bit per entry and compared by one big-integer subtraction; no
-reflection set is ever materialized.  The ideal below an involution w is
-generated from one reduced involution word of w: evaluating every subword
-yields exactly the involutions below w.
+The ideal below an involution w is generated from one reduced involution
+word of w: evaluating every subword yields exactly the involutions below w
+(Richardson-Springer 1990, Hultman 2007).  The left-to-right closure over
+the letters is the lifting recursion of this order, so it also yields ranks
+and covers.  Write x.s for letter s acting on x; s is a descent of x iff
+x(s) > x(s+1).  If s is a descent of y = x.s, then rank(y) = rank(x) + 1 and
+the down-covers of y are x and z.s for each down-cover z of x with ascent s
+(the lifting property, Hultman 2005).  No pair of elements is compared;
+down-sets are integer bitsets, filled up the covers in rank order.
 
-The order is graded by rank (Incitti 2004), so the comparable pairs of
-adjacent ranks are exactly its covers.  Only those pairs are compared.
-Down-sets are integer bitsets, filled one rank layer at a time.
+`bruhat_leq` compares two permutations by the classical dominance criterion
+on prefix rank matrices, each packed into one integer with a guard bit per
+entry and compared by one big-integer subtraction.
 
 Boolean-lattice certification maps each element to the set of atoms below
 it; the ideal is a Boolean lattice iff that map is injective onto the full
@@ -20,54 +23,43 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import IO, Callable
+from typing import IO
 
-from .involution_words import (
-    ResourceLimitError,
-    apply_letter,
-    rank,
-    reduced_word,
-)
-from .permutations import Involution, Permutation, format_permutation, identity
+from .involution_words import ResourceLimitError, Word, _act, rank, reduced_word
+from .permutations import (
+    Involution, Permutation, _trusted_involution, format_permutation, identity)
 
-# Refuse ideals of more elements: the order test visits at most S^2 / 4
-# adjacent-rank pairs for S elements.
+# Refuse ideals of more elements: this bounds the closure and the `below`
+# bitsets, |I|^2 bits in all (8 MB at 8192 elements).
 IDEAL_MAX_ELEMENTS = 8192
-
-
-def _dominance_packing(n: int) -> tuple[Callable[[Permutation], int], int]:
-    """
-    (pack, guard) for S_n.  pack(w) holds w's prefix rank table
-    R[i][j] = #{k <= i : w(k) >= j}, rows and columns 1..n, row-major in
-    `width`-bit fields from the lowest; guard sets the top bit of each
-    field.  Every entry is at most n < 2**(width - 1), so subtracting
-    pack(u) from pack(w) | guard never borrows across fields: u <= w in
-    the Bruhat order iff ((pack(w) | guard) - pack(u)) keeps every guard.
-    """
-    width = n.bit_length() + 1
-    unit = (1 << width) - 1
-    ones = [((1 << v * width) - 1) // unit for v in range(n + 1)]  # 1 in columns 1..v
-    stride = n * width
-
-    def pack(w: Permutation) -> int:
-        packed = row = 0
-        for i, v in enumerate(w.word):
-            row += ones[v]
-            packed |= row << i * stride
-        return packed
-
-    return pack, ((1 << n * stride) - 1) // unit << (width - 1)
 
 
 def bruhat_leq(u: Permutation, w: Permutation) -> bool:
     """
     Dominance test for u <= w in the Bruhat order of S_n: every prefix of u
     must contain at most as many large values as the same prefix of w.
+
+    Each prefix rank table R[i][j] = #{k <= i : w(k) >= j} (rows and columns
+    1..n) is packed row-major in `width`-bit fields, and `guard` sets each
+    field's top bit.  Entries are at most n < 2**(width - 1), so w's table
+    | guard minus u's never borrows: u <= w iff every guard bit survives.
     """
-    if u.n != w.n:
-        raise ValueError(f"size mismatch: {u.n} vs {w.n}")
-    pack, guard = _dominance_packing(u.n)
-    return ((pack(w) | guard) - pack(u)) & guard == guard
+    n = u.n
+    if n != w.n:
+        raise ValueError(f"size mismatch: {n} vs {w.n}")
+    width = n.bit_length() + 1
+    unit = (1 << width) - 1
+    ones = [((1 << v * width) - 1) // unit for v in range(n + 1)]  # 1 in columns 1..v
+    stride = n * width
+    guard = ((1 << n * stride) - 1) // unit << (width - 1)
+    packed = []
+    for p in (u, w):
+        table = row = 0
+        for i, v in enumerate(p.word):
+            row += ones[v]
+            table |= row << i * stride
+        packed.append(table)
+    return ((packed[1] | guard) - packed[0]) & guard == guard
 
 
 @dataclass(frozen=True)
@@ -103,19 +95,26 @@ class IdealPoset:
         return counts
 
 
-def subword_closure(w: Involution) -> set[Involution]:
+def subword_closure(w: Involution) -> dict[Word, tuple[int, list[Word]]]:
     """
-    Evaluations of all subwords of one reduced word of w, computed by a
-    left-to-right closure: after consuming each letter, keep both the old
-    evaluations (letter skipped) and their images (letter taken).  Refuses
-    w once the closure, a subset of the ideal, exceeds IDEAL_MAX_ELEMENTS;
-    so does a rank of IDEAL_MAX_ELEMENTS or more, as every maximal chain of
-    the ideal has rank(w) + 1 elements.
+    Evaluations of all subwords of one reduced word of w, by a left-to-right
+    closure: after each letter s, keep the old evaluations (s skipped) and
+    their images (s taken).  Those after each letter form the ideal below
+    that prefix, so only the x with ascent s give new images.  Maps each
+    word to its rank and its down-covers' words, by the lifting rule above.
+
+    Refuses w once the closure, a subset of the ideal, exceeds
+    IDEAL_MAX_ELEMENTS; so does a rank of IDEAL_MAX_ELEMENTS or more, as
+    every maximal chain of the ideal has rank(w) + 1 elements.
     """
-    reached: set[Involution] = {identity(w.n)}
+    reached: dict[Word, tuple[int, list[Word]]] = {identity(w.n).word: (0, [])}
     if rank(w) < IDEAL_MAX_ELEMENTS:
-        for letter in reduced_word(w):
-            reached |= {apply_letter(u, letter) for u in reached}
+        for s in reduced_word(w):
+            lifted = {x: _act(x, s) for x in reached if x[s - 1] < x[s]}
+            for x, y in lifted.items():
+                if y not in reached:
+                    r, down = reached[x]
+                    reached[y] = (r + 1, [x] + [lifted[z] for z in down if z in lifted])
             if len(reached) > IDEAL_MAX_ELEMENTS:
                 break
         else:
@@ -125,24 +124,22 @@ def subword_closure(w: Involution) -> set[Involution]:
 
 def ideal(w: Involution) -> IdealPoset:
     """The principal order ideal below w in the Bruhat order on involutions."""
-    ranks, _, elements = zip(*sorted((rank(u), u.word, u) for u in subword_closure(w)))
-    r = ranks[-1]
-    n = w.n
-    if elements[0] != identity(n) or elements[-1] != w:
+    reached = subword_closure(w)
+    ranks, words = zip(*sorted((r, u) for u, (r, _) in reached.items()))
+    if words[0] != identity(w.n).word or words[-1] != w.word:
         raise AssertionError(f"ideal of {w.word} lost its extremes")
-    pack, guard = _dominance_packing(n)
-    packed = [pack(u) for u in elements]
-    raised = [v | guard for v in packed]
-    bounds = [ranks.index(k) for k in range(r + 1)] + [len(ranks)]
-    below = [1 << b for b in range(len(elements))]
-    covers = []
-    for lo, mid, hi in zip(bounds, bounds[1:], bounds[2:]):
-        for a in range(lo, mid):
-            u = packed[a]
-            for b in range(mid, hi):
-                if (raised[b] - u) & guard == guard:
-                    covers.append((a, b))
-                    below[b] |= below[a]
+    index = {u: b for b, u in enumerate(words)}
+    below: list[int] = []
+    covers: list[tuple[int, int]] = []
+    for b, u in enumerate(words):
+        down = 1 << b
+        for z in reached[u][1]:
+            a = index[z]
+            covers.append((a, b))
+            down |= below[a]
+        below.append(down)
+    covers.sort()
+    elements = tuple(map(_trusted_involution, words))
     return IdealPoset(w, elements, ranks, tuple(below), tuple(covers))
 
 

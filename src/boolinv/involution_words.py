@@ -33,6 +33,20 @@ class RankProfile(NamedTuple):
     absolute_length: int
 
 
+def _act(word: Word, i: int) -> Word:
+    """
+    Letter i on an involution word, in O(1) positions: the values i and
+    i+1 sit at positions w(i) and w(i+1), so s_i w s_i relabels those two
+    and swaps positions i and i+1; when s_i and w commute, w*s_i only swaps.
+    """
+    out = list(word)
+    a, b = out[i - 1], out[i]
+    if a != i + 1 and (a != i or b != i + 1):
+        out[a - 1], out[b - 1] = i + 1, i
+    out[i - 1], out[i] = out[i], out[i - 1]
+    return tuple(out)
+
+
 def apply_letter(w: Involution, i: int) -> Involution:
     """
     Act on w by letter i: w*s_i if s_i w s_i = w, otherwise s_i w s_i.
@@ -42,20 +56,9 @@ def apply_letter(w: Involution, i: int) -> Involution:
     """
     if not isinstance(w, Involution):
         w = Involution(w.word)
-    n = w.n
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"letter {i} out of range [1, {n - 1}]")
-    word = list(w.word)
-    a, b = word[i - 1], word[i]
-    # s_i w s_i swaps the values i, i+1 and the positions i, i+1.
-    conj = word[:]
-    conj[i - 1], conj[i] = b, a
-    p, q = conj.index(i), conj.index(i + 1)
-    conj[p], conj[q] = i + 1, i
-    if conj == word:
-        word[i - 1], word[i] = b, a
-        conj = word
-    return _trusted_involution(tuple(conj))
+    if not 1 <= i <= w.n - 1:
+        raise ValueError(f"letter {i} out of range [1, {w.n - 1}]")
+    return _trusted_involution(_act(w.word, i))
 
 
 def evaluate_word(letters: Iterable[int], n: int) -> Involution:

@@ -6,8 +6,9 @@ different from the ones the library takes.
 from itertools import combinations, product
 
 from boolinv.boolean import has_long_crossing
+from boolinv.ideals import IdealPoset
 from boolinv.involution_words import apply_letter, rank, reduced_word
-from boolinv.permutations import Involution
+from boolinv.permutations import Involution, identity
 
 
 def inversion_count(word):
@@ -137,6 +138,45 @@ def subword_evaluations(w: Involution):
                 u = apply_letter(u, letters[index])
             seen.add(u)
     return seen
+
+
+def ideal_by_adjacent_ranks(w: Involution):
+    """The ideal below w the slow way: the subword closure as a set, each
+    element ranked by `rank` and sorted by (rank, word), and the packed
+    dominance test run on every pair of adjacent rank layers, whose
+    comparable pairs are the covers since the order is graded."""
+    reached = {identity(w.n)}
+    for letter in reduced_word(w):
+        reached |= {apply_letter(u, letter) for u in reached}
+    ranks, _, elements = zip(*sorted((rank(u), u.word, u) for u in reached))
+    n = w.n
+    # prefix rank table R[i][j] = #{k <= i : w(k) >= j} in width-bit fields,
+    # the top bit of each a guard: u <= v iff (v | guard) - u keeps them all
+    width = n.bit_length() + 1
+    unit = (1 << width) - 1
+    ones = [((1 << v * width) - 1) // unit for v in range(n + 1)]
+    stride = n * width
+    guard = ((1 << n * stride) - 1) // unit << (width - 1)
+
+    def pack(u):
+        packed = row = 0
+        for i, v in enumerate(u.word):
+            row += ones[v]
+            packed |= row << i * stride
+        return packed
+
+    packed = [pack(u) for u in elements]
+    raised = [v | guard for v in packed]
+    bounds = [ranks.index(k) for k in range(ranks[-1] + 1)] + [len(ranks)]
+    below = [1 << b for b in range(len(elements))]
+    covers = []
+    for lo, mid, hi in zip(bounds, bounds[1:], bounds[2:]):
+        for a in range(lo, mid):
+            u = packed[a]
+            for b in [b for b in range(mid, hi) if (raised[b] - u) & guard == guard]:
+                covers.append((a, b))
+                below[b] |= below[a]
+    return IdealPoset(w, elements, ranks, tuple(below), tuple(covers))
 
 
 def motzkin_strings(n):

@@ -1,8 +1,8 @@
 import io
-from functools import cache
 
 import pytest
 
+from boolinv import ideals
 from boolinv.counting import involutions
 from boolinv.ideals import (
     IDEAL_MAX_ELEMENTS,
@@ -16,7 +16,12 @@ from boolinv.ideals import (
 from boolinv.involution_words import ResourceLimitError, rank
 from boolinv.permutations import Involution, identity, parse_permutation
 from boolinv.selfcheck import product_decomposition_check
-from oracles import bruhat_leq_by_matrix, covers_from_leq, subword_evaluations
+from oracles import (
+    bruhat_leq_by_matrix,
+    covers_from_leq,
+    ideal_by_adjacent_ranks,
+    subword_evaluations,
+)
 
 
 def test_bruhat_leq_examples():
@@ -103,22 +108,30 @@ def test_ideal_examples():
     assert len(full) == 10  # all involutions of S_4, fewer than 2**4
 
 
-def test_hasse_edges_are_adjacent_rank_bruhat_pairs():
-    oracle = cache(bruhat_leq)
-    for n in range(8):
+def test_ideal_matches_adjacent_rank_oracle():
+    # every field equals the poset built by ranking each element and
+    # running the dominance test on every pair of adjacent ranks, so the
+    # Hasse edges are exactly the comparable adjacent-rank pairs
+    high_rank = Involution(tuple(range(9, 0, -1)) + (11, 10))  # 5240 elements
+    for n in range(9):
         for w in involutions(n):
-            poset = ideal(w)
-            layers = [[] for _ in poset.rank_counts()]
-            for u, r in zip(poset.elements, poset.ranks):
-                layers[r].append(u)
-            expected = [
-                (u, v)
-                for lower, upper in zip(layers, layers[1:])
-                for u in lower
-                for v in upper
-                if oracle(u, v)
-            ]
-            assert hasse_edges(poset) == expected, w
+            assert ideal(w) == ideal_by_adjacent_ranks(w), w
+    assert ideal(high_rank) == ideal_by_adjacent_ranks(high_rank)
+
+
+def test_ideal_runs_no_pair_test_and_ranks_once(monkeypatch):
+    expected = {w: ideal(w) for n in range(8) for w in involutions(n)}
+    ranked = []
+
+    def compare(u, w):
+        raise AssertionError("ideal compared a pair of elements")
+
+    monkeypatch.setattr(ideals, "bruhat_leq", compare)
+    monkeypatch.setattr(ideals, "rank", lambda w: ranked.append(w) or rank(w))
+    for w, poset in expected.items():
+        ranked.clear()
+        assert ideal(w) == poset
+        assert len(ranked) <= 1, w
 
 
 def test_ideal_guard():
