@@ -8,9 +8,10 @@ parse errors; `table --method verify` and `selftest` exit 1 when any check
 fails; an internal invariant failure (criteria that disagree under
 `check --method all`) exits 3; a reader that closes stdout early, as
 `boolinv enumerate --n 10 | head -2` does, ends the run silently with exit
-141 (128 + SIGPIPE, as the shell reports a process killed by SIGPIPE);
-every other error path exits 2.  The default output format is JSON and can
-be changed with the BOOLINV_FORMAT environment variable.
+141 (128 + SIGPIPE, as the shell reports a process killed by SIGPIPE); an
+interrupt (Ctrl-C) ends it silently with exit 130 (128 + SIGINT); every
+other error path exits 2.  The default output format is JSON and can be
+changed with the BOOLINV_FORMAT environment variable.
 """
 from __future__ import annotations
 
@@ -34,6 +35,7 @@ from .signed import SignedInvolution, _signed_verdict, embed, format_signed, par
 USAGE_ERROR = 2
 INVARIANT_FAILURE = 3
 PIPE_CLOSED = 141
+INTERRUPTED = 130
 
 
 def _default_format() -> str:
@@ -260,13 +262,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return PIPE_CLOSED
+    except KeyboardInterrupt:
+        return INTERRUPTED
     except InvariantViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INVARIANT_FAILURE
-    except (ParseError, ResourceLimitError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except OSError as exc:
+    except (ResourceLimitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

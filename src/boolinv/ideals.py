@@ -11,9 +11,8 @@ the down-covers of y are x and z.s for each down-cover z of x with ascent s
 (the lifting property, Hultman 2005).  No pair of elements is compared;
 down-sets are integer bitsets, filled up the covers in rank order.
 
-`bruhat_leq` compares two permutations by the classical dominance criterion
-on prefix rank matrices, each packed into one integer with a guard bit per
-entry and compared by one big-integer subtraction.
+`bruhat_leq` compares two permutations by the tableau criterion on sorted
+prefixes.
 
 Boolean-lattice certification maps each element to the set of atoms below
 it; the ideal is a Boolean lattice iff that map is injective onto the full
@@ -21,8 +20,10 @@ power set of the atom set.
 """
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import groupby
 from typing import IO
 
 from .involution_words import ResourceLimitError, Word, _act, rank, reduced_word
@@ -36,30 +37,25 @@ IDEAL_MAX_ELEMENTS = 8192
 
 def bruhat_leq(u: Permutation, w: Permutation) -> bool:
     """
-    Dominance test for u <= w in the Bruhat order of S_n: every prefix of u
-    must contain at most as many large values as the same prefix of w.
+    Whether u <= w in the Bruhat order of S_n, by the tableau criterion:
+    for every i, the sorted values of u(1..i) must be entrywise at most the
+    sorted values of w(1..i) (Bjorner-Brenti 2005, Thm 2.6.3).
 
-    Each prefix rank table R[i][j] = #{k <= i : w(k) >= j} (rows and columns
-    1..n) is packed row-major in `width`-bit fields, and `guard` sets each
-    field's top bit.  Entries are at most n < 2**(width - 1), so w's table
-    | guard minus u's never borrows: u <= w iff every guard bit survives.
+    >>> bruhat_leq(Permutation((2, 1, 4, 3)), Permutation((4, 3, 2, 1)))
+    True
+    >>> bruhat_leq(Permutation((4, 3, 2, 1)), Permutation((2, 1, 4, 3)))
+    False
     """
-    n = u.n
-    if n != w.n:
-        raise ValueError(f"size mismatch: {n} vs {w.n}")
-    width = n.bit_length() + 1
-    unit = (1 << width) - 1
-    ones = [((1 << v * width) - 1) // unit for v in range(n + 1)]  # 1 in columns 1..v
-    stride = n * width
-    guard = ((1 << n * stride) - 1) // unit << (width - 1)
-    packed = []
-    for p in (u, w):
-        table = row = 0
-        for i, v in enumerate(p.word):
-            row += ones[v]
-            table |= row << i * stride
-        packed.append(table)
-    return ((packed[1] | guard) - packed[0]) & guard == guard
+    if u.n != w.n:
+        raise ValueError(f"size mismatch: {u.n} vs {w.n}")
+    low: list[int] = []
+    high: list[int] = []
+    for a, b in zip(u.word, w.word):
+        insort(low, a)
+        insort(high, b)
+        if any(x > y for x, y in zip(low, high)):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -169,12 +165,9 @@ def dot_export(poset: IdealPoset, sink: IO[str] | None = None) -> str:
     """
     names = [format_permutation(u) for u in poset.elements]
     lines = ["digraph ideal {", "  rankdir=BT;", '  node [shape=box, fontname="monospace"];']
-    by_rank: dict[int, list[str]] = {}
-    for name, r in zip(names, poset.ranks):
-        by_rank.setdefault(r, []).append(name)
-    for r in sorted(by_rank):
+    for r, group in groupby(zip(poset.ranks, names), key=lambda pair: pair[0]):
         lines.append("  { rank=same;")
-        for name in by_rank[r]:
+        for _, name in group:
             lines.append(f'    "{name}" [label="{name}\\nrank {r}"];')
         lines.append("  }")
     for a, b in poset.covers:

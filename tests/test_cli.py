@@ -413,6 +413,22 @@ def test_invariant_violation_exits_3(capsys, monkeypatch):
     assert err.startswith("error: criteria disagree on (2, 1, 4, 3)")
 
 
+def test_interrupt_exits_130_quietly():
+    # a command that raises KeyboardInterrupt, as Ctrl-C does mid-run
+    script = (
+        "import sys\n"
+        "from boolinv import cli\n"
+        "def interrupted(args):\n"
+        "    raise KeyboardInterrupt\n"
+        "cli.cmd_enumerate = interrupted\n"
+        "sys.exit(cli.main(['enumerate', '--n', '3']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, timeout=60)
+    assert proc.returncode == 130
+    assert proc.stdout == b""
+    assert b"Traceback" not in proc.stderr
+
+
 def test_closed_stdout_exits_141_quietly():
     proc = subprocess.Popen(
         [sys.executable, "-m", "boolinv.cli", "enumerate", "--n", "10"],

@@ -83,6 +83,28 @@ def test_bruhat_leq_matches_full_matrix_oracle():
             assert bruhat_leq(u, w) == bruhat_leq_by_matrix(u.word, w.word), (u, w)
 
 
+def test_bruhat_leq_matches_full_matrix_oracle_on_seeded_pairs():
+    # past n = 6, where the exhaustive comparison above stops: random pairs,
+    # and pairs u <= w made by swapping inversions of w, in both orders
+    import random
+
+    from boolinv.permutations import Permutation
+
+    rng = random.Random(2007)
+    for n in (7, 8, 12, 20, 32, 64):
+        for _ in range(40):
+            w = tuple(rng.sample(range(1, n + 1), n))
+            u = list(w)
+            for _ in range(rng.randrange(1, 2 * n)):
+                i, j = sorted(rng.sample(range(n), 2))
+                if u[i] > u[j]:
+                    u[i], u[j] = u[j], u[i]
+            u, other = tuple(u), tuple(rng.sample(range(1, n + 1), n))
+            assert bruhat_leq(Permutation(u), Permutation(w))
+            for a, b in ((u, w), (w, u), (other, w), (w, other)):
+                assert bruhat_leq(Permutation(a), Permutation(b)) == bruhat_leq_by_matrix(a, b), (a, b)
+
+
 def test_bruhat_leq_is_partial_order():
     elements = list(involutions(5))
     for u in elements:
