@@ -7,10 +7,13 @@ whose values are order-isomorphic to p.  Signed patterns additionally require
 the signs to match slot by slot while the absolute values realize the
 unsigned pattern.
 
-Occurrences are found by a depth-first search in which each slot's value is
-bounded by the values already chosen for its neighbouring pattern values.
-A sum-indecomposable pattern, such as each forbidden pattern below, is
-searched one direct-sum block of the host at a time.
+The first occurrence of each of the three classical forbidden patterns
+comes from tables filled by right-to-left passes over the host, in about
+linear time.  Every other search (occurrence listing, any other pattern,
+signed patterns) is a depth-first search in which each slot's value is
+bounded by the values already chosen for its neighbouring pattern values;
+a sum-indecomposable pattern is searched one direct-sum block of the host
+at a time.
 
 The module also carries the two fixed forbidden-pattern lists that
 characterize involutions with Boolean principal order ideals:
@@ -64,11 +67,33 @@ def parse_signed_pattern(text: str) -> SignedPattern:
     return SignedPattern(tuple(parse_int_tokens(text)))
 
 
-def _occurrences_iter(host: Sequence[int], pattern: Sequence[int]) -> Iterator[tuple[int, ...]]:
+def _slot_plan(pattern: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...], bool]:
+    """
+    The depth-first search's plan for a permutation word: for each slot k,
+    the earlier slot holding the next smaller pattern value (below[k]) and
+    the next larger one (above[k]), or the sentinel slot m / m + 1 (values
+    0 and n + 1); and whether the pattern is sum-indecomposable.
+    """
+    m = len(pattern)
+    below, above = [], []
+    slot_value = pattern.__getitem__
+    for k, q in enumerate(pattern):
+        below.append(max((t for t in range(k) if pattern[t] < q), key=slot_value, default=m))
+        above.append(min((t for t in range(k) if pattern[t] > q), key=slot_value, default=m + 1))
+    return tuple(below), tuple(above), len(sum_blocks(pattern)) == 1
+
+
+def _occurrences_iter(
+    host: Sequence[int],
+    pattern: Sequence[int],
+    slot_hosts: Sequence[Sequence[int]] | None = None,
+) -> Iterator[tuple[int, ...]]:
     """
     Yield position tuples (1-based, increasing) whose host values are
     order-isomorphic to the pattern, in lexicographic order of positions.
-    Host and pattern are permutation words.
+    Host and pattern are permutation words.  `slot_hosts[k]`, when given,
+    is the host as slot k sees it, with 0 at each position the slot may
+    not take (a signed search keeps the values of one sign per slot).
 
     An occurrence of a sum-indecomposable pattern cannot straddle two
     direct-sum blocks of the host, so such a pattern is searched block by
@@ -85,28 +110,23 @@ def _occurrences_iter(host: Sequence[int], pattern: Sequence[int]) -> Iterator[t
     if m == 0:
         yield ()
         return
-    # below[k] / above[k]: the earlier slot with the next smaller / larger
-    # pattern value, or the sentinel slot m / m + 1 (values 0 and n + 1).
-    below, above = [], []
-    slot_value = pattern.__getitem__
-    for k, q in enumerate(pattern):
-        below.append(max((t for t in range(k) if pattern[t] < q), key=slot_value, default=m))
-        above.append(min((t for t in range(k) if pattern[t] > q), key=slot_value, default=m + 1))
-    if len(sum_blocks(pattern)) == 1:
+    below, above, indecomposable = _PLANS.get(tuple(pattern)) or _slot_plan(pattern)
+    if indecomposable:
         spans = [(lo, hi) for lo, hi in sum_blocks(host) if hi - lo + 1 >= m]
     else:
         spans = [(1, n)]
+    seen = slot_hosts or [host] * m
     chosen = [0] * m
     values = [0] * m + [0, n + 1]
     for lo, hi in spans:
         k, i = 0, lo
         while True:
             last = hi - m + k + 1
-            low, high = values[below[k]], values[above[k]]
-            while i <= last and not low < host[i - 1] < high:
+            low, high, slot_host = values[below[k]], values[above[k]], seen[k]
+            while i <= last and not low < slot_host[i - 1] < high:
                 i += 1
             if i <= last:
-                chosen[k], values[k] = i, host[i - 1]
+                chosen[k], values[k] = i, slot_host[i - 1]
                 i += 1
                 if k == m - 1:
                     yield tuple(chosen)
@@ -119,19 +139,225 @@ def _occurrences_iter(host: Sequence[int], pattern: Sequence[int]) -> Iterator[t
                 break
 
 
+# The three forbidden patterns are skew sums of increasing runs (4321 =
+# 1-1-1-1, 45312 = 12-1-12, 456123 = 123-123), so their first occurrence
+# comes from tables filled right to left: for each suffix, whether the
+# runs still to place can be completed below a given value.  A forward
+# greedy then takes, slot by slot, the first position whose value fits the
+# slots chosen so far and whose table entry says the rest can follow; that
+# is the lexicographically first occurrence.  Each takes a permutation
+# word and returns 1-based positions, or None.
+
+
+def _first_4321(word: Sequence[int]) -> tuple[int, ...] | None:
+    """
+    First occurrence of 4321, from the length of the longest decreasing
+    subsequence that starts at each position, capped at 4.  One
+    right-to-left pass keeps the least value seen that starts a decreasing
+    run of length 1, 2 and 3.
+
+    >>> _first_4321((5, 1, 4, 6, 3, 2))  # 5 4 3 2
+    (1, 3, 5, 6)
+    """
+    n = len(word)
+    run = bytearray(n)
+    low1 = low2 = low3 = n + 1
+    for i in range(n - 1, -1, -1):
+        v = word[i]
+        if v > low3:
+            run[i] = 4
+        elif v > low2:
+            run[i], low3 = 3, v
+        elif v > low1:
+            run[i], low2 = 2, v
+        else:
+            run[i], low1 = 1, v
+    if 4 not in run:
+        return None
+    positions = []
+    i, high = 0, n + 1
+    for need in (4, 3, 2, 1):
+        while not (word[i] < high and run[i] >= need):
+            i += 1
+        positions.append(i + 1)
+        high = word[i]
+        i += 1
+    return tuple(positions)
+
+
+def _least_larger_right(word: Sequence[int]) -> list[int]:
+    """
+    For each position, the least value to its right that is larger than
+    the value there, or len(word) + 1 when there is none.  One
+    left-to-right pass over the values still to come, kept as a doubly
+    linked list in value order: each position reads its value's successor
+    there, then unlinks the value.
+
+    >>> _least_larger_right((2, 5, 1, 4, 3))
+    [3, 6, 3, 6, 6]
+    """
+    n = len(word)
+    up = list(range(1, n + 3))  # value v links to v + 1 and v - 1; 0 and
+    down = list(range(-1, n + 1))  # n + 1 are the ends of the list
+    larger = []
+    for v in word:
+        above, below = up[v], down[v]
+        larger.append(above)
+        up[below], down[above] = above, below
+    return larger
+
+
+def _first_45312(word: Sequence[int]) -> tuple[int, ...] | None:
+    """
+    First occurrence of 45312 = 12-1-12.  Right to left, one pass keeps:
+    the least top of a 12 in the suffix (the least of the least larger
+    values to the right of its positions); the least "3" in the suffix (a
+    value above the least top of a 12 to its right); and the next greater
+    element, from a stack.  A "4" is feasible when a "3" below it follows
+    its next greater element.
+
+    >>> _first_45312((2, 6, 7, 5, 8, 3, 4, 1))  # 6 7 5 3 4
+    (2, 3, 4, 6, 7)
+    """
+    n = len(word)
+    larger = _least_larger_right(word)
+    is_three = bytearray(n)
+    low_three = [n + 1] * (n + 1)
+    stack: list[int] = []
+    low, top12, first = n + 1, n + 1, -1
+    for i in range(n - 1, -1, -1):
+        v = word[i]
+        while stack and word[stack[-1]] < v:
+            stack.pop()
+        if stack and low_three[stack[-1] + 1] < v:
+            first = i
+        stack.append(i)
+        if v > top12:
+            is_three[i] = 1
+            if v < low:
+                low = v
+        low_three[i] = low
+        if larger[i] < top12:
+            top12 = larger[i]
+    if first < 0:
+        return None
+    four = word[first]
+    five = next(j for j in range(first + 1, n) if word[j] > four)
+    three = next(k for k in range(five + 1, n) if is_three[k] and word[k] < four)
+    cap = word[three]
+    one = next(j for j in range(three + 1, n) if word[j] < cap and larger[j] < cap)
+    two = next(j for j in range(one + 1, n) if word[one] < word[j] < cap)
+    return first + 1, five + 1, three + 1, one + 1, two + 1
+
+
+def _first_456123(word: Sequence[int]) -> tuple[int, ...] | None:
+    """
+    First occurrence of 456123 = 123-123.  Right to left, one pass keeps:
+    the least top of a 123 in each suffix (a 123 with middle j has least
+    top the least larger value right of j, and it fits in a suffix that
+    holds the previous smaller element of j, so a previous-smaller stack
+    buckets that top at its position); the next greater element; and, in a
+    Fenwick tree over values, the earliest end of a rising pair above each
+    value.  The "4" is the first position whose value exceeds the least
+    123 top after the earliest end of a rising pair above it.  With its
+    value as cap, a capped increasing-run pass over the rest places the
+    "123".
+
+    >>> _first_456123((7, 4, 5, 8, 6, 1, 2, 3))  # 4 5 8 1 2 3
+    (2, 3, 4, 6, 7, 8)
+    """
+    n = len(word)
+    larger = _least_larger_right(word)
+    top123 = [n + 1] * (n + 1)
+    greater = [n] * n
+    tree = [n] * (n + 1)  # by n + 1 - value: least next-greater position
+    rising: list[int] = []  # next greater element stack
+    unmatched: list[int] = []  # positions whose previous smaller is unknown
+    top, first = n + 1, -1
+    for i in range(n - 1, -1, -1):
+        v = word[i]
+        while unmatched and word[unmatched[-1]] > v:
+            j = unmatched.pop()
+            if larger[j] < top:
+                top = larger[j]
+        unmatched.append(i)
+        top123[i] = top
+        end, k = n, n - v
+        while k:
+            if tree[k] < end:
+                end = tree[k]
+            k &= k - 1
+        if end < n and top123[end + 1] < v:
+            first = i
+        while rising and word[rising[-1]] < v:
+            rising.pop()
+        if rising:
+            end = greater[i] = rising[-1]
+            k = n + 1 - v
+            while k <= n:
+                if end < tree[k]:
+                    tree[k] = end
+                k += k & -k
+        rising.append(i)
+    if first < 0:
+        return None
+    cap = word[first]
+    five = next(
+        j for j in range(first + 1, n)
+        if word[j] > cap and greater[j] < n and top123[greater[j] + 1] < cap
+    )
+    six = greater[five]
+    # Capped increasing runs over the rest: run[j] is the length, up to 3,
+    # of the longest increasing subsequence from j with all values below cap.
+    run = bytearray(n)
+    high1 = high2 = 0
+    for j in range(n - 1, six, -1):
+        v = word[j]
+        if v >= cap:
+            continue
+        if v < high2:
+            run[j] = 3
+        elif v < high1:
+            run[j], high2 = 2, v
+        else:
+            run[j], high1 = 1, v
+    positions = [first + 1, five + 1, six + 1]
+    j, low = six + 1, 0
+    for need in (3, 2, 1):
+        while not (low < word[j] < cap and run[j] >= need):
+            j += 1
+        positions.append(j + 1)
+        low = word[j]
+        j += 1
+    return tuple(positions)
+
+
+_TABLE_SEARCHES = {
+    (4, 3, 2, 1): _first_4321,
+    (4, 5, 3, 1, 2): _first_45312,
+    (4, 5, 6, 1, 2, 3): _first_456123,
+}
+
+
 def contains(pi: Permutation, p: Permutation) -> Occurrence | None:
     """
     The lexicographically first occurrence (by positions) of p in pi, or
-    None when pi avoids p.
+    None when pi avoids p.  The three forbidden patterns are found from
+    their tables, every other pattern by the depth-first search.
 
     >>> contains(parse_permutation("84725631"), parse_permutation("4231")) is not None
     True
     >>> contains(parse_permutation("12345"), parse_permutation("21")) is None
     True
     """
-    for positions in _occurrences_iter(pi.word, p.word):
-        return Occurrence(positions, tuple(pi.word[i - 1] for i in positions))
-    return None
+    search = _TABLE_SEARCHES.get(p.word)
+    if search is not None:
+        positions = search(pi.word)
+    else:
+        positions = next(_occurrences_iter(pi.word, p.word), None)
+    if positions is None:
+        return None
+    return Occurrence(positions, tuple(pi.word[i - 1] for i in positions))
 
 
 def occurrences(pi: Permutation, p: Permutation) -> list[Occurrence]:
@@ -167,17 +393,17 @@ def contains_signed(
     """
     First occurrence of the signed pattern p in the signed window of pi:
     absolute values order-isomorphic to |p| with signs equal slot by slot.
+    Each slot of the search sees only the host values of its own sign.
     The reported values keep their signs.
     """
     window = tuple(pi.window)
+    positive = tuple(v if v > 0 else 0 for v in window)
+    negative = tuple(-v if v < 0 else 0 for v in window)
+    slot_hosts = [positive if q > 0 else negative for q in p.window]
     abs_host = tuple(abs(v) for v in window)
     abs_pat = tuple(abs(v) for v in p.window)
-    for positions in _occurrences_iter(abs_host, abs_pat):
-        if all(
-            (window[i - 1] > 0) == (q > 0)
-            for i, q in zip(positions, p.window)
-        ):
-            return Occurrence(positions, tuple(window[i - 1] for i in positions))
+    for positions in _occurrences_iter(abs_host, abs_pat, slot_hosts):
+        return Occurrence(positions, tuple(window[i - 1] for i in positions))
     return None
 
 
@@ -233,3 +459,11 @@ _SIGNED_FORBIDDEN_WINDOWS = (
 SIGNED_FORBIDDEN_PATTERNS: tuple[SignedPattern, ...] = tuple(
     parse_signed_pattern(text) for text in _SIGNED_FORBIDDEN_WINDOWS
 )
+
+# The search plans of the fixed pattern lists, computed once; any other
+# pattern's plan is computed per call.
+_PLANS = {
+    word: _slot_plan(word)
+    for word in [p.word for p in FORBIDDEN_PATTERNS]
+    + [tuple(abs(v) for v in p.window) for p in SIGNED_FORBIDDEN_PATTERNS]
+}

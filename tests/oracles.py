@@ -30,10 +30,11 @@ def pattern_occurrences(host, pattern):
     return out
 
 
-def dfs_occurrences(host, pattern):
+def dfs_occurrences(host, pattern, limit=None):
     """Occurrence position tuples, lexicographic, by the plain depth-first
     search over all positions of the host: a partial selection survives
-    only while its values compare pairwise like the pattern prefix does."""
+    only while its values compare pairwise like the pattern prefix does.
+    With a limit, the search stops once it has found that many."""
     n, m = len(host), len(pattern)
     if m > n:
         return []
@@ -44,7 +45,7 @@ def dfs_occurrences(host, pattern):
         k = len(chosen)
         if k == m:
             out.append(tuple(chosen))
-            return
+            return len(out) == limit
         for i in range(start, n - (m - k) + 2):
             v = host[i - 1]
             if all(
@@ -52,8 +53,11 @@ def dfs_occurrences(host, pattern):
                 for t in range(k)
             ):
                 chosen.append(i)
-                extend(i + 1)
+                done = extend(i + 1)
                 chosen.pop()
+                if done:
+                    return True
+        return False
 
     extend(1)
     return out

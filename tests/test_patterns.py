@@ -245,3 +245,81 @@ def test_contains_signed_matches_oracle_on_every_small_window():
                     assert (got.positions if got else None) == (
                         expected[0] if expected else None
                     )
+
+
+# The three forbidden patterns are found from right-to-left tables; the
+# plain depth-first oracle gives the first occurrence independently.
+TABLE_PATTERNS = [p.word for p in FORBIDDEN_PATTERNS]
+
+
+def _first(host, pattern):
+    occ = contains(Permutation(host), Permutation(pattern))
+    return [occ.positions] if occ else []
+
+
+def test_table_witness_matches_dfs_on_every_small_host():
+    for n in range(8):
+        for host in itertools_permutations(range(1, n + 1)):
+            for pattern in TABLE_PATTERNS:
+                assert _first(host, pattern) == dfs_occurrences(host, pattern, limit=1)
+
+
+def _partly_sorted(rng, n):
+    word = list(range(1, n + 1))
+    for _ in range(rng.randrange(1, 4)):
+        a, b = rng.randrange(n), rng.randrange(n)
+        word[a], word[b] = word[b], word[a]
+    a = rng.randrange(n)
+    b = a + rng.randrange(2, 6)
+    word[a:b] = reversed(word[a:b])
+    # swap two adjacent segments: 456123 when both are increasing runs of 3
+    a = rng.randrange(n)
+    b, c = a + rng.randrange(1, 6), a + rng.randrange(6, 11)
+    word[a:c] = word[b:c] + word[a:b]
+    return tuple(word)
+
+
+def test_table_witness_matches_dfs_on_larger_hosts():
+    # The plain oracle is fast where the pattern occurs early (uniform
+    # hosts) and slow, about n^4, on a long block that avoids it, so the
+    # partly sorted hosts stay small; direct sums up to n = 200 are checked
+    # against the block-by-block search that `occurrences` runs.
+    rng = random.Random(45312)
+    for n in (8, 12, 20, 30, 50, 80, 120, 200):
+        for _ in range(3):
+            host = tuple(rng.sample(range(1, n + 1), n))
+            for pattern in TABLE_PATTERNS:
+                assert _first(host, pattern) == dfs_occurrences(host, pattern, limit=1)
+    for n in (6, 9, 13, 20, 28, 40) * 5:
+        host = _partly_sorted(rng, n)
+        for pattern in TABLE_PATTERNS:
+            assert _first(host, pattern) == dfs_occurrences(host, pattern, limit=1)
+    for _ in range(30):
+        blocks = []
+        while sum(len(b) for b in blocks) < rng.randrange(20, 201):
+            size = rng.randrange(1, 9)
+            blocks.append(rng.sample(range(1, size + 1), size))
+        host = _direct_sum(blocks)
+        for pattern in TABLE_PATTERNS:
+            assert _first(host, pattern) == _positions(host, pattern)[:1]
+
+
+def _chain(n):
+    # The Boolean chain (1 3)(2 5)(4 7)...: it avoids every forbidden
+    # pattern, and all but its last point or two form one direct-sum block.
+    word = list(range(1, n + 1))
+    for a, b in [(1, 3)] + [(j, j + 3) for j in range(2, n - 2, 2)]:
+        word[a - 1], word[b - 1] = b, a
+    return tuple(word)
+
+
+def test_pattern_verdicts_on_long_chains():
+    # Both ran for minutes when the witness came from the depth-first
+    # search, whose cost on one long avoiding block grows about n^4.
+    verdict = is_boolean(Involution(_chain(2048)), "patterns")
+    assert verdict.is_boolean and verdict.pattern is None
+    w = Involution(_direct_sum([_chain(4091), (4, 5, 3, 1, 2)]))
+    verdict = is_boolean(w)
+    assert not verdict.is_boolean
+    assert verdict.pattern == parse_permutation("45312")
+    assert verdict.occurrence.positions == tuple(range(4092, 4097))
