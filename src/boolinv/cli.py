@@ -127,9 +127,10 @@ def cmd_table(args: argparse.Namespace) -> int:
         sys.set_int_max_str_digits(0)
     try:
         if fmt == "tsv" or fmt == "text":
-            sys.stdout.write(counting.table_to_tsv(table, _TABLE_COLUMNS[args.stat]))
+            sys.stdout.writelines(counting.table_rows(table, "tsv", _TABLE_COLUMNS[args.stat]))
         else:
-            print(counting.table_to_json(table))
+            sys.stdout.writelines(counting.table_rows(table, "json"))
+            sys.stdout.write("\n")
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)

@@ -14,8 +14,10 @@ are built without revalidation.  The brute route walks it pruned: no
 point is paired once an earlier pair reaches beyond its right neighbour,
 so only the Boolean involutions are visited, each decided on its prefixes
 by the long-crossing criterion rather than filtered from the whole
-stream.  It is sharded over at most one process per CPU and refused up
-front when its predicted work exceeds MAX_BRUTE_WORK.  The recurrence
+stream.  It reads each one's inversions and excedances off the walk,
+which carries them in its frames, so it builds no element and costs O(1)
+per Boolean involution.  It is sharded over at most one process per CPU
+and refused up front when its predicted work exceeds MAX_BRUTE_WORK.  The recurrence
 route counts the restricted Motzkin paths of the paper's bijection by a
 transfer matrix over their height (`motzkin.restricted_path_rows`): rank
 is n minus the returns to the axis, excedances are the up steps and
@@ -34,15 +36,16 @@ from itertools import accumulate, islice, product
 from typing import Iterator
 
 from .involution_words import ResourceLimitError
-from .motzkin import count_restricted, restricted_path_rows
-from .permutations import Involution, _trusted_involution, inversion_count
+from .motzkin import restricted_path_rows
+from .permutations import Involution, _trusted_involution
 from .series import inv_exc_series, rank_series, total_series
 from .signed import SignedInvolution, _trusted_signed_involution
 
 MAX_STREAM_N = 14
 MAX_SIGNED_STREAM_N = 7
-# Boolean involutions times n summed over the sizes: admits n_max 15.
-MAX_BRUTE_WORK = 2 * 10**6
+# Boolean involutions walked, summed over the sizes, at O(1) each: admits
+# n_max 15 (118281), refuses 16 (265775).
+MAX_BRUTE_WORK = 2 * 10**5
 # Cells times count bits.  Best of 3 at the f 176 / g 907 / h 22360 edges (2 vCPUs,
 # Python 3.11): paths 1.8-2.2 / 1.0-1.3 / 0.15-0.21 s, gf 4.8-6.4 / 1.8-2.6 / 0.21-0.24 s.
 MAX_TABLE_WORK = 5 * 10**8
@@ -52,20 +55,36 @@ RankTable = dict[tuple[int, int], int]
 TotalTable = dict[int, int]
 
 
-def _walk(n: int, pruned: bool = False) -> Iterator[tuple[int, list[int]]]:
+def _walk(n: int, pruned: bool = False) -> Iterator[tuple]:
     """
     Depth-first walk over the involutions of S_n in lexicographic order of
     their one-line words.  Yields (index, word): the element's position in
-    the full stream and its word as a list, valid until the next step.
+    the full stream and its word as a list, valid until the next step; the
+    pruned walk also yields the word's inversions and excedances.
 
     Each node decides its first free point p, first as a fixed point and
     then paired with each larger free point q in turn, on an explicit stack
-    of [p, q, prefix max, index of the first leaf below, free points]
-    frames.  With `pruned`, p is never paired once an earlier partner
-    exceeds p + 1, the test `has_long_crossing` makes on a whole word, so
-    the leaves are exactly the Boolean involutions; a skipped subtree still
-    moves the index on, by (m - 1) I(m - 2) = I(m) - I(m - 1) at a node
-    with m free points, I(k) being the number of involutions of S_k.
+    of [p, q, prefix max, index of the first leaf below, free points,
+    inversions, excedances] frames.  With `pruned`, p is never paired once
+    an earlier partner exceeds p + 1, the test `has_long_crossing` makes on
+    a whole word, so the leaves are exactly the Boolean involutions; a
+    skipped subtree still moves the index on, by (m - 1) I(m - 2) =
+    I(m) - I(m - 1) at a node with m free points, I(k) being the number of
+    involutions of S_k.
+
+    The pruned walk carries the two statistics in its frames, and only it
+    updates them.  Each excedance is an arc, a 2-cycle a < b.  Split by
+    arcs, the inversions are 1 per arc, 2 per fixed point strictly inside
+    an arc, 2 per crossing pair of arcs and 4 per nested pair; so they are
+    the sum of 2 (b - a) - 1 over the arcs, less 2 per crossing pair, which
+    that sum counts from both arcs.  Pairing p with q thus adds
+    2 (q - p) - 1, less 2 if an earlier arc ends inside (p, q).  Pruned,
+    only one ending at p + 1 can, and one does exactly when the prefix max
+    exceeds p.  So each leaf costs O(1).  3412 has two crossing arcs,
+    3 + 3 - 2 = 4 inversions; 4231 has one arc over two fixed points, 5.
+
+    >>> [(i, tuple(w), inv, exc) for i, w, inv, exc in _walk(4, pruned=True)][-2:]
+    [(7, (3, 4, 1, 2), 4, 2), (8, (4, 2, 3, 1), 5, 1)]
     """
     sizes = [1, 1]
     for k in range(2, n + 1):
@@ -73,19 +92,22 @@ def _walk(n: int, pruned: bool = False) -> Iterator[tuple[int, list[int]]]:
     word = list(range(1, n + 1))
     free = [False] + [True] * (n + 1)  # free[n + 1] ends every scan
     stack: list[list[int]] = []
-    p, prefix, index, m = 1, 0, 0, n
+    p, prefix, index, m, inv, exc = 1, 0, 0, n, 0, 0
     while True:
         while m > 1:  # a last free point can only be fixed and needs no frame
-            stack.append([p, p, prefix, index, m])
+            stack.append([p, p, prefix, index, m, inv, exc])
             free[p] = False
             m -= 1
             p += 1
             while not free[p]:
                 p += 1
-        yield index, word
+        if pruned:
+            yield index, word, inv, exc
+        else:
+            yield index, word
         while stack:
             frame = stack[-1]
-            p, q, prefix, index, m = frame
+            p, q, prefix, index, m, inv, exc = frame
             if q != p:
                 word[p - 1], word[q - 1] = p, q
                 free[q] = True
@@ -104,6 +126,9 @@ def _walk(n: int, pruned: bool = False) -> Iterator[tuple[int, list[int]]]:
             frame[1], frame[3] = q, index
             word[p - 1], word[q - 1] = q, p
             free[q] = False
+            if pruned:
+                inv += 2 * (q - p) - (3 if prefix > p else 1)
+                exc += 1
             if q > prefix:
                 prefix = q
             m -= 2
@@ -116,9 +141,9 @@ def _walk(n: int, pruned: bool = False) -> Iterator[tuple[int, list[int]]]:
 
 
 def _elements(n: int, shard: int, num_shards: int, pruned: bool) -> Iterator[Involution]:
-    for index, word in _walk(n, pruned):
-        if index % num_shards == shard:
-            yield _trusted_involution(tuple(word))
+    for leaf in _walk(n, pruned):
+        if leaf[0] % num_shards == shard:
+            yield _trusted_involution(tuple(leaf[1]))
 
 
 def _check_size(n: int) -> None:
@@ -182,11 +207,10 @@ def signed_involutions(
 def _brute_shard(args: tuple[int, int, int]) -> InvExcTable:
     n, shard, num_shards = args
     table: InvExcTable = {}
-    for w in _elements(n, shard, num_shards, True):
-        length = inversion_count(w)
-        exc = sum(1 for i, v in enumerate(w.word, start=1) if v > i)
-        key = (n, length, exc)
-        table[key] = table.get(key, 0) + 1
+    for index, _, inv, exc in _walk(n, True):
+        if index % num_shards == shard:
+            key = (n, inv, exc)
+            table[key] = table.get(key, 0) + 1
     return table
 
 
@@ -225,12 +249,12 @@ def _check_work(n_max: int, rows: Iterator[int], limit: int, refusal: str) -> No
 def _check_brute_work(n_max: int) -> None:
     """
     Refuse, before any element is walked, a negative size or a brute table
-    whose predicted work, the sum of n h(n) over 1 <= n <= n_max, exceeds
-    MAX_BRUTE_WORK.  The totals h are the restricted path counts; they only
-    size the run.
+    whose predicted work, the sum of h(n) over 1 <= n <= n_max (the walk
+    costs O(1) per Boolean involution), exceeds MAX_BRUTE_WORK.  The totals
+    h are the restricted path counts; they only size the run.
     """
-    rows = (n * row[0, 0] for n, row in enumerate(restricted_path_rows(n_max, 0, 0), start=1))
-    refusal = f"n_max {n_max} exceeds brute guard {MAX_BRUTE_WORK} (Boolean involutions times n)"
+    rows = (row[0, 0] for row in restricted_path_rows(n_max, 0, 0))
+    refusal = f"n_max {n_max} exceeds brute guard {MAX_BRUTE_WORK} (Boolean involutions walked)"
     _check_work(n_max, rows, MAX_BRUTE_WORK, refusal)
 
 
@@ -397,24 +421,43 @@ def cross_validate(n_max: int, jobs: int = 1) -> CrossValidationReport:
         })
         for stat, name in _TABLE_NAMES.items()
     ]
-    paths = {n: count_restricted(n) for n in range(1, n_max + 1)}
+    rows = restricted_path_rows(n_max, 0, 0)
+    paths = {n: row[0, 0] for n, row in enumerate(rows, start=1)}
     checks.append(_compare_tables(
         "restricted Motzkin paths = totals", {"paths": paths, "totals": brute["h"]}
     ))
     return CrossValidationReport(n_max, tuple(checks))
 
 
+def table_rows(table: dict, fmt: str, columns: tuple[str, ...] = ()) -> Iterator[str]:
+    """
+    The text of `table` one row at a time, so that a writer holds one row:
+    with fmt "tsv", the `columns` header and then a line per key, sorted by
+    key, the count last; with "json", one object, keys joined by commas and
+    sorted as strings, in json.dumps' form, without a final newline.
+
+    >>> list(table_rows({(2, 1): 1, (10, 0): 4}, "json"))
+    ['{"10,0": 4', ', "2,1": 1', '}']
+    """
+    if fmt == "tsv":
+        yield "\t".join(columns) + "\n"
+        for key in sorted(table):
+            fields = key if isinstance(key, tuple) else (key,)
+            yield "\t".join(map(str, (*fields, table[key]))) + "\n"
+        return
+    names = {",".join(map(str, key)) if isinstance(key, tuple) else str(key): key for key in table}
+    separator = "{"
+    for name in sorted(names):
+        yield f'{separator}"{name}": {table[names[name]]}'
+        separator = ", "
+    yield "}" if table else "{}"
+
+
 def table_to_tsv(table: dict, columns: tuple[str, ...]) -> str:
     """Rows sorted by key; keys may be ints or tuples, last column the count."""
-    lines = ["\t".join(columns)]
-    for key in sorted(table):
-        fields = key if isinstance(key, tuple) else (key,)
-        lines.append("\t".join(str(f) for f in (*fields, table[key])))
-    return "\n".join(lines) + "\n"
+    return "".join(table_rows(table, "tsv", columns))
 
 
 def table_to_json(table: dict) -> str:
-    import json
-
-    names = (",".join(map(str, key)) if isinstance(key, tuple) else str(key) for key in table)
-    return json.dumps(dict(zip(names, table.values())), sort_keys=True)
+    """The table as one JSON object, keys "n" or "n,i,...", sorted as strings."""
+    return "".join(table_rows(table, "json"))

@@ -33,6 +33,7 @@ from oracles import (
     filtered_inv_exc_counts,
     four_term_rank_recurrence,
     full_range_recurrence_inv_exc,
+    inversion_count,
     nested_involution_words,
     nested_signed_windows,
     three_term_total_recurrence,
@@ -82,9 +83,16 @@ def test_walk_matches_nested_stream():
 def test_pruned_walk_matches_filtered_stream():
     for n in range(12):
         expected = filtered_boolean_words(n)
-        walked = [(index, tuple(word)) for index, word in counting._walk(n, pruned=True)]
-        assert walked == expected
+        walked = [
+            (index, tuple(word), inv, exc)
+            for index, word, inv, exc in counting._walk(n, pruned=True)
+        ]
+        assert [leaf[:2] for leaf in walked] == expected
         assert [w.word for w in boolean_involutions(n)] == [w for _, w in expected]
+        # the carried statistics of every leaf, against the rescanned word
+        for _, word, inv, exc in walked:
+            assert inv == inversion_count(word)
+            assert exc == sum(1 for i, v in enumerate(word, start=1) if v > i)
 
 
 def test_shards_match_oracles():
@@ -270,10 +278,13 @@ def test_parallel_brute_matches_serial():
     assert brute_inv_exc_counts(6, jobs=2) == brute_inv_exc_counts(6)
 
 
-def test_jobs_clamped_to_cpu_count(monkeypatch):
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """ProcessPoolExecutor swapped for a pool that maps in this process;
+    returns the list of the max_workers each pool was made with."""
     import concurrent.futures
 
-    workers, shards = [], []
+    workers = []
 
     class SerialPool:
         """Stands in for ProcessPoolExecutor: maps in this process."""
@@ -290,8 +301,13 @@ def test_jobs_clamped_to_cpu_count(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    real_shard = counting._brute_shard
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return workers
+
+
+def test_jobs_clamped_to_cpu_count(monkeypatch, serial_pool):
+    workers, shards = serial_pool, []
+    real_shard = counting._brute_shard
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     monkeypatch.setattr(
         counting, "_brute_shard", lambda piece: shards.append(piece) or real_shard(piece)
@@ -300,6 +316,25 @@ def test_jobs_clamped_to_cpu_count(monkeypatch):
     assert workers == [3]
     # Six sizes in three shards through the pool, then six serial pieces.
     assert [num_shards for _, _, num_shards in shards] == [3] * 18 + [1] * 6
+
+
+def test_brute_route_builds_no_element(monkeypatch, serial_pool):
+    # the walk carries inversions and excedances; no leaf becomes an Involution
+    expected = [brute_inv_exc_counts(9), brute_inv_exc_counts(6), cross_validate(9)]
+
+    def build(*args):
+        raise AssertionError("the brute route built an element")
+
+    monkeypatch.setattr(counting, "_trusted_involution", build)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert brute_inv_exc_counts(9) == expected[0]
+    assert brute_inv_exc_counts(6, jobs=2) == expected[1] and serial_pool == [2]
+    report = cross_validate(9)
+    assert report.passed and report == expected[2]
+
+
+def test_brute_table_exact_at_guard_edge():
+    assert brute_inv_exc_counts(15) == recurrence_inv_exc_counts(15)
 
 
 def _truncated(table, n):
