@@ -23,7 +23,7 @@ transfer matrix over their height (`motzkin.restricted_path_rows`): rank
 is n minus the returns to the axis, excedances are the up steps and
 inversions 2 rank - ups, so it reads neither the brute nor the series
 route.  The series route expands the generating functions one size at a
-time over their nonzero coefficients.  These two refuse up front a table
+time, each row packed into one integer.  These two refuse up front a table
 whose predicted work exceeds MAX_TABLE_WORK.  All routes must agree;
 `cross_validate` checks them against each other, against the
 marginalization identities, and against the restricted Motzkin path count.
@@ -38,7 +38,7 @@ from typing import Iterator
 from .involution_words import ResourceLimitError
 from .motzkin import restricted_path_rows
 from .permutations import Involution, _trusted_involution
-from .series import inv_exc_series, rank_series, total_series
+from .series import count_bits, inv_exc_series, rank_series, total_series
 from .signed import SignedInvolution, _trusted_signed_involution
 
 MAX_STREAM_N = 14
@@ -47,7 +47,7 @@ MAX_SIGNED_STREAM_N = 7
 # n_max 15 (118281), refuses 16 (265775).
 MAX_BRUTE_WORK = 2 * 10**5
 # Cells times count bits.  Best of 3 at the f 176 / g 907 / h 22360 edges (2 vCPUs,
-# Python 3.11): paths 1.8-2.2 / 1.0-1.3 / 0.15-0.21 s, gf 4.8-6.4 / 1.8-2.6 / 0.21-0.24 s.
+# Python 3.11): paths 1.4-1.6 / 0.8 / 0.12-0.17 s, gf 1.8-2.8 / 0.8-0.9 / 0.12-0.14 s.
 MAX_TABLE_WORK = 5 * 10**8
 
 InvExcTable = dict[tuple[int, int, int], int]
@@ -294,10 +294,10 @@ def _check_table_work(stat: str, n_max: int) -> None:
     """
     Refuse, before any cell is filled, a negative size or a recurrence or
     series table whose predicted work exceeds MAX_TABLE_WORK: the cells of
-    each row times 2n, a bound on the bit length of its counts (each is below
-    the total for size n, which grows like 2.25^n).
+    each row times `count_bits(n)`, the bound on the bit length of its counts
+    that also sizes the series' packed slots.
     """
-    rows = (_ROW_CELLS[stat](n) * 2 * n for n in range(1, n_max + 1))
+    rows = (_ROW_CELLS[stat](n) * count_bits(n) for n in range(1, n_max + 1))
     refusal = f"table {stat} to n_max {n_max} exceeds work guard {MAX_TABLE_WORK}"
     _check_work(n_max, rows, MAX_TABLE_WORK, refusal + " (cells times count bits)")
 
@@ -439,13 +439,17 @@ def table_rows(table: dict, fmt: str, columns: tuple[str, ...] = ()) -> Iterator
     >>> list(table_rows({(2, 1): 1, (10, 0): 4}, "json"))
     ['{"10,0": 4', ', "2,1": 1', '}']
     """
+    first = next(iter(table), ())
+    tuples = isinstance(first, tuple)
+    fields = ["%d"] * (len(first) if tuples else 1)  # one per part of a key
     if fmt == "tsv":
         yield "\t".join(columns) + "\n"
+        line = "\t".join(fields + ["%d\n"])
         for key in sorted(table):
-            fields = key if isinstance(key, tuple) else (key,)
-            yield "\t".join(map(str, (*fields, table[key]))) + "\n"
+            yield line % ((*key, table[key]) if tuples else (key, table[key]))
         return
-    names = {",".join(map(str, key)) if isinstance(key, tuple) else str(key): key for key in table}
+    key_name = ",".join(fields)
+    names = {key_name % key: key for key in table}
     separator = "{"
     for name in sorted(names):
         yield f'{separator}"{name}": {table[names[name]]}'

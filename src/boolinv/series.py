@@ -15,52 +15,81 @@ involutions of S_n with l inversions and a excedances:
         = x(1 - x^2) / (1 - 2x - x^2 + x^3)
 
 Each series is the dict of its nonzero coefficients, {exponents:
-coefficient}; no numerator has an x^0 term, so none has a size-0
-coefficient.  These series share no code with the restricted path
-counts of `motzkin.restricted_path_rows`, so each checks the other.
+coefficient}, in ascending order of exponents; no numerator has an x^0
+term, so none has a size-0 coefficient.  These series share no code with
+the restricted path counts of `motzkin.restricted_path_rows`, so each
+checks the other.
 
-Expansion is by series division: with a denominator of constant term 1
-whose other terms all carry a positive power of x, the coefficients in x
-degree n depend only on lower degrees.  So the expansion runs one x degree
-at a time, each row a dict of its nonzero coefficients in the other
-variables, and costs in proportion to the nonzero coefficients rather than
-to the whole truncation box.
+Expansion is by series division, one x-degree row at a time, each row
+packed into one integer (Kronecker substitution).  The coefficient of
+y^l z^a sits in a slot of w bytes at index l (bound_z + 1) + a, the last
+variable fastest, so the packed row is the row evaluated at z = 2^(8w),
+y = z^(bound_z + 1).  Evaluation is a ring homomorphism, so packed row d
+is exactly the numerator's packed row d less c times packed row d - t0
+shifted by the slots of (t1, t2), over the denominator's terms
+c x^t0 y^t1 z^t2 other than its constant 1.  A true row has nonnegative
+counts below 2^count_bits(n) <= 2^(8w), all inside the truncation box, so
+its slots decode uniquely.  A packed row that is negative or runs past
+the box is no such row and raises InvariantViolationError; a count that
+carries into a higher slot of the box is not seen.
 """
 from __future__ import annotations
 
-from operator import add, le
+from itertools import compress, product
+from math import prod
+from operator import mul
+
+from .boolean import InvariantViolationError
 
 Monomial = tuple[int, ...]
 Terms = dict[Monomial, int]
 
 
+def count_bits(n: int) -> int:
+    """Bits that hold every count at size n: 2n, as each is at most the
+    total for size n, which grows like 2.25^n."""
+    return 2 * n
+
+
 def expand_rational(numerator: Terms, denominator: Terms, bounds: tuple[int, ...]) -> Terms:
     """
     Nonzero coefficients of numerator/denominator up to the bounds
-    (inclusive), one x-degree row at a time: row d is the numerator's row d
-    minus c times row d - t[0] shifted by t[1:], over the denominator terms
-    c*x^t other than its constant term 1, each of positive x-degree.  Only
-    the rows the denominator's x-degree still reaches are kept aside; each
-    row goes into the result as soon as it is complete.
+    (inclusive).  Only the rows the denominator's x-degree still reaches
+    are kept, and each row is decoded, up to its highest occupied slot, as
+    soon as it is complete.
     """
     if denominator.get((0,) * len(bounds), 0) != 1:
         raise ValueError("denominator constant term must be 1")
-    tail = [(t, c) for t, c in denominator.items() if any(t)]
-    if any(t[0] == 0 for t, _ in tail):
+    if any(t[0] == 0 for t in denominator if any(t)):
         raise ValueError("denominator tail must have positive first-variable degree")
-    depth = max((t[0] for t, _ in tail), default=0)
-    rows: dict[int, Terms] = {}  # the last `depth` rows, all that is read again
+    keys = list(product(*(range(bound + 1) for bound in bounds[1:])))  # of each slot
+    width = -(-count_bits(bounds[0]) // 8) or 1  # bytes per slot
+    strides = [8 * width * prod(b + 1 for b in bounds[i + 1 :]) for i in range(1, len(bounds))]
+
+    def shift(m: Monomial) -> int:
+        return sum(map(mul, m[1:], strides))
+
+    packed: dict[int, int] = {}  # the numerator's rows, then the rows still read
+    for m, c in numerator.items():
+        packed[m[0]] = packed.get(m[0], 0) + (c << shift(m))
+    tail = [(t[0], shift(t), c) for t, c in denominator.items() if any(t)]
+    depth = max((t0 for t0, _, _ in tail), default=0)
     coeffs: Terms = {}
     for d in range(bounds[0] + 1):
-        row = {m[1:]: v for m, v in numerator.items() if m[0] == d}
-        for t, c in tail:
-            for rest, v in rows.get(d - t[0], {}).items():
-                key = tuple(map(add, rest, t[1:]))
-                row[key] = row.get(key, 0) - c * v
-        row = {r: v for r, v in sorted(row.items()) if v and all(map(le, r, bounds[1:]))}
-        rows[d] = row
-        rows.pop(d - depth, None)
-        coeffs.update(((d, *r), v) for r, v in row.items())
+        row = packed.get(d, 0)
+        for t0, s, c in tail:
+            term = packed.get(d - t0, 0) << s
+            row = row - term if c == 1 else row + term if c == -1 else row - c * term
+        if row < 0 or row.bit_length() > 8 * width * len(keys):
+            raise InvariantViolationError(f"series row {d} is not a row of counts in its box")
+        packed[d] = row
+        packed.pop(d - depth, None)
+        if len(bounds) == 1:  # x only: the row is its one count
+            values = [row]
+        else:
+            data = row.to_bytes(-(-row.bit_length() // 8), "little")
+            values = [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
+        coeffs.update(zip(map((d,).__add__, compress(keys, values)), compress(values, values)))
     return coeffs
 
 

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from boolinv import boolean, counting
+from boolinv import boolean, counting, series
 from boolinv.cli import main
 from boolinv.counting import signed_involutions
 from boolinv.signed import format_signed, is_boolean_signed
@@ -395,6 +395,17 @@ GOLDEN_STDOUT = [
         0,
         "ba79a4679c4bb97cb3cef77c3e7015b06f75e0bca1fb9f10edc64a23bf4d1b68",
     ),
+    # Recorded before the series rows were packed into integers.
+    (
+        ("table", "f", "--max-n", "40", "--method", "gf", "--format", "json"),
+        0,
+        "6e5f97390b256d511997021359d0ea07fa928cf1ef9b60d7917925d0a4c23eb7",
+    ),
+    (
+        ("table", "g", "--max-n", "40", "--method", "gf", "--format", "tsv"),
+        0,
+        "f190eccee030d300aed8f066836fbdd9c1e9a99f3f10239e6b097065f5530581",
+    ),
 ]
 
 
@@ -411,6 +422,15 @@ def test_invariant_violation_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err.startswith("error: criteria disagree on (2, 1, 4, 3)")
+
+
+def test_series_row_outside_its_box_exits_3(capsys, monkeypatch):
+    # slots of one byte cannot hold h(9) = 510: the packed row runs past them
+    monkeypatch.setattr(series, "count_bits", lambda n: 1)
+    code, out, err = run_cli(capsys, "table", "h", "--max-n", "30", "--method", "gf")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: series row 9 ")
 
 
 def test_interrupt_exits_130_quietly():

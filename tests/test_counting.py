@@ -4,6 +4,7 @@ import os
 import pytest
 
 from boolinv import counting, series
+from boolinv.boolean import InvariantViolationError
 from boolinv.counting import (
     CheckResult,
     CrossValidationReport,
@@ -409,6 +410,31 @@ def test_g_h_routes_match_linear_recurrences():
     assert list(recurrence_totals(2000).items()) == list(three_term_total_recurrence(2000).items())
 
 
+def test_gf_tables_match_recurrence_past_oracle_range():
+    """Past ORACLE_MAX_N, the packed series rows against the restricted
+    paths, key order included."""
+    for stat, n_max in (("f", 80), ("g", 300), ("h", 3000)):
+        _assert_same_in_order(
+            counting.build_table(stat, "gf", n_max), counting.build_table(stat, "recurrence", n_max)
+        )
+
+
+def test_expand_rational_raises_on_row_outside_its_box():
+    # 1/(1 + x) = 1 - x + x^2 - ...: packed row 1 is negative
+    with pytest.raises(InvariantViolationError, match="series row 1 "):
+        series.expand_rational({(0,): 1}, {(0,): 1, (1,): 1}, (3,))
+    # at n = 8 a slot is exactly count_bits(8) = 16 bits wide, so the largest
+    # count it holds decodes, and one more runs past the top slot of the box
+    bits = series.count_bits(8)
+    assert bits % 8 == 0
+    largest = (1 << bits) - 1
+    for bounds, top in (((8,), (1,)), ((8, 3, 2), (1, 3, 2))):
+        one = {(0,) * len(bounds): 1}
+        assert series.expand_rational({top: largest}, one, bounds) == {top: largest}
+        with pytest.raises(InvariantViolationError, match="series row 1 "):
+            series.expand_rational({top: 1 << bits}, one, bounds)
+
+
 def test_recurrence_fills_only_reachable_rows():
     table = recurrence_inv_exc_counts(40)
     assert max(length for n, length, _ in table if n == 40) == 2 * 40 - 3
@@ -474,3 +500,21 @@ def test_exports():
 def test_check_result_line():
     assert CheckResult("totals", True).line() == "PASS totals"
     assert CheckResult("totals", False, "n=3").line() == "FAIL totals: n=3"
+
+
+def test_table_rows_match_joined_fields():
+    """The rows written through one format string per table against the
+    fields joined by str (TSV) and against json.dumps (JSON)."""
+    tables = [
+        (recurrence_inv_exc_counts(12), ("n", "inversions", "excedances", "count")),
+        (recurrence_rank_counts(12), ("n", "rank", "count")),
+        (recurrence_totals(300), ("n", "count")),
+        ({}, ("n", "count")),
+    ]
+    for table, columns in tables:
+        fields = {key: key if isinstance(key, tuple) else (key,) for key in table}
+        assert list(counting.table_rows(table, "tsv", columns)) == ["\t".join(columns) + "\n"] + [
+            "\t".join(map(str, (*fields[key], table[key]))) + "\n" for key in sorted(table)
+        ]
+        names = {",".join(map(str, fields[key])): count for key, count in table.items()}
+        assert table_to_json(table) == json.dumps(dict(sorted(names.items())))
