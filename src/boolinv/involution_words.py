@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .permutations import Involution, _trusted_involution, identity, inversion_count
+from .permutations import Involution, _trusted_involution, inversion_count
 
 Word = tuple[int, ...]
 
@@ -33,18 +33,33 @@ class RankProfile(NamedTuple):
     absolute_length: int
 
 
-def _act(word: Word, i: int) -> Word:
+def _act_into(word: list[int], i: int) -> None:
     """
-    Letter i on an involution word, in O(1) positions: the values i and
+    Letter i on an involution word, in place and in O(1): the values i and
     i+1 sit at positions w(i) and w(i+1), so s_i w s_i relabels those two
     and swaps positions i and i+1; when s_i and w commute, w*s_i only swaps.
+    The action is its own inverse, so acting twice undoes it.
     """
-    out = list(word)
-    a, b = out[i - 1], out[i]
+    a, b = word[i - 1], word[i]
     if a != i + 1 and (a != i or b != i + 1):
-        out[a - 1], out[b - 1] = i + 1, i
-    out[i - 1], out[i] = out[i], out[i - 1]
+        word[a - 1], word[b - 1] = i + 1, i
+    word[i - 1], word[i] = word[i], word[i - 1]
+
+
+def _act(word: Word, i: int) -> Word:
+    """Letter i on an involution word, as a new tuple."""
+    out = list(word)
+    _act_into(out, i)
     return tuple(out)
+
+
+def _letters_in_range(letters: Iterable[int], n: int) -> Word:
+    """The letters as a tuple; ValueError names the first outside 1..n-1."""
+    letters = tuple(letters)
+    for i in letters:
+        if not 0 < i < n:
+            raise ValueError(f"letter {i} out of range [1, {n - 1}]")
+    return letters
 
 
 def apply_letter(w: Involution, i: int) -> Involution:
@@ -56,17 +71,16 @@ def apply_letter(w: Involution, i: int) -> Involution:
     """
     if not isinstance(w, Involution):
         w = Involution(w.word)
-    if not 1 <= i <= w.n - 1:
-        raise ValueError(f"letter {i} out of range [1, {w.n - 1}]")
+    _letters_in_range((i,), w.n)
     return _trusted_involution(_act(w.word, i))
 
 
 def evaluate_word(letters: Iterable[int], n: int) -> Involution:
-    """Fold apply_letter over the letters, starting from the identity of S_n."""
-    w = identity(n)
-    for i in letters:
-        w = apply_letter(w, i)
-    return w
+    """Act by the letters in turn on the identity of S_n."""
+    word = list(range(1, n + 1))
+    for i in _letters_in_range(letters, n):
+        _act_into(word, i)
+    return _trusted_involution(tuple(word))
 
 
 def rank_profile(w: Involution) -> RankProfile:
@@ -86,9 +100,17 @@ def rank(w: Involution) -> int:
 
 
 def is_reduced(letters: Iterable[int], n: int) -> bool:
-    """A word is reduced iff its length equals the rank of its evaluation."""
-    letters = tuple(letters)
-    return len(letters) == rank(evaluate_word(letters, n))
+    """
+    A word is reduced iff its length equals the rank of its evaluation.
+    Each letter moves the rank by one, up exactly at an ascent, so that
+    holds iff every letter is an ascent where it acts.
+    """
+    word = list(range(1, n + 1))
+    for i in _letters_in_range(letters, n):
+        if word[i - 1] > word[i]:
+            return False
+        _act_into(word, i)
+    return True
 
 
 def descents(w: Involution) -> list[int]:
@@ -104,13 +126,30 @@ def reduced_word(w: Involution) -> Word:
     """
     A canonical reduced word for w: repeatedly peel off the smallest
     rank-lowering letter.  The result evaluates back to w and has length
-    rank(w).
+    rank(w).  An input not typed Involution is validated, as in
+    apply_letter.
+
+    Peeling the smallest descent i keeps every pair left of i - 1 an
+    ascent.  Swapping positions i and i+1 touches only the pairs at i - 1,
+    i and i + 1.  Relabelling the values i and i+1 changes only the order
+    of their positions a = w(i) and b = w(i+1); as w(1) < ... < w(i) and
+    w is an involution, a > i + 1 when the letter conjugates, so that pair,
+    if adjacent, sits at b = a - 1 > i.  Each next descent is thus found by
+    scanning on from i - 1, in O(n + rank) steps in all.
     """
+    if not isinstance(w, Involution):
+        w = Involution(w.word)
+    word = list(w.word)
+    n = len(word)
     letters = []
-    current = w
-    while lowering := descents(current):
-        letters.append(lowering[0])
-        current = apply_letter(current, lowering[0])
+    i = 1
+    while i < n:
+        if word[i - 1] > word[i]:
+            _act_into(word, i)
+            letters.append(i)
+            i = max(i - 1, 1)
+        else:
+            i += 1
     letters.reverse()
     return tuple(letters)
 
@@ -118,21 +157,31 @@ def reduced_word(w: Involution) -> Word:
 def all_reduced_words(w: Involution) -> set[Word]:
     """
     Every reduced word for w, by depth-first search over rank-lowering
-    letters.  Guarded: refuses ranks above ALL_WORDS_MAX_RANK.
+    letters on one word, each letter undone by acting again.  Guarded:
+    refuses ranks above ALL_WORDS_MAX_RANK.
     """
     r = rank(w)
     if r > ALL_WORDS_MAX_RANK:
         raise ResourceLimitError(f"rank {r} exceeds guard {ALL_WORDS_MAX_RANK}")
+    if not isinstance(w, Involution):
+        w = Involution(w.word)
+    word = list(w.word)
+    suffix: list[int] = []
     results: set[Word] = set()
 
-    def descend(current: Involution, suffix: tuple[int, ...]):
-        if current == identity(current.n):
+    def descend():
+        if len(suffix) == r:
             results.add(tuple(reversed(suffix)))
             return
-        for i in descents(current):
-            descend(apply_letter(current, i), suffix + (i,))
+        for i in range(1, len(word)):
+            if word[i - 1] > word[i]:
+                _act_into(word, i)
+                suffix.append(i)
+                descend()
+                suffix.pop()
+                _act_into(word, i)
 
-    descend(w, ())
+    descend()
     return results
 
 

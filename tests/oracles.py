@@ -7,8 +7,38 @@ from itertools import combinations, product
 
 from boolinv.boolean import has_long_crossing
 from boolinv.ideals import IdealPoset
-from boolinv.involution_words import apply_letter, rank, reduced_word
-from boolinv.permutations import Involution, identity
+from boolinv.involution_words import apply_letter, rank
+from boolinv.permutations import Involution, compose, conjugate, identity, transposition
+
+
+def chain(n):
+    """The Boolean chain (1 3)(2 5)(4 7)... of S_n as a word: it avoids
+    every forbidden pattern, and all but its last point or two form one
+    direct-sum block."""
+    word = list(range(1, n + 1))
+    for a, b in [(1, 3)] + [(j, j + 3) for j in range(2, n - 2, 2)]:
+        word[a - 1], word[b - 1] = b, a
+    return tuple(word)
+
+
+def uniform_involution(n, rng):
+    """A uniformly random involution of S_n: with m points still free,
+    the smallest is fixed with probability I(m-1)/I(m), else paired with a
+    uniform other free point, where I counts involutions."""
+    counts = [1, 1]
+    for m in range(2, n + 1):
+        counts.append(counts[-1] + (m - 1) * counts[-2])
+    word = [0] * n
+    free = list(range(1, n + 1))
+    while free:
+        i = free.pop(0)
+        m = len(free) + 1
+        if rng.randrange(counts[m]) < counts[m - 1]:
+            word[i - 1] = i
+        else:
+            j = free.pop(rng.randrange(len(free)))
+            word[i - 1], word[j - 1] = j, i
+    return Involution(tuple(word))
 
 
 def inversion_count(word):
@@ -104,6 +134,13 @@ def signed_pattern_occurrences(window, pattern):
     return out
 
 
+def act_by_definition(w: Involution, i: int):
+    """Letter i on w by the rule itself, from whole permutation products:
+    w*s_i when s_i w s_i = w, otherwise s_i w s_i."""
+    conjugated = conjugate(w, (i, i + 1))
+    return compose(w, transposition(w.n, i, i + 1)) if conjugated == w else conjugated
+
+
 def descents_by_rank(w: Involution):
     """Rank-lowering letters found by recomputing the rank after each one."""
     r = rank(w)
@@ -133,7 +170,7 @@ def reduced_word_by_rank(w: Involution):
 def subword_evaluations(w: Involution):
     """All involutions reachable by subwords of a reduced word of w,
     evaluated letter by letter from scratch for every subset."""
-    letters = reduced_word(w)
+    letters = reduced_word_by_rank(w)
     seen = set()
     for size in range(len(letters) + 1):
         for subset in combinations(range(len(letters)), size):
@@ -150,7 +187,7 @@ def ideal_by_adjacent_ranks(w: Involution):
     dominance test run on every pair of adjacent rank layers, whose
     comparable pairs are the covers since the order is graded."""
     reached = {identity(w.n)}
-    for letter in reduced_word(w):
+    for letter in reduced_word_by_rank(w):
         reached |= {apply_letter(u, letter) for u in reached}
     ranks, _, elements = zip(*sorted((rank(u), u.word, u) for u in reached))
     n = w.n

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -25,7 +26,7 @@ from boolinv.permutations import (
     parse_permutation,
     transposition,
 )
-from oracles import crossing_components
+from oracles import chain, crossing_components, uniform_involution
 
 
 def test_connected_components_examples():
@@ -253,3 +254,18 @@ def test_forbidden_pattern_search_runs_once(monkeypatch, method):
     verdict = is_boolean(parse_permutation("5764132"), method)
     assert verdict.pattern == parse_permutation("4321")
     assert len(calls) == 1
+
+
+def test_word_witness_on_long_chain():
+    # quadratic while each letter copied the word: seconds at this size
+    w = Involution(chain(16000))
+    verdict = is_boolean(w)
+    assert verdict.is_boolean
+    assert len(set(verdict.word)) == len(verdict.word) == rank(w)
+    assert evaluate_word(verdict.word, w.n) == w
+
+
+def test_word_criterion_on_large_random_involution():
+    # n * rank while each letter copied the word and rescanned its descents
+    w = uniform_involution(1000, random.Random(1017))
+    assert is_boolean(w, "word") == is_boolean(w, "long_crossing")

@@ -9,6 +9,7 @@ from boolinv import boolean, counting, series
 from boolinv.cli import main
 from boolinv.counting import signed_involutions
 from boolinv.signed import format_signed, is_boolean_signed
+from oracles import chain
 
 
 def run_cli(capsys, *argv):
@@ -405,6 +406,43 @@ GOLDEN_STDOUT = [
         ("table", "g", "--max-n", "40", "--method", "gf", "--format", "tsv"),
         0,
         "f190eccee030d300aed8f066836fbdd9c1e9a99f3f10239e6b097065f5530581",
+    ),
+    # Recorded before the word layer ran on one in-place letter kernel: the
+    # word criterion on a Boolean S_40 (a repeat-free word of 30 letters
+    # evaluated) and on a uniform non-Boolean S_60 of rank 315, and the text
+    # verdict on the bare chain (1 3)(2 5)(4 7)... at n = 200, which prints
+    # the repeat-free word.
+    (
+        (
+            "check",
+            "--method",
+            "word",
+            "1,5,3,7,2,8,4,6,9,13,11,12,10,16,15,14,19,23,17,20,21,22,18,26,29,24,27,34,25,30,"
+            "31,32,35,28,33,37,36,38,40,39",
+        ),
+        0,
+        "978f45094aeddfcf727a9a53e5bb933ebb33bbecbb6c6cbc80f1eb40f90f6d2f",
+    ),
+    (
+        (
+            "check",
+            "--method",
+            "word",
+            "17,21,3,4,20,26,32,27,24,10,36,38,16,33,15,13,1,18,47,5,2,54,23,9,25,6,8,50,41,59,"
+            "60,7,14,44,55,11,48,12,49,40,29,46,52,34,45,42,19,37,39,28,58,43,53,22,35,56,57,51,30,31",
+        ),
+        1,
+        "21e7bc436c70c72cd2b6d70f5db8ca8e00d380e91c4cf4b59bf2056fe17bf151",
+    ),
+    (
+        (
+            "check",
+            "--format",
+            "text",
+            ",".join(map(str, chain(200))),
+        ),
+        0,
+        "91fcc732030480ce79e870e1271e0dadadf1c8c2294975326b1073483def8df8",
     ),
 ]
 

@@ -1,3 +1,6 @@
+import random
+from itertools import product
+
 import pytest
 
 from boolinv.counting import involutions
@@ -21,7 +24,13 @@ from boolinv.permutations import (
     parse_permutation,
     transposition,
 )
-from oracles import descents_by_rank, inversion_count, reduced_word_by_rank
+from oracles import (
+    act_by_definition,
+    descents_by_rank,
+    inversion_count,
+    reduced_word_by_rank,
+    uniform_involution,
+)
 
 
 def test_apply_letter_examples():
@@ -66,6 +75,14 @@ def test_apply_letter_validates_other_inputs():
         apply_letter(Permutation((2, 3, 1)), 1)
 
 
+def test_word_functions_validate_other_inputs():
+    assert reduced_word(Permutation((2, 1, 3))) == (1,)
+    for word in ((2, 3, 1), (1, 3, 4, 2)):
+        for function in (reduced_word, all_reduced_words, support):
+            with pytest.raises(ValueError, match=rf"not self-inverse: \({word[0]}, "):
+                function(Permutation(word))
+
+
 def test_apply_letter_changes_rank_by_one():
     for n in range(2, 7):
         for w in involutions(n):
@@ -106,6 +123,10 @@ def test_reduced_word_matches_rank_oracle():
     for n in range(9):
         for w in involutions(n):
             assert reduced_word(w) == reduced_word_by_rank(w), w
+    rng = random.Random(20261019)
+    for _ in range(30):
+        w = uniform_involution(rng.randrange(10, 31), rng)
+        assert reduced_word(w) == reduced_word_by_rank(w), w
 
 
 def test_all_reduced_words_examples():
@@ -267,3 +288,54 @@ def test_rank_matches_inversion_arithmetic():
             profile = rank_profile(w)
             assert profile.coxeter_length == inversion_count(w.word)
             assert 2 * profile.rank == profile.coxeter_length + profile.absolute_length
+
+
+def test_evaluate_word_and_is_reduced_match_the_fold_by_definition():
+    # every letter word of length <= 5, non-reduced ones included
+    for n, length in product(range(1, 6), range(6)):
+        for letters in product(range(1, n), repeat=length):
+            w = identity(n)
+            for i in letters:
+                w = act_by_definition(w, i)
+            evaluated = evaluate_word(letters, n)
+            assert type(evaluated) is Involution and evaluated == w, letters
+            assert is_reduced(letters, n) == (len(letters) == rank(w)), letters
+
+
+@pytest.mark.parametrize(
+    "letters, n, bad",
+    [
+        ((0, 1, 2), 4, 0),
+        ((1, 4, 2), 4, 4),
+        ((1, 2, 3, 2, -1), 4, -1),
+        ((1,), 1, 1),
+        ((0,), 1, 0),
+        ((1,), 0, 1),
+        ((-1,), 0, -1),
+        # (1, 1) is already not reduced; the later letter still raises
+        ((1, 1, 9), 4, 9),
+    ],
+)
+def test_out_of_range_letter_raises_at_any_position(letters, n, bad):
+    message = rf"^letter {bad} out of range \[1, {n - 1}\]$"
+    for check in (evaluate_word, is_reduced):
+        with pytest.raises(ValueError, match=message):
+            check(letters, n)
+        with pytest.raises(ValueError, match=message):
+            check(iter(letters), n)
+
+
+def _reduced_words_by_rank(w):
+    if w == identity(w.n):
+        return {()}
+    return {
+        word + (i,)
+        for i in descents_by_rank(w)
+        for word in _reduced_words_by_rank(apply_letter(w, i))
+    }
+
+
+def test_all_reduced_words_matches_search_over_rank_oracle():
+    for n in range(7):
+        for w in involutions(n):
+            assert all_reduced_words(w) == _reduced_words_by_rank(w), w

@@ -20,7 +20,7 @@ from boolinv.patterns import (
 )
 from boolinv.permutations import Involution, Permutation, identity, parse_permutation
 from boolinv.signed import SignedPermutation, parse_signed
-from oracles import dfs_occurrences, pattern_occurrences, signed_pattern_occurrences
+from oracles import chain, dfs_occurrences, pattern_occurrences, signed_pattern_occurrences
 
 HOST = parse_permutation("84725631")
 P4231 = parse_permutation("4231")
@@ -304,21 +304,12 @@ def test_table_witness_matches_dfs_on_larger_hosts():
             assert _first(host, pattern) == _positions(host, pattern)[:1]
 
 
-def _chain(n):
-    # The Boolean chain (1 3)(2 5)(4 7)...: it avoids every forbidden
-    # pattern, and all but its last point or two form one direct-sum block.
-    word = list(range(1, n + 1))
-    for a, b in [(1, 3)] + [(j, j + 3) for j in range(2, n - 2, 2)]:
-        word[a - 1], word[b - 1] = b, a
-    return tuple(word)
-
-
 def test_pattern_verdicts_on_long_chains():
     # Both ran for minutes when the witness came from the depth-first
     # search, whose cost on one long avoiding block grows about n^4.
-    verdict = is_boolean(Involution(_chain(2048)), "patterns")
+    verdict = is_boolean(Involution(chain(2048)), "patterns")
     assert verdict.is_boolean and verdict.pattern is None
-    w = Involution(_direct_sum([_chain(4091), (4, 5, 3, 1, 2)]))
+    w = Involution(_direct_sum([chain(4091), (4, 5, 3, 1, 2)]))
     verdict = is_boolean(w)
     assert not verdict.is_boolean
     assert verdict.pattern == parse_permutation("45312")
