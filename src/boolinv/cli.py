@@ -116,11 +116,11 @@ _TABLE_COLUMNS = {
 
 def cmd_table(args: argparse.Namespace) -> int:
     if args.method == "verify":
-        report = counting.cross_validate(args.max_n, jobs=args.jobs)
+        report = counting.cross_validate(args.max_n)
         print(report.summary())
         return 0 if report.passed else 1
     fmt = args.format or _default_format()
-    table = counting.build_table(args.stat, args.method, args.max_n, args.jobs)
+    table = counting.build_table(args.stat, args.method, args.max_n)
     # Counts are computed, never parsed: lift the int-to-str limit guarding parsing.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:

@@ -16,23 +16,23 @@ so only the Boolean involutions are visited, each decided on its prefixes
 by the long-crossing criterion rather than filtered from the whole
 stream.  It reads each one's inversions and excedances off the walk,
 which carries them in its frames, so it builds no element and costs O(1)
-per Boolean involution.  It is sharded over at most one process per CPU
-and refused up front when its predicted work exceeds MAX_BRUTE_WORK.  The recurrence
-route counts the restricted Motzkin paths of the paper's bijection by a
-transfer matrix over their height (`motzkin.restricted_path_rows`): rank
-is n minus the returns to the axis, excedances are the up steps and
-inversions 2 rank - ups, so it reads neither the brute nor the series
-route.  The series route expands the generating functions one size at a
-time, each row packed into one integer.  These two refuse up front a table
-whose predicted work exceeds MAX_TABLE_WORK.  All routes must agree;
+per Boolean involution.  It runs one walk per size in this process, and
+is refused up front when its predicted work exceeds MAX_BRUTE_WORK.  The
+recurrence route counts the restricted Motzkin paths of the paper's
+bijection by a transfer matrix over their height
+(`motzkin.restricted_path_rows`): rank is n minus the returns to the
+axis, excedances are the up steps and inversions 2 rank - ups, so it
+reads neither the brute nor the series route.  The series route expands
+the generating functions one size at a time, each row packed into one
+integer.  These two refuse up front a table whose predicted work exceeds
+MAX_TABLE_WORK.  All routes must agree;
 `cross_validate` checks them against each other, against the
 marginalization identities, and against the restricted Motzkin path count.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from itertools import accumulate, islice, product
+from itertools import accumulate, chain, islice
 from typing import Iterator
 
 from .involution_words import ResourceLimitError
@@ -186,55 +186,46 @@ def signed_involutions(
 ) -> Iterator[SignedInvolution]:
     """
     All involutions among signed permutations of [+-n], in lexicographic
-    window order, shardable like `involutions`: each involution w of the
-    absolute values with one sign per cycle, c -> +-w(c) and w(c) -> +-c.
+    window order, shardable like `involutions`.  One window is filled depth
+    first: the first undecided position p takes, in increasing order, -q for
+    each undecided q from n down to p, then +q for each undecided q from p
+    up, and q then holds the same sign times p.
     """
     _check_stream(n, shard, num_shards, MAX_SIGNED_STREAM_N, "signed")
-    # Sorted whole; the guard keeps that to the 6512 windows of n = 7.
-    windows = []
-    for _, word in _walk(n):
-        leads = [(c, v) for c, v in enumerate(word, start=1) if v >= c]
-        for signs in product((1, -1), repeat=len(leads)):
-            window = [0] * n
-            for (c, v), sign in zip(leads, signs):
-                window[c - 1], window[v - 1] = sign * v, sign * c
-            windows.append(tuple(window))
-    windows.sort()
-    for window in windows[shard::num_shards]:
-        yield _trusted_signed_involution(window)
+    window = [0] * n
 
+    def fill(p: int) -> Iterator[tuple[int, ...]]:
+        while p <= n and window[p - 1]:
+            p += 1
+        if p > n:
+            yield tuple(window)
+            return
+        for value in chain(range(-n, 1 - p), range(p, n + 1)):
+            q = abs(value)
+            if q != p and window[q - 1]:
+                continue
+            window[p - 1], window[q - 1] = value, p if value > 0 else -p
+            yield from fill(p + 1)
+            window[q - 1] = 0
+        window[p - 1] = 0
 
-def _brute_shard(args: tuple[int, int, int]) -> InvExcTable:
-    n, shard, num_shards = args
-    table: InvExcTable = {}
-    for index, _, inv, exc in _walk(n, True):
-        if index % num_shards == shard:
-            key = (n, inv, exc)
-            table[key] = table.get(key, 0) + 1
-    return table
+    for signed in islice(fill(1), shard, None, num_shards):
+        yield _trusted_signed_involution(signed)
 
 
 def brute_inv_exc_counts(n_max: int, jobs: int = 1) -> InvExcTable:
     """
     Count Boolean involutions by (size, inversions, excedances) for every
-    1 <= n <= n_max by the pruned walk.  With jobs > 1 the walks are
-    sharded across up to jobs processes, at most one per CPU, and the
-    partial tables summed.
+    1 <= n <= n_max by the pruned walk, one walk per size in this process.
+    `jobs` is accepted and ignored: at O(1) per Boolean involution, worker
+    processes cost more to start than the walks they would share.
     """
     _check_brute_work(n_max)
-    shards = max(1, min(jobs, os.cpu_count() or 1))
-    pieces = [(n, shard, shards) for n in range(1, n_max + 1) for shard in range(shards)]
     table: InvExcTable = {}
-    if shards > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=shards) as pool:
-            partials = list(pool.map(_brute_shard, pieces))
-    else:
-        partials = [_brute_shard(piece) for piece in pieces]
-    for partial in partials:
-        for key, value in partial.items():
-            table[key] = table.get(key, 0) + value
+    for n in range(1, n_max + 1):
+        for _, _, inv, exc in _walk(n, True):
+            key = (n, inv, exc)
+            table[key] = table.get(key, 0) + 1
     return table
 
 
@@ -275,11 +266,11 @@ def totals_from_rank_counts(table: RankTable) -> TotalTable:
 
 
 def brute_rank_counts(n_max: int, jobs: int = 1) -> RankTable:
-    return rank_counts_from_inv_exc(brute_inv_exc_counts(n_max, jobs))
+    return rank_counts_from_inv_exc(brute_inv_exc_counts(n_max))
 
 
 def brute_totals(n_max: int, jobs: int = 1) -> TotalTable:
-    return totals_from_rank_counts(brute_rank_counts(n_max, jobs))
+    return totals_from_rank_counts(brute_rank_counts(n_max))
 
 
 # Cells of row n in each table: f has l <= 2n and a <= n/2, g has k <= n.
@@ -357,11 +348,10 @@ TABLE_ROUTES = {
 _TABLE_NAMES = {"f": "inversion/excedance counts", "g": "rank counts", "h": "totals"}
 
 
-def build_table(stat: str, method: str, n_max: int, jobs: int = 1) -> dict:
+def build_table(stat: str, method: str, n_max: int) -> dict:
     """Table `stat` (f, g or h) to n_max by `method` (brute, recurrence or
-    gf) through its route in TABLE_ROUTES; the brute routes take jobs."""
-    route = globals()[TABLE_ROUTES[stat][TABLE_METHODS.index(method)]]
-    return route(n_max, jobs) if method == "brute" else route(n_max)
+    gf) through its route in TABLE_ROUTES."""
+    return globals()[TABLE_ROUTES[stat][TABLE_METHODS.index(method)]](n_max)
 
 
 @dataclass(frozen=True)
@@ -407,10 +397,10 @@ def cross_validate(n_max: int, jobs: int = 1) -> CrossValidationReport:
     """
     Check that all counting routes agree up to n_max: the three tables for
     each statistic, the marginalization identities between them, and the
-    restricted Motzkin path counts against the totals.
+    restricted Motzkin path counts against the totals.  `jobs` is ignored,
+    as by `brute_inv_exc_counts`.
     """
-    _check_brute_work(n_max)
-    brute = {"f": brute_inv_exc_counts(n_max, jobs) if n_max >= 1 else {}}
+    brute = {"f": brute_inv_exc_counts(n_max)}
     brute["g"] = rank_counts_from_inv_exc(brute["f"])
     brute["h"] = totals_from_rank_counts(brute["g"])
     checks = [

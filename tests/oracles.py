@@ -417,6 +417,22 @@ def nested_signed_windows(n):
     return list(fill(tuple(range(1, n + 1))))
 
 
+def sorted_signed_windows(n):
+    """The windows of every signed involution of [+-n], built whole and
+    sorted: each involution word of `nested_involution_words` with one
+    sign per cycle, c -> +-w(c) and w(c) -> +-c, under every product of
+    signs."""
+    windows = []
+    for word in nested_involution_words(n):
+        leads = [(c, v) for c, v in enumerate(word, start=1) if v >= c]
+        for signs in product((1, -1), repeat=len(leads)):
+            window = [0] * n
+            for (c, v), sign in zip(leads, signs):
+                window[c - 1], window[v - 1] = sign * v, sign * c
+            windows.append(tuple(window))
+    return sorted(windows)
+
+
 def filtered_boolean_words(n):
     """(index in the full stream, word) of each involution of S_n without a
     long crossing, by filtering the nested stream with `has_long_crossing`."""
@@ -427,16 +443,14 @@ def filtered_boolean_words(n):
     ]
 
 
-def filtered_inv_exc_counts(n_max, shard=0, num_shards=1):
+def filtered_inv_exc_counts(n_max):
     """Boolean involutions by (n, inversions, excedances), counted over the
-    filtered stream, keeping the elements whose full-stream index is
-    shard modulo num_shards."""
+    filtered stream."""
     table = {}
     for n in range(1, n_max + 1):
-        for index, word in filtered_boolean_words(n):
-            if index % num_shards == shard:
-                key = (n, inversion_count(word), sum(1 for i, v in enumerate(word, 1) if v > i))
-                table[key] = table.get(key, 0) + 1
+        for _, word in filtered_boolean_words(n):
+            key = (n, inversion_count(word), sum(1 for i, v in enumerate(word, 1) if v > i))
+            table[key] = table.get(key, 0) + 1
     return table
 
 

@@ -104,6 +104,20 @@ def test_table_guard(capsys):
     assert code == 2 and "guard" in err
 
 
+def test_table_jobs_change_nothing(capsys):
+    # --jobs takes any integer and changes neither stdout nor the exit code
+    for argv in (
+        ("table", "f", "--max-n", "9", "--method", "brute"),
+        ("table", "h", "--max-n", "9", "--method", "verify"),
+    ):
+        jobs = ("1", "2", "0", "-3", "10000")
+        runs = {run_cli(capsys, *argv, "--jobs", j)[:2] for j in jobs}
+        assert len(runs) == 1 and next(iter(runs))[0] == 0
+    with pytest.raises(SystemExit) as refused:
+        main(["table", "f", "--max-n", "9", "--method", "brute", "--jobs", "x"])
+    assert refused.value.code == 2
+
+
 @pytest.mark.parametrize(
     "stat, max_n, method",
     [("f", "400", "gf"), ("f", "400", "recurrence"), ("h", "10000000", "gf")],
