@@ -10,29 +10,25 @@ Four equivalent criteria are implemented:
   * poset          — the ideal below w passes the Boolean-lattice test.
 
 The default is the long-crossing scan, the cheapest sound-and-complete
-test.  Verdicts always carry witnesses: a repeat-free word when Boolean,
-and both a long-crossing pair and a forbidden-pattern occurrence when not.
+test; every verdict runs it once, and its criterion must agree with it.
+Verdicts always carry witnesses: a repeat-free word when Boolean, and both
+a long-crossing pair and a forbidden-pattern occurrence when not.
 `with_witnesses` attaches them, for signed verdicts too.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from . import ideals
 from .involution_words import Word, evaluate_word, reduced_word
 from .patterns import FORBIDDEN_PATTERNS, Occurrence, SignedPattern, first_occurrence
-from .permutations import Involution, Permutation, _tag_involution, format_permutation, sum_blocks
-
-if TYPE_CHECKING:
-    from .signed import SignedPermutation
+from .permutations import (
+    InvariantViolationError, Involution, Permutation, _as_involution, _tag_involution,
+    format_permutation, sum_blocks)
 
 METHODS = ("patterns", "long_crossing", "word", "poset", "all")
-
-
-class InvariantViolationError(RuntimeError):
-    """Two supposedly equivalent criteria disagreed; this is a bug."""
 
 
 class ComponentPartition(NamedTuple):
@@ -126,65 +122,47 @@ def has_long_crossing(w: Involution) -> bool:
     return first_long_crossing_pair(w) is not None
 
 
-def _decide(w: Involution, method: str, hit: tuple[Permutation, Occurrence] | None) -> bool:
-    """
-    The bare decision of one criterion, without witnesses.  The patterns
-    criterion reads `hit`, the first forbidden occurrence searched already.
-    """
-    if method == "patterns":
-        return hit is None
-    if method == "long_crossing":
-        return not has_long_crossing(w)
-    if method == "word":
-        letters = reduced_word(w)
-        return len(set(letters)) == len(letters)
-    return ideals.is_boolean_lattice(ideals.ideal(w))  # poset
-
-
 def is_boolean(w: Involution, method: str = "long_crossing") -> BooleanVerdict:
     """
-    Decide Booleanness of w by the chosen criterion and attach witnesses.
-    Method "all" runs every criterion and raises on any disagreement before
-    any witness is built.  The forbidden-pattern search runs at most once.
+    Decide Booleanness of w by the chosen criterion, which must agree with
+    the long-crossing scan (under "all", every criterion must), and attach
+    witnesses.  The scan and the forbidden-pattern search run at most once.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    hit = first_occurrence(w, FORBIDDEN_PATTERNS) if method in ("patterns", "all") else None
-    if method == "all":
-        answers = {m: _decide(w, m, hit) for m in METHODS[:-1]}
-        if len(set(answers.values())) != 1:
-            raise InvariantViolationError(f"criteria disagree on {w.word}: {answers}")
-        verdict = answers["long_crossing"]
-    else:
-        verdict = _decide(w, method, hit)
-    return with_witnesses(w, verdict, w, FORBIDDEN_PATTERNS, hit)
+    w = _as_involution(w)
+    pair = first_long_crossing_pair(w)
+    searched = pair is not None or method in ("patterns", "all")
+    hit = first_occurrence(w, FORBIDDEN_PATTERNS) if searched else None
+    answers = {}
+    if method in ("patterns", "all"):
+        answers["patterns"] = hit is None
+    answers["long_crossing"] = pair is None
+    if method in ("word", "all"):
+        letters = reduced_word(w)
+        answers["word"] = len(set(letters)) == len(letters)
+    if method in ("poset", "all"):
+        answers["poset"] = ideals.is_boolean_lattice(ideals.ideal(w))
+    if len(set(answers.values())) != 1:
+        raise InvariantViolationError(f"criteria disagree on {w.word}: {answers}")
+    return with_witnesses(w, pair, hit)
 
 
 def with_witnesses(
     image: Involution,
-    boolean: bool,
-    host: Permutation | SignedPermutation,
-    patterns: Sequence[Permutation | SignedPattern],
-    hit: tuple[Permutation | SignedPattern, Occurrence] | None = None,
+    pair: tuple[int, int] | None,
+    hit: tuple[Permutation | SignedPattern, Occurrence] | None,
 ) -> BooleanVerdict:
     """
-    The verdict on the involution `image`, decided already, with witnesses:
-    a repeat-free word of image when Boolean, otherwise image's first
-    long-crossing pair and the first of `patterns` that `host` contains.
-    `hit` is that pattern with its occurrence, when searched already.
+    The verdict on the involution `image` from its first long-crossing pair:
+    a repeat-free word when there is none, else the pair and `hit`, the
+    first forbidden pattern the host contains, with its occurrence.
     """
-    if boolean:
+    if pair is None:
         return BooleanVerdict(True, word=repeat_free_word(image))
-    hit = hit or first_occurrence(host, patterns)
     if hit is None:
-        raise AssertionError(f"non-Boolean {host!r} contains no forbidden pattern")
-    pattern, occ = hit
-    return BooleanVerdict(
-        False,
-        long_crossing_pair=first_long_crossing_pair(image),
-        pattern=pattern,
-        occurrence=occ,
-    )
+        raise InvariantViolationError(f"non-Boolean {image.word} contains no forbidden pattern")
+    return BooleanVerdict(False, long_crossing_pair=pair, pattern=hit[0], occurrence=hit[1])
 
 
 def repeat_free_word(w: Involution) -> Word:
@@ -194,18 +172,16 @@ def repeat_free_word(w: Involution) -> Word:
     lo = i_1 < i_2 < ... < i_k, the word takes every letter lo..hi-1 except
     i_2, ..., i_k in increasing order, then appends i_2, ..., i_k.
     """
+    w = _as_involution(w)
     pair = first_long_crossing_pair(w)
     if pair is not None:
         raise ValueError(f"{w.word} is not Boolean; long-crossing pair {pair}")
-    letters: list[int] = []
+    values, letters = w.word, []
     for lo, hi in connected_components(w).components:
-        if lo == hi:
-            continue
-        openers = sorted(i for i in range(lo, hi + 1) if w.word[i - 1] > i)
-        skip = set(openers[1:])
-        letters.extend(i for i in range(lo, hi) if i not in skip)
-        letters.extend(openers[1:])
+        if lo < hi:  # a fixed point adds no letter; skipping it saves two empty passes
+            letters.extend(i for i in range(lo, hi) if i == lo or values[i - 1] <= i)
+            letters.extend(i for i in range(lo + 1, hi + 1) if values[i - 1] > i)
     word = tuple(letters)
     if evaluate_word(word, w.n) != w:
-        raise AssertionError(f"construction failed for {w.word}")
+        raise InvariantViolationError(f"construction failed for {w.word}")
     return word

@@ -5,13 +5,13 @@ the self-test suite.
 
 Exit codes: `check` exits 0 for Boolean, 1 for non-Boolean, 2 on usage or
 parse errors; `table --method verify` and `selftest` exit 1 when any check
-fails; an internal invariant failure (criteria that disagree under
-`check --method all`) exits 3; a reader that closes stdout early, as
-`boolinv enumerate --n 10 | head -2` does, ends the run silently with exit
-141 (128 + SIGPIPE, as the shell reports a process killed by SIGPIPE); an
-interrupt (Ctrl-C) ends it silently with exit 130 (128 + SIGINT); every
-other error path exits 2.  The default output format is JSON and can be
-changed with the BOOLINV_FORMAT environment variable.
+fails; every internal invariant failure (`InvariantViolationError`) exits
+3; a reader that closes stdout early (`boolinv enumerate --n 10 | head -2`)
+ends the run silently with exit 141 (128 + SIGPIPE, as the shell reports a
+process killed by SIGPIPE); an interrupt (Ctrl-C) ends it silently with
+exit 130 (128 + SIGINT); every other error path exits 2.  The default
+output format is JSON and can be changed with the BOOLINV_FORMAT
+environment variable.
 """
 from __future__ import annotations
 

@@ -28,7 +28,8 @@ from typing import IO
 
 from .involution_words import ResourceLimitError, Word, _act, rank, reduced_word
 from .permutations import (
-    Involution, Permutation, _trusted_involution, format_permutation, identity)
+    Involution, InvariantViolationError, Permutation, _as_involution, _trusted_involution,
+    format_permutation, identity)
 
 # Refuse ideals of more elements: this bounds the closure and the `below`
 # bitsets, |I|^2 bits in all (8 MB at 8192 elements).
@@ -120,10 +121,11 @@ def subword_closure(w: Involution) -> dict[Word, tuple[int, list[Word]]]:
 
 def ideal(w: Involution) -> IdealPoset:
     """The principal order ideal below w in the Bruhat order on involutions."""
+    w = _as_involution(w)
     reached = subword_closure(w)
     ranks, words = zip(*sorted((r, u) for u, (r, _) in reached.items()))
     if words[0] != identity(w.n).word or words[-1] != w.word:
-        raise AssertionError(f"ideal of {w.word} lost its extremes")
+        raise InvariantViolationError(f"ideal of {w.word} lost its extremes")
     index = {u: b for b, u in enumerate(words)}
     below: list[int] = []
     covers: list[tuple[int, int]] = []

@@ -9,13 +9,15 @@ this way, and the minimal word length is the rank
 
     rank(w) = (inversions(w) + two_cycles(w)) / 2,
 
-which grades the Bruhat order on involutions.
+which grades the Bruhat order on involutions.  The functions here check an
+argument not typed Involution on entry: ValueError when it is not one.
 """
 from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .permutations import Involution, _trusted_involution, inversion_count
+from .permutations import (
+    Involution, InvariantViolationError, _as_involution, _trusted_involution, inversion_count)
 
 Word = tuple[int, ...]
 
@@ -66,11 +68,9 @@ def apply_letter(w: Involution, i: int) -> Involution:
     """
     Act on w by letter i: w*s_i if s_i w s_i = w, otherwise s_i w s_i.
     The result is again an involution whose rank differs from w's by one,
-    so it is built without revalidation; an input not typed Involution is
-    validated and raises ValueError when it is not an involution.
+    so it is built without revalidation.
     """
-    if not isinstance(w, Involution):
-        w = Involution(w.word)
+    w = _as_involution(w)
     _letters_in_range((i,), w.n)
     return _trusted_involution(_act(w.word, i))
 
@@ -88,10 +88,11 @@ def rank_profile(w: Involution) -> RankProfile:
     Rank, Coxeter length (inversion count) and absolute length (number of
     2-cycles) of an involution.  The rank is their half-sum, always exact.
     """
+    w = _as_involution(w)
     length = inversion_count(w)
     two_cycles = sum(1 for i, v in enumerate(w.word, start=1) if v > i)
     if (length + two_cycles) % 2:
-        raise AssertionError(f"odd length+absolute-length for {w.word}")
+        raise InvariantViolationError(f"odd length+absolute-length for {w.word}")
     return RankProfile((length + two_cycles) // 2, length, two_cycles)
 
 
@@ -126,8 +127,7 @@ def reduced_word(w: Involution) -> Word:
     """
     A canonical reduced word for w: repeatedly peel off the smallest
     rank-lowering letter.  The result evaluates back to w and has length
-    rank(w).  An input not typed Involution is validated, as in
-    apply_letter.
+    rank(w).
 
     Peeling the smallest descent i keeps every pair left of i - 1 an
     ascent.  Swapping positions i and i+1 touches only the pairs at i - 1,
@@ -137,9 +137,7 @@ def reduced_word(w: Involution) -> Word:
     if adjacent, sits at b = a - 1 > i.  Each next descent is thus found by
     scanning on from i - 1, in O(n + rank) steps in all.
     """
-    if not isinstance(w, Involution):
-        w = Involution(w.word)
-    word = list(w.word)
+    word = list(_as_involution(w).word)
     n = len(word)
     letters = []
     i = 1
@@ -160,11 +158,10 @@ def all_reduced_words(w: Involution) -> set[Word]:
     letters on one word, each letter undone by acting again.  Guarded:
     refuses ranks above ALL_WORDS_MAX_RANK.
     """
+    w = _as_involution(w)
     r = rank(w)
     if r > ALL_WORDS_MAX_RANK:
         raise ResourceLimitError(f"rank {r} exceeds guard {ALL_WORDS_MAX_RANK}")
-    if not isinstance(w, Involution):
-        w = Involution(w.word)
     word = list(w.word)
     suffix: list[int] = []
     results: set[Word] = set()

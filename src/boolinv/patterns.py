@@ -9,11 +9,12 @@ unsigned pattern.
 
 The first occurrence of each of the three classical forbidden patterns
 comes from tables filled by right-to-left passes over the host, in about
-linear time.  Every other search (occurrence listing, any other pattern,
-signed patterns) is a depth-first search in which each slot's value is
-bounded by the values already chosen for its neighbouring pattern values;
-a sum-indecomposable pattern is searched one direct-sum block of the host
-at a time.
+linear time.  A signed pattern of one sign is searched as the classical
+pattern in the host's entries of that sign.  Every other search
+(occurrence listing, any other pattern, signed patterns of both signs) is
+a depth-first search in which each slot's value is bounded by the values
+already chosen for its neighbouring pattern values; a sum-indecomposable
+pattern is searched one direct-sum block of the host at a time.
 
 The module also carries the two fixed forbidden-pattern lists that
 characterize involutions with Boolean principal order ideals:
@@ -393,18 +394,33 @@ def contains_signed(
     """
     First occurrence of the signed pattern p in the signed window of pi:
     absolute values order-isomorphic to |p| with signs equal slot by slot.
-    Each slot of the search sees only the host values of its own sign.
     The reported values keep their signs.
+
+    A host with fewer entries of a sign than p has slots of it avoids p.
+    A one-sign p is |p| in the host's entries of that sign, ranked by
+    absolute value, found by `contains`; otherwise each depth-first slot
+    sees only the host values of its own sign.
     """
     window = tuple(pi.window)
-    positive = tuple(v if v > 0 else 0 for v in window)
-    negative = tuple(-v if v < 0 else 0 for v in window)
-    slot_hosts = [positive if q > 0 else negative for q in p.window]
-    abs_host = tuple(abs(v) for v in window)
-    abs_pat = tuple(abs(v) for v in p.window)
-    for positions in _occurrences_iter(abs_host, abs_pat, slot_hosts):
-        return Occurrence(positions, tuple(window[i - 1] for i in positions))
-    return None
+    plus = [i for i, v in enumerate(window, start=1) if v > 0]
+    plus_slots = sum(q > 0 for q in p.window)
+    if len(plus) < plus_slots or len(window) - len(plus) < p.n - plus_slots:
+        return None
+    abs_pat = tuple(abs(q) for q in p.window)
+    if plus_slots in (0, p.n):
+        kept = plus if plus_slots else [i for i, v in enumerate(window, start=1) if v < 0]
+        values = [abs(window[i - 1]) for i in kept]
+        rank = {a: r for r, a in enumerate(sorted(values), start=1)}
+        occ = contains(Permutation(tuple(rank[a] for a in values)), Permutation(abs_pat))
+        positions = tuple(kept[k - 1] for k in occ.positions) if occ else None
+    else:
+        positive = tuple(v if v > 0 else 0 for v in window)
+        negative = tuple(-v if v < 0 else 0 for v in window)
+        slot_hosts = [positive if q > 0 else negative for q in p.window]
+        positions = next(_occurrences_iter(tuple(map(abs, window)), abs_pat, slot_hosts), None)
+    if positions is None:
+        return None
+    return Occurrence(positions, tuple(window[i - 1] for i in positions))
 
 
 def first_occurrence(

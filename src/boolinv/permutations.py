@@ -20,6 +20,11 @@ class ParseError(ValueError):
     when a word or signed window is not a permutation of [n]."""
 
 
+class InvariantViolationError(RuntimeError):
+    """An internal check failed (criteria that disagree, a missing witness, a
+    construction that does not rebuild its input): a bug, CLI exit 3."""
+
+
 @dataclass(frozen=True, eq=False)
 class Permutation:
     """A bijection of [n], held as the one-line word (w(1), ..., w(n))."""
@@ -111,6 +116,11 @@ def _tag_involution(word: tuple[int, ...]) -> Permutation:
     w = object.__new__(Permutation)
     object.__setattr__(w, "word", word)
     return _trusted_involution(word) if w.is_involution() else w
+
+
+def _as_involution(w: Permutation) -> Involution:
+    """w, validated as an Involution unless typed one: ValueError if not."""
+    return w if isinstance(w, Involution) else Involution(w.word)
 
 
 def identity(n: int) -> Involution:
@@ -233,8 +243,7 @@ def excedance_profile(w: Permutation) -> ExcedanceProfile:
 
 def cycle_decomposition(w: Involution) -> CycleDecomposition:
     """Split an involution into its 2-cycles and fixed points."""
-    if not isinstance(w, Involution):
-        w = Involution(w.word)
+    w = _as_involution(w)
     cycles = set()
     fixed = set()
     for i, v in enumerate(w.word, start=1):

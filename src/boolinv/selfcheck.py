@@ -18,23 +18,21 @@ from . import counting, ideals, motzkin
 from .boolean import connected_components, has_long_crossing, is_boolean, restrict
 from .counting import CheckResult
 from .involution_words import apply_letter, rank, rank_profile
-from .patterns import SIGNED_FORBIDDEN_PATTERNS, avoids_all
-from .permutations import Involution, conjugate, excedance_profile
+from .permutations import InvariantViolationError, Involution, conjugate, excedance_profile
 from .signed import apply_letter_signed, embed, is_boolean_signed
 
 
 def check_criteria_agree(n_max: int, poset_n_max: int) -> CheckResult:
     name = f"Boolean criteria agree (n <= {n_max}, poset n <= {poset_n_max})"
     for n in range(0, n_max + 1):
+        # each verdict checks its criterion against the long-crossing scan
+        methods = ("all",) if n <= poset_n_max else ("patterns", "word")
         for w in counting.involutions(n):
-            answers = {
-                method: is_boolean(w, method).is_boolean
-                for method in ("patterns", "long_crossing", "word")
-            }
-            if n <= poset_n_max:
-                answers["poset"] = is_boolean(w, "poset").is_boolean
-            if len(set(answers.values())) != 1:
-                return CheckResult(name, False, f"{w.word}: {answers}")
+            try:
+                for method in methods:
+                    is_boolean(w, method)
+            except InvariantViolationError as exc:
+                return CheckResult(name, False, str(exc))
     return CheckResult(name, True)
 
 
@@ -128,10 +126,10 @@ def check_signed(n_max: int, law_n_max: int) -> CheckResult:
     name = f"signed layer (n <= {n_max}, action law n <= {law_n_max})"
     for n in range(1, n_max + 1):
         for w in counting.signed_involutions(n):
-            by_embedding = is_boolean_signed(w, "embedding").is_boolean
-            by_patterns = avoids_all(w, SIGNED_FORBIDDEN_PATTERNS)
-            if by_embedding != by_patterns:
-                return CheckResult(name, False, f"criteria disagree for {w.window}")
+            try:
+                is_boolean_signed(w, "all")  # embedding against signed patterns
+            except InvariantViolationError as exc:
+                return CheckResult(name, False, str(exc))
             if n <= law_n_max and not _action_law_holds(w):
                 return CheckResult(name, False, f"action law fails for {w.window}")
     return CheckResult(name, True)

@@ -39,7 +39,7 @@ from itertools import compress, product
 from math import prod
 from operator import mul
 
-from .boolean import InvariantViolationError
+from .permutations import InvariantViolationError
 
 Monomial = tuple[int, ...]
 Terms = dict[Monomial, int]

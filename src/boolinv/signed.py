@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .boolean import BooleanVerdict, InvariantViolationError, has_long_crossing, with_witnesses
+from .boolean import (
+    BooleanVerdict, InvariantViolationError, first_long_crossing_pair, with_witnesses)
 from .patterns import SIGNED_FORBIDDEN_PATTERNS, first_occurrence
 from .permutations import Involution, Permutation, _tag_involution, check_word, parse_int_tokens
 
@@ -140,9 +141,10 @@ def apply_letter_signed(w: SignedInvolution, i: int) -> SignedInvolution:
 
 def is_boolean_signed(w: SignedInvolution, method: str = "embedding") -> BooleanVerdict:
     """
-    Booleanness of a signed involution.  "embedding" decides on the
-    embedded 2n-point involution; "signed_patterns" checks the sixteen
-    forbidden signed windows; "all" cross-checks both routes.
+    Booleanness of a signed involution, decided by the long-crossing scan
+    of its embedded 2n-point image.  "signed_patterns" and "all" check the
+    sixteen forbidden signed windows against it; "embedding" searches them
+    only for the witness of a non-Boolean verdict.
 
     The verdict is built by the classical `with_witnesses`: its long-crossing
     pair and repeat-free word refer to the embedded image, and its pattern
@@ -158,12 +160,11 @@ def _signed_verdict(w: SignedInvolution, image: Permutation, method: str) -> Boo
         raise ValueError(f"unknown method {method!r}; expected one of {SIGNED_METHODS}")
     if not isinstance(image, Involution):
         raise ValueError(f"not an involution: {w.window}")
-    if method == "embedding":
-        return with_witnesses(image, not has_long_crossing(image), w, SIGNED_FORBIDDEN_PATTERNS)
-    hit = first_occurrence(w, SIGNED_FORBIDDEN_PATTERNS)
-    if method == "all" and (hit is None) == has_long_crossing(image):
+    pair = first_long_crossing_pair(image)
+    searched = pair is not None or method != "embedding"
+    hit = first_occurrence(w, SIGNED_FORBIDDEN_PATTERNS) if searched else None
+    if (hit is None) != (pair is None):
         raise InvariantViolationError(
-            f"embedding says {hit is not None}, signed patterns say {hit is None} "
-            f"for {w.window}"
+            f"embedding says {pair is None}, signed patterns say {hit is None} for {w.window}"
         )
-    return with_witnesses(image, hit is None, w, SIGNED_FORBIDDEN_PATTERNS, hit)
+    return with_witnesses(image, pair, hit)

@@ -60,14 +60,19 @@ def pattern_occurrences(host, pattern):
     return out
 
 
-def dfs_occurrences(host, pattern, limit=None):
+def dfs_occurrences(host, pattern, limit=None, signed=False):
     """Occurrence position tuples, lexicographic, by the plain depth-first
     search over all positions of the host: a partial selection survives
     only while its values compare pairwise like the pattern prefix does.
-    With a limit, the search stops once it has found that many."""
+    With a limit, the search stops once it has found that many.  With
+    `signed`, host and pattern are signed windows: values compare by
+    absolute value, and each slot takes only values of its own sign."""
     n, m = len(host), len(pattern)
     if m > n:
         return []
+    fits = [[not signed or (v > 0) == (q > 0) for v in host] for q in pattern]
+    if signed:
+        host, pattern = [abs(v) for v in host], [abs(q) for q in pattern]
     chosen = []
     out = []
 
@@ -78,7 +83,7 @@ def dfs_occurrences(host, pattern, limit=None):
             return len(out) == limit
         for i in range(start, n - (m - k) + 2):
             v = host[i - 1]
-            if all(
+            if fits[k][i - 1] and all(
                 (host[chosen[t] - 1] < v) == (pattern[t] < pattern[k])
                 for t in range(k)
             ):

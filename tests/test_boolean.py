@@ -5,6 +5,7 @@ import pytest
 
 from boolinv import boolean
 from boolinv.boolean import (
+    METHODS,
     connected_components,
     first_long_crossing_pair,
     has_long_crossing,
@@ -254,6 +255,17 @@ def test_forbidden_pattern_search_runs_once(monkeypatch, method):
     verdict = is_boolean(parse_permutation("5764132"), method)
     assert verdict.pattern == parse_permutation("4321")
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_long_crossing_scan_runs_once_per_verdict(monkeypatch, method):
+    calls = []
+    scan = boolean.first_long_crossing_pair
+    monkeypatch.setattr(boolean, "first_long_crossing_pair", lambda w: calls.append(w) or scan(w))
+    assert not is_boolean(parse_permutation("5764132"), method).is_boolean
+    assert len(calls) == 1
+    assert is_boolean(parse_permutation("3412"), method).is_boolean
+    assert len(calls) == 3  # the second scan of a Boolean w is repeat_free_word's own
 
 
 def test_word_witness_on_long_chain():

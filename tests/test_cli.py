@@ -8,6 +8,7 @@ import pytest
 from boolinv import boolean, counting, series
 from boolinv.cli import main
 from boolinv.counting import signed_involutions
+from boolinv.permutations import identity
 from boolinv.signed import format_signed, is_boolean_signed
 from oracles import chain
 
@@ -469,11 +470,28 @@ def test_golden_stdout(capsys, argv, expected_code, digest):
 
 
 def test_invariant_violation_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr(boolean, "has_long_crossing", lambda w: True)
+    monkeypatch.setattr(boolean, "first_long_crossing_pair", lambda w: (1, 3))
     code, out, err = run_cli(capsys, "check", "--method", "all", "2143")
     assert code == 3
     assert out == ""
     assert err.startswith("error: criteria disagree on (2, 1, 4, 3)")
+
+
+@pytest.mark.parametrize(
+    "name, fake, args, message",
+    [
+        ("reduced_word", lambda w: (1, 1), ("--method", "word", "2143"), "criteria disagree on"),
+        ("evaluate_word", lambda letters, n: identity(n), ("21",), "construction failed for"),
+    ],
+    ids=["word_criterion", "word_witness"],
+)
+def test_failed_internal_check_exits_3(capsys, monkeypatch, name, fake, args, message):
+    # the word criterion disagrees with the scan; the Boolean witness does not rebuild w
+    monkeypatch.setattr(boolean, name, fake)
+    code, out, err = run_cli(capsys, "check", *args)
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"error: {message}")
 
 
 def test_series_row_outside_its_box_exits_3(capsys, monkeypatch):

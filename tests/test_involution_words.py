@@ -3,7 +3,9 @@ from itertools import product
 
 import pytest
 
+from boolinv.boolean import is_boolean, repeat_free_word
 from boolinv.counting import involutions
+from boolinv.ideals import ideal
 from boolinv.involution_words import (
     ResourceLimitError,
     all_reduced_words,
@@ -77,8 +79,12 @@ def test_apply_letter_validates_other_inputs():
 
 def test_word_functions_validate_other_inputs():
     assert reduced_word(Permutation((2, 1, 3))) == (1,)
-    for word in ((2, 3, 1), (1, 3, 4, 2)):
-        for function in (reduced_word, all_reduced_words, support):
+    # (3, 1, 2) has odd length + absolute length: validation precedes the rank
+    for word in ((2, 3, 1), (1, 3, 4, 2), (3, 1, 2)):
+        for function in (
+            reduced_word, all_reduced_words, support, rank, rank_profile, ideal, is_boolean,
+            repeat_free_word,
+        ):
             with pytest.raises(ValueError, match=rf"not self-inverse: \({word[0]}, "):
                 function(Permutation(word))
 

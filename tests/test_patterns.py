@@ -5,7 +5,7 @@ import pytest
 import random
 
 from boolinv.boolean import has_long_crossing, is_boolean
-from boolinv.counting import involutions
+from boolinv.counting import involutions, signed_involutions
 from boolinv.patterns import (
     FORBIDDEN_PATTERNS,
     SIGNED_FORBIDDEN_PATTERNS,
@@ -19,7 +19,7 @@ from boolinv.patterns import (
     parse_signed_pattern,
 )
 from boolinv.permutations import Involution, Permutation, identity, parse_permutation
-from boolinv.signed import SignedPermutation, parse_signed
+from boolinv.signed import SignedPermutation, is_boolean_signed, parse_signed
 from oracles import chain, dfs_occurrences, pattern_occurrences, signed_pattern_occurrences
 
 HOST = parse_permutation("84725631")
@@ -245,6 +245,48 @@ def test_contains_signed_matches_oracle_on_every_small_window():
                     assert (got.positions if got else None) == (
                         expected[0] if expected else None
                     )
+
+
+SINGLE_SIGN_WINDOWS = [p for p in SIGNED_FORBIDDEN_PATTERNS if len({q > 0 for q in p.window}) == 1]
+
+
+def _negate_cycles(word, rng):
+    """The signed involution negating each 2-cycle of word at random."""
+    out = list(word)
+    for i, v in enumerate(word, start=1):
+        if i < v and rng.random() < 0.5:
+            out[i - 1], out[v - 1] = -v, -i
+    return tuple(out)
+
+
+def test_single_sign_windows_match_signed_dfs():
+    # one-sign windows run the classical search on the host's entries of
+    # that sign; the signed depth-first oracle searches every position
+    rng = random.Random(456123)
+    hosts = [w.window for n in range(7) for w in signed_involutions(n)]
+    for n in (8, 13, 21, 34, 55, 79):
+        for share in (0.1, 0.5, 0.9):
+            word = rng.sample(range(1, n + 1), n)
+            hosts.append(tuple(v if rng.random() < share else -v for v in word))
+    for n in (12, 18, 24):
+        hosts += [chain(n), tuple(-v for v in chain(n)), _negate_cycles(chain(n), rng)]
+    for window in hosts:
+        for pattern in SINGLE_SIGN_WINDOWS:
+            got = contains_signed(SignedPermutation(window), pattern)
+            expected = dfs_occurrences(window, pattern.window, limit=1, signed=True)
+            assert ([got.positions] if got else []) == expected, (window, pattern)
+
+
+def test_default_signed_check_on_long_chain_with_planted_block():
+    # the non-Boolean verdict searches the signed windows for its witness;
+    # by depth first, that took 11.6 s at n = 256 and grows about n^4
+    n = 4096
+    host = parse_signed(",".join(map(str, _direct_sum([chain(n), (4, 5, 6, 1, 2, 3)]))))
+    verdict = is_boolean_signed(host)
+    assert verdict.pattern == parse_signed_pattern("4,5,6,1,2,3")
+    assert verdict.occurrence.positions == tuple(range(n + 1, n + 7))
+    bare = parse_signed(",".join(map(str, chain(n))))
+    assert is_boolean_signed(bare, "signed_patterns").is_boolean
 
 
 # The three forbidden patterns are found from right-to-left tables; the

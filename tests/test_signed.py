@@ -207,7 +207,7 @@ def test_signed_pattern_search_runs_once(monkeypatch, method):
 
 
 def test_signed_all_raises_when_routes_disagree(monkeypatch):
-    monkeypatch.setattr(signed, "has_long_crossing", lambda w: True)
+    monkeypatch.setattr(signed, "first_long_crossing_pair", lambda w: (1, 3))
     expected = "embedding says False, signed patterns say True"
     with pytest.raises(InvariantViolationError, match=expected):
         is_boolean_signed(parse_signed("2,1"), "all")
