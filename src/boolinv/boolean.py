@@ -170,17 +170,26 @@ def repeat_free_word(w: Involution) -> Word:
     Build a repeat-free involution word for a Boolean w, component by
     component.  Within a component spanning [lo, hi] whose 2-cycles open at
     lo = i_1 < i_2 < ... < i_k, the word takes every letter lo..hi-1 except
-    i_2, ..., i_k in increasing order, then appends i_2, ..., i_k.
+    i_2, ..., i_k in increasing order, then appends i_2, ..., i_k.  One
+    pass: the openers wait until the component ends, where the running
+    maximum equals the position (as in `sum_blocks`).
     """
     w = _as_involution(w)
     pair = first_long_crossing_pair(w)
     if pair is not None:
         raise ValueError(f"{w.word} is not Boolean; long-crossing pair {pair}")
-    values, letters = w.word, []
-    for lo, hi in connected_components(w).components:
-        if lo < hi:  # a fixed point adds no letter; skipping it saves two empty passes
-            letters.extend(i for i in range(lo, hi) if i == lo or values[i - 1] <= i)
-            letters.extend(i for i in range(lo + 1, hi + 1) if values[i - 1] > i)
+    letters, openers = [], []
+    lo = top = 0  # lo: the end of the previous component
+    for i, v in enumerate(w.word, start=1):
+        if v > top:
+            top = v
+        if top == i:
+            letters += openers
+            openers, lo = [], i
+        elif v > i > lo + 1:
+            openers.append(i)
+        else:
+            letters.append(i)
     word = tuple(letters)
     if evaluate_word(word, w.n) != w:
         raise InvariantViolationError(f"construction failed for {w.word}")

@@ -8,8 +8,11 @@ the letters is the lifting recursion of this order, so it also yields ranks
 and covers.  Write x.s for letter s acting on x; s is a descent of x iff
 x(s) > x(s+1).  If s is a descent of y = x.s, then rank(y) = rank(x) + 1 and
 the down-covers of y are x and z.s for each down-cover z of x with ascent s
-(the lifting property, Hultman 2005).  No pair of elements is compared;
-down-sets are integer bitsets, filled up the covers in rank order.
+(the lifting property, Hultman 2005).  No pair of elements is compared.
+The closure numbers each element once, as it is reached, and carries
+numbers, not words, from then on: covers are number lists, one sort by
+(rank, word) places the elements, and down-sets are integer bitsets
+filled up the covers in that order.
 
 `bruhat_leq` compares two permutations by the tableau criterion on sorted
 prefixes.
@@ -23,7 +26,6 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import groupby
 from typing import IO
 
 from .involution_words import ResourceLimitError, Word, _act, rank, reduced_word
@@ -92,53 +94,61 @@ class IdealPoset:
         return counts
 
 
-def subword_closure(w: Involution) -> dict[Word, tuple[int, list[Word]]]:
+def subword_closure(w: Involution) -> tuple[list[Word], list[int], list[list[int]]]:
     """
     Evaluations of all subwords of one reduced word of w, by a left-to-right
     closure: after each letter s, keep the old evaluations (s skipped) and
     their images (s taken).  Those after each letter form the ideal below
-    that prefix, so only the x with ascent s give new images.  Maps each
-    word to its rank and its down-covers' words, by the lifting rule above.
+    that prefix, so only the x with ascent s give new images.  Returns the
+    words, numbered in the order they are reached, their ranks and their
+    down-covers as numbers, by the lifting rule above.
 
     Refuses w once the closure, a subset of the ideal, exceeds
     IDEAL_MAX_ELEMENTS; so does a rank of IDEAL_MAX_ELEMENTS or more, as
     every maximal chain of the ideal has rank(w) + 1 elements.
     """
-    reached: dict[Word, tuple[int, list[Word]]] = {identity(w.n).word: (0, [])}
+    words, ranks, downs = [identity(w.n).word], [0], [[]]
     if rank(w) < IDEAL_MAX_ELEMENTS:
+        number = {words[0]: 0}
         for s in reduced_word(w):
-            lifted = {x: _act(x, s) for x in reached if x[s - 1] < x[s]}
-            for x, y in lifted.items():
-                if y not in reached:
-                    r, down = reached[x]
-                    reached[y] = (r + 1, [x] + [lifted[z] for z in down if z in lifted])
-            if len(reached) > IDEAL_MAX_ELEMENTS:
+            lifted: dict[int, int] = {}  # x -> x.s, for each x with ascent s
+            for x in range(len(words)):
+                u = words[x]
+                if u[s - 1] < u[s]:
+                    y = _act(u, s)
+                    lifted[x] = b = number.setdefault(y, len(words))
+                    if b == len(words):  # y is new; x's down-covers precede x
+                        words.append(y)
+                        ranks.append(ranks[x] + 1)
+                        downs.append([x] + [lifted[z] for z in downs[x] if z in lifted])
+            if len(words) > IDEAL_MAX_ELEMENTS:
                 break
         else:
-            return reached
+            return words, ranks, downs
     raise ResourceLimitError(f"ideal exceeds guard of {IDEAL_MAX_ELEMENTS} elements")
 
 
 def ideal(w: Involution) -> IdealPoset:
     """The principal order ideal below w in the Bruhat order on involutions."""
     w = _as_involution(w)
-    reached = subword_closure(w)
-    ranks, words = zip(*sorted((r, u) for u, (r, _) in reached.items()))
+    words, ranks, downs = subword_closure(w)
+    ranks, words, order = zip(*sorted(zip(ranks, words, range(len(words)))))
     if words[0] != identity(w.n).word or words[-1] != w.word:
         raise InvariantViolationError(f"ideal of {w.word} lost its extremes")
-    index = {u: b for b, u in enumerate(words)}
+    place = [0] * len(order)
+    for b, z in enumerate(order):
+        place[z] = b
     below: list[int] = []
-    covers: list[tuple[int, int]] = []
-    for b, u in enumerate(words):
+    ups: list[list[int]] = [[] for _ in order]  # up-covers, increasing
+    for b, z in enumerate(order):
         down = 1 << b
-        for z in reached[u][1]:
-            a = index[z]
-            covers.append((a, b))
+        for a in map(place.__getitem__, downs[z]):
+            ups[a].append(b)
             down |= below[a]
         below.append(down)
-    covers.sort()
+    covers = tuple([(a, b) for a, up in enumerate(ups) for b in up])
     elements = tuple(map(_trusted_involution, words))
-    return IdealPoset(w, elements, ranks, tuple(below), tuple(covers))
+    return IdealPoset(w, elements, ranks, tuple(below), covers)
 
 
 def is_boolean_lattice(poset: IdealPoset) -> bool:
@@ -165,15 +175,15 @@ def dot_export(poset: IdealPoset, sink: IO[str] | None = None) -> str:
     Render the Hasse diagram as Graphviz DOT, nodes labelled by one-line
     word and rank, clustered by rank.  Deterministic for a fixed input.
     """
-    names = [format_permutation(u) for u in poset.elements]
+    names = list(map(format_permutation, poset.elements))
     lines = ["digraph ideal {", "  rankdir=BT;", '  node [shape=box, fontname="monospace"];']
-    for r, group in groupby(zip(poset.ranks, names), key=lambda pair: pair[0]):
+    end = 0
+    for r, count in enumerate(poset.rank_counts()):
+        start, end = end, end + count
         lines.append("  { rank=same;")
-        for _, name in group:
-            lines.append(f'    "{name}" [label="{name}\\nrank {r}"];')
+        lines += [f'    "{name}" [label="{name}\\nrank {r}"];' for name in names[start:end]]
         lines.append("  }")
-    for a, b in poset.covers:
-        lines.append(f'  "{names[a]}" -> "{names[b]}";')
+    lines += [f'  "{names[a]}" -> "{names[b]}";' for a, b in poset.covers]
     lines.append("}")
     text = "\n".join(lines) + "\n"
     if sink is not None:

@@ -7,14 +7,14 @@ whose values are order-isomorphic to p.  Signed patterns additionally require
 the signs to match slot by slot while the absolute values realize the
 unsigned pattern.
 
-The first occurrence of each of the three classical forbidden patterns
-comes from tables filled by right-to-left passes over the host, in about
-linear time.  A signed pattern of one sign is searched as the classical
-pattern in the host's entries of that sign.  Every other search
-(occurrence listing, any other pattern, signed patterns of both signs) is
-a depth-first search in which each slot's value is bounded by the values
-already chosen for its neighbouring pattern values; a sum-indecomposable
-pattern is searched one direct-sum block of the host at a time.
+The first occurrence of each of the three classical forbidden patterns,
+and of 321 and 12, comes from passes over the host in about linear time.
+A signed pattern of one sign is searched as the classical pattern in the
+host's entries of that sign.  Every other search (occurrence listing, any
+other pattern, signed patterns of both signs) is a depth-first search in
+which each slot's value is bounded by the values already chosen for its
+neighbouring pattern values; a sum-indecomposable pattern is searched one
+direct-sum block of the host at a time.
 
 The module also carries the two fixed forbidden-pattern lists that
 characterize involutions with Boolean principal order ideals:
@@ -147,18 +147,22 @@ def _occurrences_iter(
 # greedy then takes, slot by slot, the first position whose value fits the
 # slots chosen so far and whose table entry says the rest can follow; that
 # is the lexicographically first occurrence.  Each takes a permutation
-# word and returns 1-based positions, or None.
+# word and returns 1-based positions, or None.  The same holds for 321 and
+# 12, which the one-sign signed windows -3,-2,-1 and -1,-2 reduce to.
 
 
-def _first_4321(word: Sequence[int]) -> tuple[int, ...] | None:
+def _first_decreasing(word: Sequence[int], slots: int = 4) -> tuple[int, ...] | None:
     """
-    First occurrence of 4321, from the length of the longest decreasing
-    subsequence that starts at each position, capped at 4.  One
-    right-to-left pass keeps the least value seen that starts a decreasing
-    run of length 1, 2 and 3.
+    First occurrence of the decreasing pattern of `slots` <= 4 entries
+    (4321, 321), from the length of the longest decreasing subsequence
+    that starts at each position, capped at 4.  One right-to-left pass
+    keeps the least value seen that starts a decreasing run of length 1, 2
+    and 3.
 
-    >>> _first_4321((5, 1, 4, 6, 3, 2))  # 5 4 3 2
+    >>> _first_decreasing((5, 1, 4, 6, 3, 2))  # 5 4 3 2
     (1, 3, 5, 6)
+    >>> _first_decreasing((5, 1, 4, 6, 3, 2), 3)  # 5 4 3
+    (1, 3, 5)
     """
     n = len(word)
     run = bytearray(n)
@@ -173,17 +177,33 @@ def _first_4321(word: Sequence[int]) -> tuple[int, ...] | None:
             run[i], low2 = 2, v
         else:
             run[i], low1 = 1, v
-    if 4 not in run:
+    if slots not in run:  # a run of length k holds one of each length below k
         return None
     positions = []
     i, high = 0, n + 1
-    for need in (4, 3, 2, 1):
+    for need in range(slots, 0, -1):
         while not (word[i] < high and run[i] >= need):
             i += 1
         positions.append(i + 1)
         high = word[i]
         i += 1
     return tuple(positions)
+
+
+def _first_12(word: Sequence[int]) -> tuple[int, int] | None:
+    """
+    First occurrence of 12: the first position i below the largest value
+    of its suffix, where w(i) != n + 1 - i on a permutation of [n], then
+    the first larger value to its right.
+
+    >>> _first_12((4, 3, 1, 2))
+    (3, 4)
+    """
+    n = len(word)
+    i = next((i for i, v in enumerate(word) if v != n - i), None)
+    if i is None:
+        return None
+    return i + 1, next(j for j in range(i + 1, n) if word[j] > word[i]) + 1
 
 
 def _least_larger_right(word: Sequence[int]) -> list[int]:
@@ -334,7 +354,9 @@ def _first_456123(word: Sequence[int]) -> tuple[int, ...] | None:
 
 
 _TABLE_SEARCHES = {
-    (4, 3, 2, 1): _first_4321,
+    (1, 2): _first_12,
+    (3, 2, 1): lambda word: _first_decreasing(word, 3),
+    (4, 3, 2, 1): _first_decreasing,
     (4, 5, 3, 1, 2): _first_45312,
     (4, 5, 6, 1, 2, 3): _first_456123,
 }
@@ -343,8 +365,8 @@ _TABLE_SEARCHES = {
 def contains(pi: Permutation, p: Permutation) -> Occurrence | None:
     """
     The lexicographically first occurrence (by positions) of p in pi, or
-    None when pi avoids p.  The three forbidden patterns are found from
-    their tables, every other pattern by the depth-first search.
+    None when pi avoids p.  The three forbidden patterns, 321 and 12 are
+    found from their tables, every other pattern by the depth-first search.
 
     >>> contains(parse_permutation("84725631"), parse_permutation("4231")) is not None
     True

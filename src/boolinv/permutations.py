@@ -85,11 +85,13 @@ class ExcedanceProfile(NamedTuple):
 def check_word(values: Sequence[int], signed: bool = False) -> tuple[int, ...]:
     """The values as a tuple, checked in one pass to be a permutation word of
     [n] (with `signed`, in absolute value); ParseError names the first
-    value out of range or repeated."""
+    value that is not an int, out of range or repeated."""
     word = tuple(values)
     n = len(word)
     seen = bytearray(n + 1)
     for v in word:
+        if type(v) is not int:
+            raise ParseError(f"value {v!r} is not an int")
         a = abs(v) if signed else v
         if not 0 < a <= n:
             span = f"[+-{n}]" if signed else f"[1, {n}]"
@@ -106,7 +108,7 @@ def _trusted_involution(word: tuple[int, ...]) -> Involution:
     word and self-inverse checks of the validating constructor.
     """
     w = object.__new__(Involution)
-    object.__setattr__(w, "word", word)
+    w.__dict__["word"] = word
     return w
 
 
@@ -174,11 +176,17 @@ def parse_int_tokens(text: str) -> list[int]:
     return values
 
 
+# One %-format per length below 65: a word's entries are ints (check_word),
+# for which %d reads as str.
+_FORMATS = ["%d" * n if n <= 9 else ",".join(["%d"] * n) for n in range(65)]
+
+
 def format_permutation(w: Permutation) -> str:
     """One-line text form; digit string for n <= 9, else comma-separated."""
-    if w.n <= 9:
-        return "".join(str(v) for v in w.word)
-    return ",".join(str(v) for v in w.word)
+    word = w.word
+    if len(word) < len(_FORMATS):
+        return _FORMATS[len(word)] % word
+    return ",".join(map(str, word))
 
 
 def inversions(w: Permutation) -> tuple[int, list[tuple[int, int]]]:

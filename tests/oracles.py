@@ -3,11 +3,11 @@ Independent oracles used by the tests: small brute-force routines that
 recompute expected values by definitions, down routes deliberately
 different from the ones the library takes.
 """
-from itertools import combinations, product
+from itertools import combinations, groupby, product
 
-from boolinv.boolean import has_long_crossing
+from boolinv.boolean import connected_components, has_long_crossing
 from boolinv.ideals import IdealPoset
-from boolinv.involution_words import apply_letter, rank
+from boolinv.involution_words import _act, apply_letter, rank, reduced_word
 from boolinv.permutations import Involution, compose, conjugate, identity, transposition
 
 
@@ -223,6 +223,53 @@ def ideal_by_adjacent_ranks(w: Involution):
                 covers.append((a, b))
                 below[b] |= below[a]
     return IdealPoset(w, elements, ranks, tuple(below), tuple(covers))
+
+
+def word_keyed_closure(w: Involution):
+    """The subword closure keyed by word: each reached word maps to its
+    rank and its down-covers' words, each cover found by looking its word
+    up in the letter's lifted map."""
+    reached = {identity(w.n).word: (0, [])}
+    for s in reduced_word(w):
+        lifted = {x: _act(x, s) for x in reached if x[s - 1] < x[s]}
+        for x, y in lifted.items():
+            if y not in reached:
+                r, down = reached[x]
+                reached[y] = (r + 1, [x] + [lifted[z] for z in down if z in lifted])
+    return reached
+
+
+def joined_format(word):
+    """One-line text by joining the str of each entry: digits for n <= 9,
+    else comma-separated."""
+    return ("" if len(word) <= 9 else ",").join(str(v) for v in word)
+
+
+def grouped_dot(poset: IdealPoset):
+    """DOT text of the Hasse diagram, one line appended at a time, the
+    nodes grouped into rank clusters by `groupby` over the ranks."""
+    names = [joined_format(u.word) for u in poset.elements]
+    lines = ["digraph ideal {", "  rankdir=BT;", '  node [shape=box, fontname="monospace"];']
+    for r, group in groupby(zip(poset.ranks, names), key=lambda pair: pair[0]):
+        lines.append("  { rank=same;")
+        for _, name in group:
+            lines.append(f'    "{name}" [label="{name}\\nrank {r}"];')
+        lines.append("  }")
+    for a, b in poset.covers:
+        lines.append(f'  "{names[a]}" -> "{names[b]}";')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def repeat_free_word_by_components(w: Involution):
+    """The repeat-free word of a Boolean w in two passes per connected
+    component [lo, hi]: the letters lo..hi-1 that open no 2-cycle, or open
+    it at lo, then the other openers."""
+    values, letters = w.word, []
+    for lo, hi in connected_components(w).components:
+        letters.extend(i for i in range(lo, hi) if i == lo or values[i - 1] <= i)
+        letters.extend(i for i in range(lo + 1, hi + 1) if values[i - 1] > i)
+    return tuple(letters)
 
 
 def motzkin_strings(n):

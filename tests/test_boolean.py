@@ -14,7 +14,7 @@ from boolinv.boolean import (
     repeat_free_word,
     restrict,
 )
-from boolinv.counting import involutions
+from boolinv.counting import boolean_involutions, involutions
 from boolinv.ideals import bruhat_leq
 from boolinv.involution_words import evaluate_word, rank
 from boolinv.patterns import FORBIDDEN_PATTERNS, avoids_all
@@ -27,7 +27,7 @@ from boolinv.permutations import (
     parse_permutation,
     transposition,
 )
-from oracles import chain, crossing_components, uniform_involution
+from oracles import chain, crossing_components, repeat_free_word_by_components, uniform_involution
 
 
 def test_connected_components_examples():
@@ -136,6 +136,13 @@ def test_repeat_free_word_is_reduced():
             letters = repeat_free_word(w)
             assert len(letters) == len(set(letters)) == rank(w)
             assert evaluate_word(letters, n) == w
+
+
+def test_repeat_free_word_matches_component_oracle():
+    # the one-pass word equals the word built component by component
+    for n in range(13):
+        for w in boolean_involutions(n):
+            assert repeat_free_word(w) == repeat_free_word_by_components(w), w
 
 
 def test_component_booleanness():

@@ -19,8 +19,10 @@ from boolinv.selfcheck import product_decomposition_check
 from oracles import (
     bruhat_leq_by_matrix,
     covers_from_leq,
+    grouped_dot,
     ideal_by_adjacent_ranks,
     subword_evaluations,
+    word_keyed_closure,
 )
 
 
@@ -154,6 +156,31 @@ def test_ideal_runs_no_pair_test_and_ranks_once(monkeypatch):
         ranked.clear()
         assert ideal(w) == poset
         assert len(ranked) <= 1, w
+
+
+def test_numbered_closure_matches_word_keyed_oracle():
+    # the same elements, ranks and down-covers as the closure that keys
+    # every element and cover by its word
+    for n in range(8):
+        for w in involutions(n):
+            words, ranks, downs = subword_closure(w)
+            expected = word_keyed_closure(w)
+            assert len(words) == len(ranks) == len(downs) == len(expected), w
+            assert set(words) == set(expected), w
+            for u, r, down in zip(words, ranks, downs):
+                assert r == expected[u][0], (w, u)
+                assert sorted(words[z] for z in down) == sorted(expected[u][1]), (w, u)
+
+
+def test_dot_export_matches_grouped_oracle():
+    # every involution with n <= 6, and (1 14), whose ideal of 8192
+    # elements sits at the guard
+    elements = [w for n in range(7) for w in involutions(n)]
+    elements.append(Involution((14,) + tuple(range(2, 14)) + (1,)))
+    for w in elements:
+        poset = ideal(w)
+        assert dot_export(poset) == grouped_dot(poset), w
+    assert len(poset) == IDEAL_MAX_ELEMENTS
 
 
 def test_ideal_guard():

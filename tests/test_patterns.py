@@ -4,6 +4,7 @@ import pytest
 
 import random
 
+from boolinv import patterns
 from boolinv.boolean import has_long_crossing, is_boolean
 from boolinv.counting import involutions, signed_involutions
 from boolinv.patterns import (
@@ -277,6 +278,27 @@ def test_single_sign_windows_match_signed_dfs():
             assert ([got.positions] if got else []) == expected, (window, pattern)
 
 
+def test_negative_monotone_windows_run_no_depth_first_search(monkeypatch):
+    # -1,-2 and -3,-2,-1 reach `contains` as 12 and 321, which a decreasing
+    # (or increasing) host of n entries made the depth-first search scan
+    # in about n^2 / 2 steps; the linear passes find them instead
+    def dfs(*args):
+        raise AssertionError("depth-first search run")
+
+    monkeypatch.setattr(patterns, "_occurrences_iter", dfs)
+    n = 4000
+    down = SignedPermutation(tuple(-v for v in range(n, 0, -1)))
+    up = SignedPermutation(tuple(-v for v in range(1, n + 1)))
+    for host, pattern, expected in [
+        (down, "-1,-2", None), (down, "-3,-2,-1", (1, 2, 3)),
+        (up, "-1,-2", (1, 2)), (up, "-3,-2,-1", None),
+    ]:
+        occ = contains_signed(host, parse_signed_pattern(pattern))
+        assert (occ.positions if occ else None) == expected, pattern
+    verdict = is_boolean_signed(down)
+    assert verdict.pattern == parse_signed_pattern("-3,-2,-1")
+
+
 def test_default_signed_check_on_long_chain_with_planted_block():
     # the non-Boolean verdict searches the signed windows for its witness;
     # by depth first, that took 11.6 s at n = 256 and grows about n^4
@@ -289,9 +311,9 @@ def test_default_signed_check_on_long_chain_with_planted_block():
     assert is_boolean_signed(bare, "signed_patterns").is_boolean
 
 
-# The three forbidden patterns are found from right-to-left tables; the
-# plain depth-first oracle gives the first occurrence independently.
-TABLE_PATTERNS = [p.word for p in FORBIDDEN_PATTERNS]
+# The three forbidden patterns, 321 and 12 are found from linear passes;
+# the plain depth-first oracle gives the first occurrence independently.
+TABLE_PATTERNS = [p.word for p in FORBIDDEN_PATTERNS] + [(3, 2, 1), (1, 2)]
 
 
 def _first(host, pattern):

@@ -1,3 +1,4 @@
+import random
 from itertools import permutations as itertools_permutations, product
 
 import pytest
@@ -28,6 +29,7 @@ from boolinv.signed import SignedInvolution, SignedPermutation, parse_signed
 from oracles import (
     crossing_components,
     inversion_count,
+    joined_format,
     is_permutation_word,
     is_self_inverse,
     is_signed_window,
@@ -69,6 +71,24 @@ def test_format_round_trips():
     for text in ["1", "4321", "5764132", "10,2,3,4,5,6,7,8,9,1"]:
         w = parse_permutation(text)
         assert parse_permutation(format_permutation(w)) == w
+
+
+def test_format_matches_join_oracle():
+    # one %-format per length below 65, the join above: every n in 0..70
+    rng = random.Random(65)
+    for n in range(71):
+        shuffled = rng.sample(range(1, n + 1), n)
+        for word in (tuple(shuffled), tuple(sorted(shuffled)), tuple(sorted(shuffled)[::-1])):
+            assert format_permutation(Permutation(word)) == joined_format(word), word
+
+
+@pytest.mark.parametrize("values", [(True,), (1.0,), (2, 1.0), ("1",), (1, False)])
+def test_constructors_refuse_entries_that_are_not_int(values):
+    # a bool formatted as "True" and a float failed with TypeError before
+    with pytest.raises(ParseError, match="is not an int"):
+        Permutation(values)
+    with pytest.raises(ParseError, match="is not an int"):
+        SignedPermutation(values)
 
 
 @given(st.permutations(list(range(1, 9))))
