@@ -46,9 +46,11 @@ MAX_SIGNED_STREAM_N = 7
 # Boolean involutions walked, summed over the sizes, at O(1) each: admits
 # n_max 15 (118281), refuses 16 (265775).
 MAX_BRUTE_WORK = 2 * 10**5
-# Cells times count bits.  Best of 3 at the f 176 / g 907 / h 22360 edges (2 vCPUs,
-# Python 3.11): paths 1.4-1.6 / 0.8 / 0.12-0.17 s, gf 1.8-2.8 / 0.8-0.9 / 0.12-0.14 s.
-MAX_TABLE_WORK = 5 * 10**8
+# Cells times count bits: admits f 176, g 907 and h 22360 (318006155, the
+# largest sum), refuses f 177, g 908 and h 22361 (318034599, the smallest).
+# Best of 3 at those edges, in 3 rounds (2 vCPUs, Python 3.11): paths
+# 1.5-2.1 / 0.8-1.1 / 0.10-0.14 s, gf 1.8-2.6 / 0.8-0.9 / 0.15-0.21 s.
+MAX_TABLE_WORK = 318_020_000
 
 InvExcTable = dict[tuple[int, int, int], int]
 RankTable = dict[tuple[int, int], int]

@@ -29,12 +29,16 @@ is exactly the numerator's packed row d less c times packed row d - t0
 shifted by the slots of (t1, t2), over the denominator's terms
 c x^t0 y^t1 z^t2 other than its constant 1.  A true row has nonnegative
 counts below 2^count_bits(n) <= 2^(8w), all inside the truncation box, so
-its slots decode uniquely.  A packed row that is negative or runs past
-the box is no such row and raises InvariantViolationError; a count that
-carries into a higher slot of the box is not seen.
+its slots decode uniquely.  A slot of at most 8 bytes is rounded up to 1,
+2, 4 or 8 bytes, a machine word, and such a row is decoded by one cast of
+its bytes in native order (count_bits is at most 64 up to n = 50); a wider
+slot is read with one int.from_bytes each.  A packed row that is negative,
+runs past the box or decodes to a count of 2^count_bits(n) or more is no
+such row and raises InvariantViolationError.
 """
 from __future__ import annotations
 
+import sys
 from itertools import compress, product
 from math import prod
 from operator import mul
@@ -45,10 +49,23 @@ Monomial = tuple[int, ...]
 Terms = dict[Monomial, int]
 
 
+# The memoryview cast code of each machine-word slot width, in bytes.
+_WORD_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
 def count_bits(n: int) -> int:
-    """Bits that hold every count at size n: 2n, as each is at most the
-    total for size n, which grows like 2.25^n."""
-    return 2 * n
+    """
+    Bits that hold every count at size n: floor(1.272 n) + 1.
+
+    Each f or g count at size n is at most the total h(n).  The totals
+    are h(1), h(2), h(3) = 1, 2, 4 and, from the denominator of
+    total_series, h(n) = 2h(n-1) + h(n-2) - h(n-3) <= 2h(n-1) + h(n-2)
+    for n >= 4.  With r = 1 + sqrt(2), so r^2 = 2r + 1, induction gives
+    h(n) <= 2r^(n-2) + r^(n-3) = r^(n-1), as h(1) = 1, h(2) = 2 <= r and
+    h(3) = 4 <= r^2.  Since log2(r) < 1.2716, h(n) <= r^(n-1) < 2^(1.272 n)
+    < 2^count_bits(n).  For n <= 3000 at least 1 bit is to spare.
+    """
+    return 1272 * n // 1000 + 1
 
 
 def expand_rational(numerator: Terms, denominator: Terms, bounds: tuple[int, ...]) -> Terms:
@@ -63,7 +80,11 @@ def expand_rational(numerator: Terms, denominator: Terms, bounds: tuple[int, ...
     if any(t[0] == 0 for t in denominator if any(t)):
         raise ValueError("denominator tail must have positive first-variable degree")
     keys = list(product(*(range(bound + 1) for bound in bounds[1:])))  # of each slot
-    width = -(-count_bits(bounds[0]) // 8) or 1  # bytes per slot
+    bits = count_bits(bounds[0])
+    width = -(-bits // 8)  # bytes per slot
+    if width <= 8:  # round up to a machine word
+        width = 1 << (width - 1).bit_length()
+    code = _WORD_CODES.get(width)
     strides = [8 * width * prod(b + 1 for b in bounds[i + 1 :]) for i in range(1, len(bounds))]
 
     def shift(m: Monomial) -> int:
@@ -84,11 +105,18 @@ def expand_rational(numerator: Terms, denominator: Terms, bounds: tuple[int, ...
             raise InvariantViolationError(f"series row {d} is not a row of counts in its box")
         packed[d] = row
         packed.pop(d - depth, None)
+        size = -(-row.bit_length() // (8 * width)) * width  # bytes of the occupied slots
         if len(bounds) == 1:  # x only: the row is its one count
             values = [row]
+        elif code:  # one machine word per slot, in native byte order
+            values = memoryview(row.to_bytes(size, sys.byteorder)).cast(code).tolist()
+            if sys.byteorder == "big":
+                values.reverse()
         else:
-            data = row.to_bytes(-(-row.bit_length() // 8), "little")
-            values = [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
+            data = row.to_bytes(size, "little")
+            values = [int.from_bytes(data[i : i + width], "little") for i in range(0, size, width)]
+        if max(values, default=0) >> bits:
+            raise InvariantViolationError(f"series row {d} has a count of more than {bits} bits")
         coeffs.update(zip(map((d,).__add__, compress(keys, values)), compress(values, values)))
     return coeffs
 

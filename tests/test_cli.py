@@ -495,8 +495,8 @@ def test_failed_internal_check_exits_3(capsys, monkeypatch, name, fake, args, me
 
 
 def test_series_row_outside_its_box_exits_3(capsys, monkeypatch):
-    # slots of one byte cannot hold h(9) = 510: the packed row runs past them
-    monkeypatch.setattr(series, "count_bits", lambda n: 1)
+    # counts of 8 bits cannot hold h(9) = 510: row 9 is no row of counts
+    monkeypatch.setattr(series, "count_bits", lambda n: 8)
     code, out, err = run_cli(capsys, "table", "h", "--max-n", "30", "--method", "gf")
     assert code == 3
     assert out == ""

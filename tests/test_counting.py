@@ -371,14 +371,24 @@ def test_gf_tables_match_recurrence_past_oracle_range():
         )
 
 
+@pytest.mark.parametrize("n_max", [0, 1, 5, 6, 12, 13, 25, 26, 50, 51, 52])
+def test_gf_tables_match_recurrence_across_slot_widths(n_max):
+    """Each size on either side of a slot-width edge: 1-byte slots up to
+    n_max 6, then 2, 4 and 8 bytes, read by one cast each, and from n_max 51
+    slots too wide for a machine word, read one int.from_bytes each."""
+    for stat in "fgh":
+        _assert_same_in_order(
+            counting.build_table(stat, "gf", n_max), counting.build_table(stat, "recurrence", n_max)
+        )
+
+
 def test_expand_rational_raises_on_row_outside_its_box():
     # 1/(1 + x) = 1 - x + x^2 - ...: packed row 1 is negative
     with pytest.raises(InvariantViolationError, match="series row 1 "):
         series.expand_rational({(0,): 1}, {(0,): 1, (1,): 1}, (3,))
-    # at n = 8 a slot is exactly count_bits(8) = 16 bits wide, so the largest
-    # count it holds decodes, and one more runs past the top slot of the box
+    # at n = 8 the largest count below 2^count_bits(8) decodes, and one more
+    # raises, in the top slot of the box too, although its slot could hold it
     bits = series.count_bits(8)
-    assert bits % 8 == 0
     largest = (1 << bits) - 1
     for bounds, top in (((8,), (1,)), ((8, 3, 2), (1, 3, 2))):
         one = {(0,) * len(bounds): 1}
@@ -408,7 +418,15 @@ def test_table_work_guard_refuses_up_front(monkeypatch):
     ]:
         with pytest.raises(ResourceLimitError, match="work guard"):
             route(n_max)
-    counting._check_table_work("f", 100)
+    # the edges: the largest admitted size of each table, and one more
+    for stat, n_max, route in (
+        ("f", 176, series_inv_exc_counts),
+        ("g", 907, series_rank_counts),
+        ("h", 22360, series_totals),
+    ):
+        counting._check_table_work(stat, n_max)
+        with pytest.raises(ResourceLimitError, match=f"table {stat} to n_max {n_max + 1} exceeds"):
+            route(n_max + 1)
 
 
 def test_cross_validate():
