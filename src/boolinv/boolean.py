@@ -23,7 +23,8 @@ from typing import Iterable, NamedTuple
 
 from . import ideals
 from .involution_words import Word, evaluate_word, reduced_word
-from .patterns import FORBIDDEN_PATTERNS, Occurrence, SignedPattern, first_occurrence
+from .patterns import (
+    FORBIDDEN_PATTERNS, Occurrence, SignedPattern, first_occurrence, format_signed)
 from .permutations import (
     InvariantViolationError, Involution, Permutation, _as_involution, _tag_involution,
     format_permutation, sum_blocks)
@@ -53,7 +54,7 @@ class BooleanVerdict:
         if self.pattern is None:
             payload["pattern"] = None
         elif isinstance(self.pattern, SignedPattern):
-            payload["pattern"] = ",".join(str(v) for v in self.pattern.window)
+            payload["pattern"] = format_signed(self.pattern)
         else:
             payload["pattern"] = format_permutation(self.pattern)
         payload["occurrence"] = (

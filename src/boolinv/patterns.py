@@ -7,14 +7,14 @@ whose values are order-isomorphic to p.  Signed patterns additionally require
 the signs to match slot by slot while the absolute values realize the
 unsigned pattern.
 
-The first occurrence of each of the three classical forbidden patterns,
-and of 321 and 12, comes from passes over the host in about linear time.
-A signed pattern of one sign is searched as the classical pattern in the
-host's entries of that sign.  Every other search (occurrence listing, any
-other pattern, signed patterns of both signs) is a depth-first search in
-which each slot's value is bounded by the values already chosen for its
-neighbouring pattern values; a sum-indecomposable pattern is searched one
-direct-sum block of the host at a time.
+Searches read plain words.  One dispatch finds a first occurrence: the
+three classical forbidden patterns, 321 and 12 by passes over the host in
+about linear time, any other pattern by a depth-first search in which each
+slot's value is bounded by the values already chosen for its neighbouring
+pattern values, one direct-sum block of the host at a time when the
+pattern is sum-indecomposable.  A signed host is split by sign once for all
+its windows: a one-sign window goes to the dispatch on the host's entries
+of that sign, a window of both signs to the depth-first search.
 
 The module also carries the two fixed forbidden-pattern lists that
 characterize involutions with Boolean principal order ideals:
@@ -23,6 +23,7 @@ for signed permutations.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -60,7 +61,7 @@ class SignedPattern:
         return len(self.window)
 
     def __repr__(self) -> str:
-        return f"SignedPattern({','.join(str(v) for v in self.window)!r})"
+        return f"SignedPattern({format_signed(self)!r})"
 
 
 def parse_signed_pattern(text: str) -> SignedPattern:
@@ -68,7 +69,13 @@ def parse_signed_pattern(text: str) -> SignedPattern:
     return SignedPattern(tuple(parse_int_tokens(text)))
 
 
-def _slot_plan(pattern: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...], bool]:
+def format_signed(w: SignedPermutation | SignedPattern) -> str:
+    """A signed window as comma-separated integers, as the parsers read it."""
+    return ",".join(map(str, w.window))
+
+
+@functools.lru_cache(maxsize=256)
+def _slot_plan(pattern: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], bool]:
     """
     The depth-first search's plan for a permutation word: for each slot k,
     the earlier slot holding the next smaller pattern value (below[k]) and
@@ -86,7 +93,7 @@ def _slot_plan(pattern: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]
 
 def _occurrences_iter(
     host: Sequence[int],
-    pattern: Sequence[int],
+    pattern: tuple[int, ...],
     slot_hosts: Sequence[Sequence[int]] | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """
@@ -111,7 +118,7 @@ def _occurrences_iter(
     if m == 0:
         yield ()
         return
-    below, above, indecomposable = _PLANS.get(tuple(pattern)) or _slot_plan(pattern)
+    below, above, indecomposable = _slot_plan(pattern)
     if indecomposable:
         spans = [(lo, hi) for lo, hi in sum_blocks(host) if hi - lo + 1 >= m]
     else:
@@ -148,13 +155,14 @@ def _occurrences_iter(
 # slots chosen so far and whose table entry says the rest can follow; that
 # is the lexicographically first occurrence.  Each takes a permutation
 # word and returns 1-based positions, or None.  The same holds for 321 and
-# 12, which the one-sign signed windows -3,-2,-1 and -1,-2 reduce to.
+# 12, which the one-sign signed windows -3,-2,-1 and -1,-2 reduce to: 12
+# at positions (i, j) of w is 21 at the same positions of n + 1 - w.
 
 
 def _first_decreasing(word: Sequence[int], slots: int = 4) -> tuple[int, ...] | None:
     """
     First occurrence of the decreasing pattern of `slots` <= 4 entries
-    (4321, 321), from the length of the longest decreasing subsequence
+    (4321, 321, 21), from the length of the longest decreasing subsequence
     that starts at each position, capped at 4.  One right-to-left pass
     keeps the least value seen that starts a decreasing run of length 1, 2
     and 3.
@@ -188,22 +196,6 @@ def _first_decreasing(word: Sequence[int], slots: int = 4) -> tuple[int, ...] | 
         high = word[i]
         i += 1
     return tuple(positions)
-
-
-def _first_12(word: Sequence[int]) -> tuple[int, int] | None:
-    """
-    First occurrence of 12: the first position i below the largest value
-    of its suffix, where w(i) != n + 1 - i on a permutation of [n], then
-    the first larger value to its right.
-
-    >>> _first_12((4, 3, 1, 2))
-    (3, 4)
-    """
-    n = len(word)
-    i = next((i for i, v in enumerate(word) if v != n - i), None)
-    if i is None:
-        return None
-    return i + 1, next(j for j in range(i + 1, n) if word[j] > word[i]) + 1
 
 
 def _least_larger_right(word: Sequence[int]) -> list[int]:
@@ -354,12 +346,30 @@ def _first_456123(word: Sequence[int]) -> tuple[int, ...] | None:
 
 
 _TABLE_SEARCHES = {
-    (1, 2): _first_12,
+    (1, 2): lambda word: _first_decreasing([len(word) + 1 - v for v in word], 2),
     (3, 2, 1): lambda word: _first_decreasing(word, 3),
     (4, 3, 2, 1): _first_decreasing,
     (4, 5, 3, 1, 2): _first_45312,
     (4, 5, 6, 1, 2, 3): _first_456123,
 }
+
+
+def _first_positions(word: Sequence[int], pattern: tuple[int, ...]) -> tuple[int, ...] | None:
+    """
+    Positions of the first occurrence of the pattern word in the host word,
+    or None: by the pattern's table search when it has one, else depth first.
+    """
+    search = _TABLE_SEARCHES.get(pattern)
+    if search is not None:
+        return search(word)
+    return next(_occurrences_iter(word, pattern), None)
+
+
+def _occurrence(host: Sequence[int], positions: tuple[int, ...] | None) -> Occurrence | None:
+    """The occurrence at `positions` with the host's values there, or None for None."""
+    if positions is None:
+        return None
+    return Occurrence(positions, tuple(host[i - 1] for i in positions))
 
 
 def contains(pi: Permutation, p: Permutation) -> Occurrence | None:
@@ -373,22 +383,12 @@ def contains(pi: Permutation, p: Permutation) -> Occurrence | None:
     >>> contains(parse_permutation("12345"), parse_permutation("21")) is None
     True
     """
-    search = _TABLE_SEARCHES.get(p.word)
-    if search is not None:
-        positions = search(pi.word)
-    else:
-        positions = next(_occurrences_iter(pi.word, p.word), None)
-    if positions is None:
-        return None
-    return Occurrence(positions, tuple(pi.word[i - 1] for i in positions))
+    return _occurrence(pi.word, _first_positions(pi.word, p.word))
 
 
 def occurrences(pi: Permutation, p: Permutation) -> list[Occurrence]:
     """All occurrences of p in pi, lexicographic by positions."""
-    return [
-        Occurrence(positions, tuple(pi.word[i - 1] for i in positions))
-        for positions in _occurrences_iter(pi.word, p.word)
-    ]
+    return [_occurrence(pi.word, positions) for positions in _occurrences_iter(pi.word, p.word)]
 
 
 def is_induced(pi: Permutation, occ: Occurrence) -> bool:
@@ -410,39 +410,49 @@ def is_induced(pi: Permutation, occ: Occurrence) -> bool:
     return all(occ.values[j] == pi.word[occ.values[slot_of[j + 1]] - 1] for j in range(m))
 
 
-def contains_signed(
-    pi: "SignedPermutation | SignedPattern", p: SignedPattern
-) -> Occurrence | None:
+def _split_signs(window: Sequence[int]) -> tuple:
+    """
+    A signed window as the searches read it, built once per host: its
+    absolute word; for each sign (0 positive, 1 negative), the absolute
+    word with 0 at each entry of the other sign; and for each sign, the
+    positions of its entries with their absolute values ranked among them.
+    """
+    hosts = ([v if v > 0 else 0 for v in window], [-v if v < 0 else 0 for v in window])
+    sides = []
+    for host in hosts:
+        positions = [i for i, a in enumerate(host, start=1) if a]
+        rank = {a: r for r, a in enumerate(sorted(filter(None, host)), start=1)}
+        sides.append((positions, [rank[host[i - 1]] for i in positions]))
+    return tuple(map(abs, window)), hosts, sides
+
+
+def _signed_positions(split: tuple, window: tuple[int, ...]) -> tuple[int, ...] | None:
+    """
+    The positions of the first occurrence of the signed pattern `window`
+    in the split host, or None.  A host with fewer entries of a sign than
+    the pattern has slots of it avoids it.  A one-sign pattern is its
+    absolute word in the ranked entries of that sign; otherwise each
+    depth-first slot sees only the host values of its own sign.
+    """
+    absolute, hosts, sides = split
+    minus = sum(q < 0 for q in window)
+    if len(sides[0][0]) < len(window) - minus or len(sides[1][0]) < minus:
+        return None
+    pattern = tuple(map(abs, window))
+    if 0 < minus < len(window):
+        return next(_occurrences_iter(absolute, pattern, [hosts[q < 0] for q in window]), None)
+    positions, ranked = sides[minus > 0]
+    found = _first_positions(ranked, pattern)
+    return None if found is None else tuple(positions[k - 1] for k in found)
+
+
+def contains_signed(pi: SignedPermutation | SignedPattern, p: SignedPattern) -> Occurrence | None:
     """
     First occurrence of the signed pattern p in the signed window of pi:
     absolute values order-isomorphic to |p| with signs equal slot by slot.
     The reported values keep their signs.
-
-    A host with fewer entries of a sign than p has slots of it avoids p.
-    A one-sign p is |p| in the host's entries of that sign, ranked by
-    absolute value, found by `contains`; otherwise each depth-first slot
-    sees only the host values of its own sign.
     """
-    window = tuple(pi.window)
-    plus = [i for i, v in enumerate(window, start=1) if v > 0]
-    plus_slots = sum(q > 0 for q in p.window)
-    if len(plus) < plus_slots or len(window) - len(plus) < p.n - plus_slots:
-        return None
-    abs_pat = tuple(abs(q) for q in p.window)
-    if plus_slots in (0, p.n):
-        kept = plus if plus_slots else [i for i, v in enumerate(window, start=1) if v < 0]
-        values = [abs(window[i - 1]) for i in kept]
-        rank = {a: r for r, a in enumerate(sorted(values), start=1)}
-        occ = contains(Permutation(tuple(rank[a] for a in values)), Permutation(abs_pat))
-        positions = tuple(kept[k - 1] for k in occ.positions) if occ else None
-    else:
-        positive = tuple(v if v > 0 else 0 for v in window)
-        negative = tuple(-v if v < 0 else 0 for v in window)
-        slot_hosts = [positive if q > 0 else negative for q in p.window]
-        positions = next(_occurrences_iter(tuple(map(abs, window)), abs_pat, slot_hosts), None)
-    if positions is None:
-        return None
-    return Occurrence(positions, tuple(window[i - 1] for i in positions))
+    return _occurrence(pi.window, _signed_positions(_split_signs(pi.window), p.window))
 
 
 def first_occurrence(
@@ -451,10 +461,16 @@ def first_occurrence(
     """
     The first listed pattern that pi contains, with its first occurrence, or
     None.  Classical hosts take classical patterns (`contains`); signed
-    hosts take signed patterns (`contains_signed`).
+    hosts take signed patterns, searched in the host split by sign once.
     """
+    split = None
     for p in patterns:
-        occ = contains_signed(pi, p) if isinstance(p, SignedPattern) else contains(pi, p)
+        if isinstance(p, SignedPattern):
+            if split is None:
+                split = _split_signs(pi.window)
+            occ = _occurrence(pi.window, _signed_positions(split, p.window))
+        else:
+            occ = contains(pi, p)
         if occ is not None:
             return p, occ
     return None
@@ -497,11 +513,3 @@ _SIGNED_FORBIDDEN_WINDOWS = (
 SIGNED_FORBIDDEN_PATTERNS: tuple[SignedPattern, ...] = tuple(
     parse_signed_pattern(text) for text in _SIGNED_FORBIDDEN_WINDOWS
 )
-
-# The search plans of the fixed pattern lists, computed once; any other
-# pattern's plan is computed per call.
-_PLANS = {
-    word: _slot_plan(word)
-    for word in [p.word for p in FORBIDDEN_PATTERNS]
-    + [tuple(abs(v) for v in p.window) for p in SIGNED_FORBIDDEN_PATTERNS]
-}

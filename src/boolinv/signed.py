@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .boolean import (
     BooleanVerdict, InvariantViolationError, first_long_crossing_pair, with_witnesses)
-from .patterns import SIGNED_FORBIDDEN_PATTERNS, first_occurrence
+from .patterns import SIGNED_FORBIDDEN_PATTERNS, first_occurrence, format_signed
 from .permutations import Involution, Permutation, _tag_involution, check_word, parse_int_tokens
 
 SIGNED_METHODS = ("embedding", "signed_patterns", "all")
@@ -98,10 +98,6 @@ def parse_signed(text: str) -> SignedPermutation:
     """Comma-separated signed integers, e.g. "2,1,-3"."""
     w = SignedPermutation(tuple(parse_int_tokens(text)))
     return _trusted_signed_involution(w.window) if w.is_involution() else w
-
-
-def format_signed(w: SignedPermutation) -> str:
-    return ",".join(str(v) for v in w.window)
 
 
 def embed(w: SignedPermutation) -> EmbeddedPermutation:

@@ -42,6 +42,15 @@ def test_contains_trivia():
     assert contains(identity(2), parse_permutation("321")) is None
 
 
+def test_empty_pattern_occurs_once_everywhere():
+    empty = Occurrence((), ())
+    assert contains(HOST, Permutation(())) == empty
+    assert contains(Permutation(()), Permutation(())) == empty
+    assert occurrences(HOST, Permutation(())) == [empty]
+    assert contains_signed(parse_signed("-1"), SignedPattern(())) == empty
+    assert contains_signed(parse_signed("2,1"), SignedPattern(())) == empty
+
+
 def test_occurrences_examples():
     assert occurrences(parse_permutation("321"), parse_permutation("12")) == []
     occs = occurrences(parse_permutation("4321"), parse_permutation("321"))

@@ -1,6 +1,6 @@
 import pytest
 
-from boolinv import boolean, signed
+from boolinv import boolean, counting, patterns, signed
 from boolinv.boolean import InvariantViolationError
 from boolinv.counting import signed_involutions
 from boolinv.involution_words import evaluate_word
@@ -16,6 +16,7 @@ from boolinv.signed import (
     parse_signed,
     signed_identity,
 )
+from oracles import signed_pattern_occurrences
 
 
 def test_parse_examples():
@@ -180,10 +181,64 @@ def test_methods_agree_small():
             assert is_boolean_signed(w, "all").is_boolean == a
 
 
-def test_methods_agree_n6():
-    # the larger sweep: 1384 signed involutions
-    for w in signed_involutions(6):
-        is_boolean_signed(w, "all")  # raises on disagreement
+def test_methods_agree_to_n8(monkeypatch):
+    # the sixteen windows against the embedding on every signed involution
+    # with 5 <= n <= 8 (312 + 1384 + 6512 + 32400), past the stream's guard;
+    # 5,-4,6,-2,1,3 is never the witness (see test_dropping_a_window_is_seen)
+    monkeypatch.setattr(counting, "MAX_SIGNED_STREAM_N", 8)
+    for n in (5, 6, 7, 8):
+        for w in signed_involutions(n):
+            # raises on disagreement
+            assert is_boolean_signed(w, "all").pattern != SIGNED_FORBIDDEN_PATTERNS[-1]
+
+
+@pytest.mark.slow
+def test_methods_agree_n9(monkeypatch):
+    # 168,992 signed involutions; run by `pytest -m slow`
+    monkeypatch.setattr(counting, "MAX_SIGNED_STREAM_N", 9)
+    for w in signed_involutions(9):
+        is_boolean_signed(w, "all")
+
+
+# 5,-4,3,-2,1 and 5,-4,6,-2,1,3 each contain 4,-3,-2,1 at these positions;
+# every other window, taken as a host, contains no other listed window.
+NOT_MINIMAL = {"5,-4,3,-2,1": (1, 2, 4, 5), "5,-4,6,-2,1,3": (1, 2, 4, 5)}
+
+
+def test_window_list_structure():
+    for p in SIGNED_FORBIDDEN_PATTERNS:
+        host = parse_signed(format_signed(p))
+        assert isinstance(host, SignedInvolution)
+        assert not is_boolean_signed(host).is_boolean
+        contained = {
+            format_signed(q): signed_pattern_occurrences(p.window, q.window)
+            for q in SIGNED_FORBIDDEN_PATTERNS if q != p
+        }
+        contained = {text: occs for text, occs in contained.items() if occs}
+        if format_signed(p) in NOT_MINIMAL:
+            assert contained == {"4,-3,-2,1": [NOT_MINIMAL[format_signed(p)]]}
+        else:
+            assert contained == {}
+
+
+@pytest.mark.parametrize("dropped", range(len(SIGNED_FORBIDDEN_PATTERNS)))
+def test_dropping_a_window_is_seen(monkeypatch, dropped):
+    # A minimal window, dropped from the list, leaves its own host with no
+    # signed witness, so the two criteria disagree.  The host 5,-4,3,-2,1
+    # is then named by 4,-3,-2,1 instead.  5,-4,6,-2,1,3 is never a first
+    # hit: every host containing it contains 4,-3,-2,1, listed before it,
+    # so dropping it changes no verdict at all.
+    p = SIGNED_FORBIDDEN_PATTERNS[dropped]
+    host = parse_signed(format_signed(p))
+    rest = SIGNED_FORBIDDEN_PATTERNS[:dropped] + SIGNED_FORBIDDEN_PATTERNS[dropped + 1:]
+    monkeypatch.setattr(signed, "SIGNED_FORBIDDEN_PATTERNS", rest)
+    if format_signed(p) not in NOT_MINIMAL:
+        with pytest.raises(InvariantViolationError, match="signed patterns say True"):
+            is_boolean_signed(host, "all")
+        return
+    verdict = is_boolean_signed(host, "all")
+    assert verdict.pattern == parse_signed_pattern("4,-3,-2,1")
+    assert verdict.occurrence.positions == NOT_MINIMAL[format_signed(p)]
 
 
 def test_avoids_all_signed_dispatch():
@@ -211,3 +266,28 @@ def test_signed_all_raises_when_routes_disagree(monkeypatch):
     expected = "embedding says False, signed patterns say True"
     with pytest.raises(InvariantViolationError, match=expected):
         is_boolean_signed(parse_signed("2,1"), "all")
+
+
+def test_signed_host_is_split_once_per_verdict(monkeypatch):
+    # a Boolean host tries all 16 windows on one split
+    splits, windows = [], []
+    split, search = patterns._split_signs, patterns._signed_positions
+    monkeypatch.setattr(
+        patterns, "_split_signs", lambda window: splits.append(window) or split(window))
+    monkeypatch.setattr(
+        patterns, "_signed_positions", lambda host, p: windows.append(p) or search(host, p))
+    w = parse_signed("-5,2,3,4,-1")
+    assert is_boolean_signed(w, "signed_patterns").is_boolean
+    assert splits == [w.window]
+    assert windows == [p.window for p in SIGNED_FORBIDDEN_PATTERNS]
+
+
+def test_signed_verdicts_build_no_permutation(monkeypatch):
+    expected = {w: is_boolean_signed(w, "all") for n in range(6) for w in signed_involutions(n)}
+
+    def refuse(*args):
+        raise AssertionError("Permutation built inside a signed search")
+
+    monkeypatch.setattr(patterns, "Permutation", refuse)
+    for w, verdict in expected.items():
+        assert is_boolean_signed(w, "all") == verdict
