@@ -10,16 +10,16 @@ x(s) > x(s+1).  If s is a descent of y = x.s, then rank(y) = rank(x) + 1 and
 the down-covers of y are x and z.s for each down-cover z of x with ascent s
 (the lifting property, Hultman 2005).  No pair of elements is compared.
 The closure numbers each element once, as it is reached, and carries
-numbers, not words, from then on: covers are number lists, one sort by
-(rank, word) places the elements, and down-sets are integer bitsets
-filled up the covers in that order.
+numbers, not words, from then on: covers are number lists, and one sort
+by (rank, word) places the elements.  The order is kept once, as covers;
+the down-sets, |I|^2 / 2 bits, are filled up the covers only when read.
 
 `bruhat_leq` compares two permutations by the tableau criterion on sorted
 prefixes.
 
 Boolean-lattice certification maps each element to the set of atoms below
-it; the ideal is a Boolean lattice iff that map is injective onto the full
-power set of the atom set.
+it, carried up the covers; the ideal is a Boolean lattice iff that map is
+injective onto the full power set of the atom set.
 """
 from __future__ import annotations
 
@@ -33,8 +33,8 @@ from .permutations import (
     Involution, InvariantViolationError, Permutation, _as_involution, _trusted_involution,
     format_permutation, identity)
 
-# Refuse ideals of more elements: this bounds the closure and the `below`
-# bitsets, |I|^2 bits in all (8 MB at 8192 elements).
+# Refuse ideals of more elements.  This bounds the closure, the covers and
+# the DOT text (4.8 MB at 8192); `below`, filled when read, takes 4.2 MB there.
 IDEAL_MAX_ELEMENTS = 8192
 
 
@@ -65,18 +65,22 @@ def bruhat_leq(u: Permutation, w: Permutation) -> bool:
 class IdealPoset:
     """
     The involutions below `root`, sorted by (rank, word), with the order
-    relation as down-set bitsets.
+    relation as its covers, from which `below` and `leq` are read on demand.
 
-    Bit a of `below[b]` is set iff elements[a] <= elements[b].  `covers`
-    lists the cover pairs (a, b) in increasing order.  The identity is the
+    `covers` lists the cover pairs (a, b) in increasing order, so every
+    cover into a precedes every cover out of a.  The identity is the
     unique minimum and `root` the unique maximum.
     """
 
     root: Involution
     elements: tuple[Involution, ...]
     ranks: tuple[int, ...]
-    below: tuple[int, ...] = field(repr=False)
     covers: tuple[tuple[int, int], ...] = field(repr=False)
+
+    @cached_property
+    def below(self) -> tuple[int, ...]:
+        """Down-set bitsets: bit a of `below[b]` is set iff elements[a] <= elements[b]."""
+        return _up_closure(self.covers, [1 << b for b in range(len(self))])
 
     @cached_property
     def leq(self) -> tuple[tuple[bool, ...], ...]:
@@ -138,17 +142,20 @@ def ideal(w: Involution) -> IdealPoset:
     place = [0] * len(order)
     for b, z in enumerate(order):
         place[z] = b
-    below: list[int] = []
     ups: list[list[int]] = [[] for _ in order]  # up-covers, increasing
     for b, z in enumerate(order):
-        down = 1 << b
         for a in map(place.__getitem__, downs[z]):
             ups[a].append(b)
-            down |= below[a]
-        below.append(down)
     covers = tuple([(a, b) for a, up in enumerate(ups) for b in up])
     elements = tuple(map(_trusted_involution, words))
-    return IdealPoset(w, elements, ranks, tuple(below), covers)
+    return IdealPoset(w, elements, ranks, covers)
+
+
+def _up_closure(covers: tuple[tuple[int, int], ...], masks: list[int]) -> tuple[int, ...]:
+    """Each element's mask joined with those below it, in one pass up the covers."""
+    for a, b in covers:
+        masks[b] |= masks[a]
+    return tuple(masks)
 
 
 def is_boolean_lattice(poset: IdealPoset) -> bool:
@@ -157,9 +164,8 @@ def is_boolean_lattice(poset: IdealPoset) -> bool:
     of atoms (rank-one elements) below it must be injective and cover every
     subset of the atoms.
     """
-    atoms = sum(1 << a for a, r in enumerate(poset.ranks) if r == 1)
-    atom_sets = {down & atoms for down in poset.below}
-    return len(atom_sets) == len(poset) and len(poset) == 2 ** poset.ranks.count(1)
+    atoms = [1 << a if r == 1 else 0 for a, r in enumerate(poset.ranks)]
+    return len(poset) == 2 ** poset.ranks.count(1) == len(set(_up_closure(poset.covers, atoms)))
 
 
 def hasse_edges(poset: IdealPoset) -> list[tuple[Involution, Involution]]:

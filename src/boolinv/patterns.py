@@ -27,7 +27,9 @@ import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .permutations import Permutation, check_word, parse_int_tokens, parse_permutation, sum_blocks
+from .permutations import (
+    InvariantViolationError, Permutation, check_word, parse_int_tokens, parse_permutation,
+    sum_blocks)
 
 if TYPE_CHECKING:
     from .signed import SignedPermutation
@@ -159,10 +161,11 @@ def _occurrences_iter(
 # at positions (i, j) of w is 21 at the same positions of n + 1 - w.
 
 
-def _first_decreasing(word: Sequence[int], slots: int = 4) -> tuple[int, ...] | None:
+def _first_decreasing(word: Sequence[int], slots: int = 4, top: int = 0) -> tuple[int, ...] | None:
     """
     First occurrence of the decreasing pattern of `slots` <= 4 entries
-    (4321, 321, 21), from the length of the longest decreasing subsequence
+    (4321, 321, 21) in a word of positive values below `top` (by default
+    len(word) + 1), from the length of the longest decreasing subsequence
     that starts at each position, capped at 4.  One right-to-left pass
     keeps the least value seen that starts a decreasing run of length 1, 2
     and 3.
@@ -174,7 +177,7 @@ def _first_decreasing(word: Sequence[int], slots: int = 4) -> tuple[int, ...] | 
     """
     n = len(word)
     run = bytearray(n)
-    low1 = low2 = low3 = n + 1
+    low1 = low2 = low3 = top = top or n + 1
     for i in range(n - 1, -1, -1):
         v = word[i]
         if v > low3:
@@ -188,7 +191,7 @@ def _first_decreasing(word: Sequence[int], slots: int = 4) -> tuple[int, ...] | 
     if slots not in run:  # a run of length k holds one of each length below k
         return None
     positions = []
-    i, high = 0, n + 1
+    i, high = 0, top
     for need in range(slots, 0, -1):
         while not (word[i] < high and run[i] >= need):
             i += 1
@@ -196,6 +199,21 @@ def _first_decreasing(word: Sequence[int], slots: int = 4) -> tuple[int, ...] | 
         high = word[i]
         i += 1
     return tuple(positions)
+
+
+def _rising_tail(word: Sequence[int], start: int, cap: int, slots: int) -> tuple[int, ...]:
+    """
+    Positions of the first increasing run of `slots` values below cap in
+    word[start:], read as the first decreasing run of cap - v.
+
+    >>> _rising_tail((4, 1, 5, 2, 3), 1, 4, 3)  # 1 2 3
+    (2, 4, 5)
+    """
+    kept = [j for j in range(start, len(word)) if word[j] < cap]
+    found = _first_decreasing([cap - word[j] for j in kept], slots, cap)
+    if found is None:
+        raise InvariantViolationError(f"no increasing run of {slots} below {cap} from {start + 1}")
+    return tuple(kept[k - 1] + 1 for k in found)
 
 
 def _least_larger_right(word: Sequence[int]) -> list[int]:
@@ -227,7 +245,7 @@ def _first_45312(word: Sequence[int]) -> tuple[int, ...] | None:
     values to the right of its positions); the least "3" in the suffix (a
     value above the least top of a 12 to its right); and the next greater
     element, from a stack.  A "4" is feasible when a "3" below it follows
-    its next greater element.
+    its next greater element.  `_rising_tail` places the "12" below the "3".
 
     >>> _first_45312((2, 6, 7, 5, 8, 3, 4, 1))  # 6 7 5 3 4
     (2, 3, 4, 6, 7)
@@ -257,10 +275,7 @@ def _first_45312(word: Sequence[int]) -> tuple[int, ...] | None:
     four = word[first]
     five = next(j for j in range(first + 1, n) if word[j] > four)
     three = next(k for k in range(five + 1, n) if is_three[k] and word[k] < four)
-    cap = word[three]
-    one = next(j for j in range(three + 1, n) if word[j] < cap and larger[j] < cap)
-    two = next(j for j in range(one + 1, n) if word[one] < word[j] < cap)
-    return first + 1, five + 1, three + 1, one + 1, two + 1
+    return (first + 1, five + 1, three + 1) + _rising_tail(word, three + 1, word[three], 2)
 
 
 def _first_456123(word: Sequence[int]) -> tuple[int, ...] | None:
@@ -272,9 +287,8 @@ def _first_456123(word: Sequence[int]) -> tuple[int, ...] | None:
     buckets that top at its position); the next greater element; and, in a
     Fenwick tree over values, the earliest end of a rising pair above each
     value.  The "4" is the first position whose value exceeds the least
-    123 top after the earliest end of a rising pair above it.  With its
-    value as cap, a capped increasing-run pass over the rest places the
-    "123".
+    123 top after the earliest end of a rising pair above it.
+    `_rising_tail` places the "123" below the "4", after the "6".
 
     >>> _first_456123((7, 4, 5, 8, 6, 1, 2, 3))  # 4 5 8 1 2 3
     (2, 3, 4, 6, 7, 8)
@@ -320,29 +334,7 @@ def _first_456123(word: Sequence[int]) -> tuple[int, ...] | None:
         if word[j] > cap and greater[j] < n and top123[greater[j] + 1] < cap
     )
     six = greater[five]
-    # Capped increasing runs over the rest: run[j] is the length, up to 3,
-    # of the longest increasing subsequence from j with all values below cap.
-    run = bytearray(n)
-    high1 = high2 = 0
-    for j in range(n - 1, six, -1):
-        v = word[j]
-        if v >= cap:
-            continue
-        if v < high2:
-            run[j] = 3
-        elif v < high1:
-            run[j], high2 = 2, v
-        else:
-            run[j], high1 = 1, v
-    positions = [first + 1, five + 1, six + 1]
-    j, low = six + 1, 0
-    for need in (3, 2, 1):
-        while not (low < word[j] < cap and run[j] >= need):
-            j += 1
-        positions.append(j + 1)
-        low = word[j]
-        j += 1
-    return tuple(positions)
+    return (first + 1, five + 1, six + 1) + _rising_tail(word, six + 1, cap, 3)
 
 
 _TABLE_SEARCHES = {

@@ -39,8 +39,8 @@ def check_criteria_agree(n_max: int, poset_n_max: int) -> CheckResult:
 def check_ideals(n_max: int, product_n_max: int) -> CheckResult:
     """
     Subword-generated ideals must equal Bruhat-filtered ideals and carry the
-    order of `bruhat_leq` on every pair, which checks the down-sets `ideal()`
-    fills from the closure's covers.  The size is a power of two exactly
+    order of `bruhat_leq` on every pair, which checks the down-sets filled
+    up the covers of `ideal()`'s closure.  The size is a power of two exactly
     when w is Boolean, by `is_boolean` and by the lattice test, and up to
     product_n_max the ideal factors over the components of w.
     """

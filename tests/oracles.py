@@ -190,7 +190,9 @@ def ideal_by_adjacent_ranks(w: Involution):
     """The ideal below w the slow way: the subword closure as a set, each
     element ranked by `rank` and sorted by (rank, word), and the packed
     dominance test run on every pair of adjacent rank layers, whose
-    comparable pairs are the covers since the order is graded."""
+    comparable pairs are the covers since the order is graded.  The
+    down-sets are filled eagerly, pair by pair, and preset on the poset
+    as the reference for its `below`."""
     reached = {identity(w.n)}
     for letter in reduced_word_by_rank(w):
         reached |= {apply_letter(u, letter) for u in reached}
@@ -222,7 +224,9 @@ def ideal_by_adjacent_ranks(w: Involution):
             for b in [b for b in range(mid, hi) if (raised[b] - u) & guard == guard]:
                 covers.append((a, b))
                 below[b] |= below[a]
-    return IdealPoset(w, elements, ranks, tuple(below), tuple(covers))
+    poset = IdealPoset(w, elements, ranks, tuple(covers))
+    vars(poset)["below"] = tuple(below)
+    return poset
 
 
 def word_keyed_closure(w: Involution):

@@ -135,12 +135,33 @@ def test_ideal_examples():
 def test_ideal_matches_adjacent_rank_oracle():
     # every field equals the poset built by ranking each element and
     # running the dominance test on every pair of adjacent ranks, so the
-    # Hasse edges are exactly the comparable adjacent-rank pairs
-    high_rank = Involution(tuple(range(9, 0, -1)) + (11, 10))  # 5240 elements
+    # Hasse edges are exactly the comparable adjacent-rank pairs; the
+    # down-sets filled up the covers on first read equal the oracle's eager
+    # fill.  The matrix `leq`, a function of the down-sets, is compared up
+    # to n = 7: at n = 8 the matrices hold 39 million entries in all and
+    # take 12 s to read.
     for n in range(9):
         for w in involutions(n):
-            assert ideal(w) == ideal_by_adjacent_ranks(w), w
-    assert ideal(high_rank) == ideal_by_adjacent_ranks(high_rank)
+            poset, expected = ideal(w), ideal_by_adjacent_ranks(w)
+            assert poset == expected and poset.below == expected.below, w
+            assert n == 8 or poset.leq == expected.leq, w
+    high_rank = Involution(tuple(range(9, 0, -1)) + (11, 10))  # 5240 elements
+    poset, expected = ideal(high_rank), ideal_by_adjacent_ranks(high_rank)
+    assert poset == expected and poset.below == expected.below
+
+
+def test_ideal_fills_down_sets_only_when_read():
+    # (1 14): 8192 elements, whose down-sets take 4.2 MB; certifying and
+    # exporting the ideal reads only its covers.  Its order matrix would
+    # hold 67 million entries, so `leq` is read on a smaller ideal.
+    poset = ideal(Involution((14,) + tuple(range(2, 14)) + (1,)))
+    assert is_boolean_lattice(poset) is True
+    dot_export(poset)
+    assert "below" not in vars(poset)
+    assert poset.below[-1] == (1 << IDEAL_MAX_ELEMENTS) - 1
+    small = ideal(parse_permutation("4321"))
+    assert is_boolean_lattice(small) is False and "below" not in vars(small)
+    assert small.leq[0] == (True,) * len(small) and "below" in vars(small)
 
 
 def test_ideal_runs_no_pair_test_and_ranks_once(monkeypatch):
