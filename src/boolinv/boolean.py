@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from . import ideals
-from .involution_words import Word, evaluate_word, reduced_word
+from .involution_words import Word, _peel_descents, evaluate_word
 from .patterns import (
     FORBIDDEN_PATTERNS, Occurrence, SignedPattern, first_occurrence, format_signed)
 from .permutations import (
@@ -140,7 +140,7 @@ def is_boolean(w: Involution, method: str = "long_crossing") -> BooleanVerdict:
         answers["patterns"] = hit is None
     answers["long_crossing"] = pair is None
     if method in ("word", "all"):
-        letters = reduced_word(w)
+        letters = _peel_descents(list(w.word), w.n)  # n letters in 1..n-1 repeat one
         answers["word"] = len(set(letters)) == len(letters)
     if method in ("poset", "all"):
         answers["poset"] = ideals.is_boolean_lattice(ideals.ideal(w))

@@ -33,8 +33,8 @@ from .permutations import (
     Involution, InvariantViolationError, Permutation, _as_involution, _trusted_involution,
     format_permutation, identity)
 
-# Refuse ideals of more elements.  This bounds the closure, the covers and
-# the DOT text (4.8 MB at 8192); `below`, filled when read, takes 4.2 MB there.
+# Refuse ideals of more elements.  This bounds elements and covers, but each
+# element is a word of n: DOT text is 4.8 MB at (1 14), 1 GB at (1 11) in S_16000.
 IDEAL_MAX_ELEMENTS = 8192
 
 
@@ -65,7 +65,7 @@ def bruhat_leq(u: Permutation, w: Permutation) -> bool:
 class IdealPoset:
     """
     The involutions below `root`, sorted by (rank, word), with the order
-    relation as its covers, from which `below` and `leq` are read on demand.
+    relation as its covers, from which `below` is read on demand.
 
     `covers` lists the cover pairs (a, b) in increasing order, so every
     cover into a precedes every cover out of a.  The identity is the
@@ -81,11 +81,6 @@ class IdealPoset:
     def below(self) -> tuple[int, ...]:
         """Down-set bitsets: bit a of `below[b]` is set iff elements[a] <= elements[b]."""
         return _up_closure(self.covers, [1 << b for b in range(len(self))])
-
-    @cached_property
-    def leq(self) -> tuple[tuple[bool, ...], ...]:
-        """`leq[a][b]` holds iff elements[a] <= elements[b]."""
-        return tuple(tuple(bool(d >> a & 1) for d in self.below) for a in range(len(self)))
 
     def __len__(self) -> int:
         return len(self.elements)

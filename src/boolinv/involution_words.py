@@ -17,7 +17,8 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from .permutations import (
-    Involution, InvariantViolationError, _as_involution, _trusted_involution, inversion_count)
+    Involution, InvariantViolationError, _as_involution, _trusted_involution, inversion_count,
+    sum_blocks)
 
 Word = tuple[int, ...]
 
@@ -123,11 +124,10 @@ def descents(w: Involution) -> list[int]:
     return [i for i in range(1, w.n) if word[i - 1] > word[i]]
 
 
-def reduced_word(w: Involution) -> Word:
+def _peel_descents(word: list[int], limit: int) -> list[int]:
     """
-    A canonical reduced word for w: repeatedly peel off the smallest
-    rank-lowering letter.  The result evaluates back to w and has length
-    rank(w).
+    Peel smallest rank-lowering letters off an involution word in place,
+    at most `limit` of them; returns the letters in the order peeled.
 
     Peeling the smallest descent i keeps every pair left of i - 1 an
     ascent.  Swapping positions i and i+1 touches only the pairs at i - 1,
@@ -135,21 +135,29 @@ def reduced_word(w: Involution) -> Word:
     of their positions a = w(i) and b = w(i+1); as w(1) < ... < w(i) and
     w is an involution, a > i + 1 when the letter conjugates, so that pair,
     if adjacent, sits at b = a - 1 > i.  Each next descent is thus found by
-    scanning on from i - 1, in O(n + rank) steps in all.
+    scanning on from i - 1, in O(n + letters peeled) steps in all.
     """
-    word = list(_as_involution(w).word)
     n = len(word)
     letters = []
     i = 1
-    while i < n:
+    while i < n and len(letters) < limit:
         if word[i - 1] > word[i]:
             _act_into(word, i)
             letters.append(i)
             i = max(i - 1, 1)
         else:
             i += 1
-    letters.reverse()
-    return tuple(letters)
+    return letters
+
+
+def reduced_word(w: Involution) -> Word:
+    """
+    A canonical reduced word for w: repeatedly peel off the smallest
+    rank-lowering letter.  The result evaluates back to w and has length
+    rank(w), at most n^2 / 4.
+    """
+    word = list(_as_involution(w).word)
+    return tuple(reversed(_peel_descents(word, len(word) ** 2)))
 
 
 def all_reduced_words(w: Involution) -> set[Word]:
@@ -186,5 +194,6 @@ def support(w: Involution) -> frozenset[int]:
     """
     The letter set shared by every reduced word of w; equally the set of
     letters i whose single-letter involution lies below w in Bruhat order.
+    That is each i with max(w(1..i)) > i: i < hi in its block [lo, hi].
     """
-    return frozenset(reduced_word(w))
+    return frozenset(i for lo, hi in sum_blocks(_as_involution(w).word) for i in range(lo, hi))

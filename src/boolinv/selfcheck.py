@@ -54,9 +54,9 @@ def check_ideals(n_max: int, product_n_max: int) -> CheckResult:
             if set(poset.elements) != {u for u in everything if leq(u, w)}:
                 return CheckResult(name, False, f"subword != filter for {w.word}")
             if any(
-                row[b] != leq(u, v)
-                for u, row in zip(poset.elements, poset.leq)
-                for b, v in enumerate(poset.elements)
+                (down >> a & 1) != leq(u, v)
+                for v, down in zip(poset.elements, poset.below)
+                for a, u in enumerate(poset.elements)
             ):
                 return CheckResult(name, False, f"order of the ideal of {w.word} != bruhat_leq")
             power = len(poset) == 2 ** rank(w)

@@ -307,16 +307,18 @@ def restricted_strings(n):
     return out
 
 
-def covers_from_leq(poset):
-    """Cover pairs computed the slow way: comparable with nothing between."""
+def covers_from_below(poset):
+    """Cover pairs computed the slow way, from the down-sets: comparable
+    with nothing between."""
     size = len(poset)
+    below = poset.below
     out = []
     for a in range(size):
         for b in range(size):
-            if a == b or not poset.leq[a][b]:
+            if a == b or not below[b] >> a & 1:
                 continue
             if not any(
-                c not in (a, b) and poset.leq[a][c] and poset.leq[c][b]
+                c not in (a, b) and below[c] >> a & 1 and below[b] >> c & 1
                 for c in range(size)
             ):
                 out.append((poset.elements[a], poset.elements[b]))

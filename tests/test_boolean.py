@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from boolinv import boolean
+from boolinv import boolean, involution_words
 from boolinv.boolean import (
     METHODS,
     connected_components,
@@ -288,3 +288,16 @@ def test_word_criterion_on_large_random_involution():
     # n * rank while each letter copied the word and rescanned its descents
     w = uniform_involution(1000, random.Random(1017))
     assert is_boolean(w, "word") == is_boolean(w, "long_crossing")
+
+
+def test_word_criterion_peels_at_most_n_letters(monkeypatch):
+    # the reversal of S_2000 has rank 10^6, but n letters from 1..n-1
+    # repeat one; the Boolean chain's whole word has fewer than n letters
+    reversal, boolean_chain = Involution(tuple(range(2000, 0, -1))), Involution(chain(2000))
+    expected = [is_boolean(reversal), is_boolean(boolean_chain)]
+    kernel, acted = involution_words._act_into, []
+    monkeypatch.setattr(
+        involution_words, "_act_into", lambda word, i: acted.append(i) or kernel(word, i))
+    assert is_boolean(reversal, "word") == expected[0]
+    assert len(acted) <= reversal.n
+    assert is_boolean(boolean_chain, "word") == expected[1]

@@ -480,7 +480,8 @@ def test_invariant_violation_exits_3(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "name, fake, args, message",
     [
-        ("reduced_word", lambda w: (1, 1), ("--method", "word", "2143"), "criteria disagree on"),
+        ("_peel_descents", lambda word, limit: [1, 1], ("--method", "word", "2143"),
+         "criteria disagree on"),
         ("evaluate_word", lambda letters, n: identity(n), ("21",), "construction failed for"),
     ],
     ids=["word_criterion", "word_witness"],

@@ -18,7 +18,7 @@ from boolinv.permutations import Involution, identity, parse_permutation
 from boolinv.selfcheck import product_decomposition_check
 from oracles import (
     bruhat_leq_by_matrix,
-    covers_from_leq,
+    covers_from_below,
     grouped_dot,
     ideal_by_adjacent_ranks,
     subword_evaluations,
@@ -135,16 +135,12 @@ def test_ideal_examples():
 def test_ideal_matches_adjacent_rank_oracle():
     # every field equals the poset built by ranking each element and
     # running the dominance test on every pair of adjacent ranks, so the
-    # Hasse edges are exactly the comparable adjacent-rank pairs; the
-    # down-sets filled up the covers on first read equal the oracle's eager
-    # fill.  The matrix `leq`, a function of the down-sets, is compared up
-    # to n = 7: at n = 8 the matrices hold 39 million entries in all and
-    # take 12 s to read.
+    # Hasse edges are exactly the comparable adjacent-rank pairs; the down-sets
+    # filled up the covers on first read equal the oracle's eager fill.
     for n in range(9):
         for w in involutions(n):
             poset, expected = ideal(w), ideal_by_adjacent_ranks(w)
             assert poset == expected and poset.below == expected.below, w
-            assert n == 8 or poset.leq == expected.leq, w
     high_rank = Involution(tuple(range(9, 0, -1)) + (11, 10))  # 5240 elements
     poset, expected = ideal(high_rank), ideal_by_adjacent_ranks(high_rank)
     assert poset == expected and poset.below == expected.below
@@ -152,8 +148,7 @@ def test_ideal_matches_adjacent_rank_oracle():
 
 def test_ideal_fills_down_sets_only_when_read():
     # (1 14): 8192 elements, whose down-sets take 4.2 MB; certifying and
-    # exporting the ideal reads only its covers.  Its order matrix would
-    # hold 67 million entries, so `leq` is read on a smaller ideal.
+    # exporting the ideal reads only its covers.
     poset = ideal(Involution((14,) + tuple(range(2, 14)) + (1,)))
     assert is_boolean_lattice(poset) is True
     dot_export(poset)
@@ -161,7 +156,7 @@ def test_ideal_fills_down_sets_only_when_read():
     assert poset.below[-1] == (1 << IDEAL_MAX_ELEMENTS) - 1
     small = ideal(parse_permutation("4321"))
     assert is_boolean_lattice(small) is False and "below" not in vars(small)
-    assert small.leq[0] == (True,) * len(small) and "below" in vars(small)
+    assert all(down & 1 for down in small.below) and "below" in vars(small)
 
 
 def test_ideal_runs_no_pair_test_and_ranks_once(monkeypatch):
@@ -242,7 +237,7 @@ def test_hasse_edges_examples():
     poset = ideal(parse_permutation("4321"))
     assert sorted(
         (a.word, b.word) for a, b in hasse_edges(poset)
-    ) == sorted((a.word, b.word) for a, b in covers_from_leq(poset))
+    ) == sorted((a.word, b.word) for a, b in covers_from_below(poset))
 
 
 def test_dot_export_is_deterministic_and_clustered():

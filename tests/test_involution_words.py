@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from boolinv import involution_words
 from boolinv.boolean import is_boolean, repeat_free_word
 from boolinv.counting import involutions
 from boolinv.ideals import ideal
@@ -118,10 +119,11 @@ def test_reduced_word_examples():
 
 
 def test_reduced_word_round_trips_and_has_rank_length():
-    for n in range(9):
+    # support reads the direct-sum blocks, not the word
+    for n in range(10):
         for w in involutions(n):
             letters = reduced_word(w)
-            assert len(letters) == rank(w)
+            assert len(letters) == rank(w) and support(w) == frozenset(letters)
             assert evaluate_word(letters, n) == w
 
 
@@ -168,6 +170,15 @@ def test_support_is_word_independent_and_matches_order():
                 if bruhat_leq(apply_letter(identity(n), i), w)
             )
             assert below == support(w)
+
+
+def test_support_builds_no_reduced_word(monkeypatch):
+    # the reversal of S_2000 has rank 10^6; its support is every letter
+    def refuse(w):
+        raise AssertionError("support built a reduced word")
+
+    monkeypatch.setattr(involution_words, "reduced_word", refuse)
+    assert support(Involution(tuple(range(2000, 0, -1)))) == frozenset(range(1, 2000))
 
 
 def test_orbit_covers_all_involutions():
