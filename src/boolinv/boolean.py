@@ -13,7 +13,11 @@ The default is the long-crossing scan, the cheapest sound-and-complete
 test; every verdict runs it once, and its criterion must agree with it.
 Verdicts always carry witnesses: a repeat-free word when Boolean, and both
 a long-crossing pair and a forbidden-pattern occurrence when not.
-`with_witnesses` attaches them, for signed verdicts too.
+`with_witnesses` attaches them, for signed verdicts too.  Verdicts and
+their occurrences are built unchecked from what the scan and the searches
+produced, as `_trusted_involution` builds words.  The public constructors
+are unchanged: `Occurrence(...)` still validates its positions, and
+`BooleanVerdict(...)` still binds and checks its arguments.
 """
 from __future__ import annotations
 
@@ -40,6 +44,12 @@ class ComponentPartition(NamedTuple):
 
 @dataclass(frozen=True)
 class BooleanVerdict:
+    """
+    A verdict and its witnesses.  `with_witnesses` builds every verdict the
+    criteria return without this constructor, as `_trusted_involution`
+    builds words: one `__dict__` update in place of the frozen `__init__`.
+    """
+
     is_boolean: bool
     long_crossing_pair: tuple[int, int] | None = None
     pattern: Permutation | SignedPattern | None = None
@@ -135,17 +145,18 @@ def is_boolean(w: Involution, method: str = "long_crossing") -> BooleanVerdict:
     pair = first_long_crossing_pair(w)
     searched = pair is not None or method in ("patterns", "all")
     hit = first_occurrence(w, FORBIDDEN_PATTERNS) if searched else None
-    answers = {}
-    if method in ("patterns", "all"):
-        answers["patterns"] = hit is None
-    answers["long_crossing"] = pair is None
-    if method in ("word", "all"):
-        letters = _peel_descents(list(w.word), w.n)  # n letters in 1..n-1 repeat one
-        answers["word"] = len(set(letters)) == len(letters)
-    if method in ("poset", "all"):
-        answers["poset"] = ideals.is_boolean_lattice(ideals.ideal(w))
-    if len(set(answers.values())) != 1:
-        raise InvariantViolationError(f"criteria disagree on {w.word}: {answers}")
+    if method != "long_crossing":  # the scan alone cannot disagree with itself
+        answers = {}
+        if method in ("patterns", "all"):
+            answers["patterns"] = hit is None
+        answers["long_crossing"] = pair is None
+        if method in ("word", "all"):
+            letters = _peel_descents(list(w.word), w.n)  # n letters in 1..n-1 repeat one
+            answers["word"] = len(set(letters)) == len(letters)
+        if method in ("poset", "all"):
+            answers["poset"] = ideals.is_boolean_lattice(ideals.ideal(w))
+        if len(set(answers.values())) != 1:
+            raise InvariantViolationError(f"criteria disagree on {w.word}: {answers}")
     return with_witnesses(w, pair, hit)
 
 
@@ -157,13 +168,22 @@ def with_witnesses(
     """
     The verdict on the involution `image` from its first long-crossing pair:
     a repeat-free word when there is none, else the pair and `hit`, the
-    first forbidden pattern the host contains, with its occurrence.
+    first forbidden pattern the host contains, with its occurrence.  Built
+    without `BooleanVerdict`'s constructor: every field comes from the scan,
+    the search or the word built here.
     """
+    verdict = object.__new__(BooleanVerdict)
     if pair is None:
-        return BooleanVerdict(True, word=repeat_free_word(image))
-    if hit is None:
+        verdict.__dict__.update(
+            is_boolean=True, long_crossing_pair=None, pattern=None, occurrence=None,
+            word=_repeat_free_word(image))
+    elif hit is None:
         raise InvariantViolationError(f"non-Boolean {image.word} contains no forbidden pattern")
-    return BooleanVerdict(False, long_crossing_pair=pair, pattern=hit[0], occurrence=hit[1])
+    else:
+        verdict.__dict__.update(
+            is_boolean=False, long_crossing_pair=pair, pattern=hit[0], occurrence=hit[1],
+            word=None)
+    return verdict
 
 
 def repeat_free_word(w: Involution) -> Word:
@@ -179,6 +199,12 @@ def repeat_free_word(w: Involution) -> Word:
     pair = first_long_crossing_pair(w)
     if pair is not None:
         raise ValueError(f"{w.word} is not Boolean; long-crossing pair {pair}")
+    return _repeat_free_word(w)
+
+
+def _repeat_free_word(w: Involution) -> Word:
+    """`repeat_free_word(w)` for an involution the caller has scanned and
+    found free of long-crossing pairs."""
     letters, openers = [], []
     lo = top = 0  # lo: the end of the previous component
     for i, v in enumerate(w.word, start=1):

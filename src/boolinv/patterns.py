@@ -37,7 +37,11 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class Occurrence:
-    """Positions i_1 < ... < i_m in the host and the values found there."""
+    """
+    Positions i_1 < ... < i_m in the host and the values found there.  The
+    searches build their results unchecked (`_occurrence`), as
+    `_trusted_involution` builds words; this constructor still validates.
+    """
 
     positions: tuple[int, ...]
     values: tuple[int, ...]
@@ -358,10 +362,21 @@ def _first_positions(word: Sequence[int], pattern: tuple[int, ...]) -> tuple[int
 
 
 def _occurrence(host: Sequence[int], positions: tuple[int, ...] | None) -> Occurrence | None:
-    """The occurrence at `positions` with the host's values there, or None for None."""
+    """
+    The occurrence at `positions` with the host's values there, or None for
+    None.  Built without `Occurrence`'s checks: a search's positions only
+    need one pass to confirm that they increase strictly from 1.
+    """
     if positions is None:
         return None
-    return Occurrence(positions, tuple(host[i - 1] for i in positions))
+    last = 0
+    for i in positions:
+        if i <= last:
+            raise InvariantViolationError(f"search positions not increasing from 1: {positions}")
+        last = i
+    occ = object.__new__(Occurrence)
+    occ.__dict__.update(positions=positions, values=tuple(host[i - 1] for i in positions))
+    return occ
 
 
 def contains(pi: Permutation, p: Permutation) -> Occurrence | None:
@@ -418,6 +433,14 @@ def _split_signs(window: Sequence[int]) -> tuple:
     return tuple(map(abs, window)), hosts, sides
 
 
+@functools.lru_cache(maxsize=256)
+def _window_shape(window: tuple[int, ...]) -> tuple[int, tuple[int, ...], tuple[bool, ...]]:
+    """A signed pattern window's number of negative slots, its absolute
+    word, and for each slot whether it is negative."""
+    negative = tuple(q < 0 for q in window)
+    return sum(negative), tuple(map(abs, window)), negative
+
+
 def _signed_positions(split: tuple, window: tuple[int, ...]) -> tuple[int, ...] | None:
     """
     The positions of the first occurrence of the signed pattern `window`
@@ -427,12 +450,11 @@ def _signed_positions(split: tuple, window: tuple[int, ...]) -> tuple[int, ...] 
     depth-first slot sees only the host values of its own sign.
     """
     absolute, hosts, sides = split
-    minus = sum(q < 0 for q in window)
+    minus, pattern, negative = _window_shape(window)
     if len(sides[0][0]) < len(window) - minus or len(sides[1][0]) < minus:
         return None
-    pattern = tuple(map(abs, window))
     if 0 < minus < len(window):
-        return next(_occurrences_iter(absolute, pattern, [hosts[q < 0] for q in window]), None)
+        return next(_occurrences_iter(absolute, pattern, [hosts[q] for q in negative]), None)
     positions, ranked = sides[minus > 0]
     found = _first_positions(ranked, pattern)
     return None if found is None else tuple(positions[k - 1] for k in found)
@@ -452,8 +474,9 @@ def first_occurrence(
 ) -> tuple[Permutation | SignedPattern, Occurrence] | None:
     """
     The first listed pattern that pi contains, with its first occurrence, or
-    None.  Classical hosts take classical patterns (`contains`); signed
-    hosts take signed patterns, searched in the host split by sign once.
+    None.  Classical hosts take classical patterns, searched as `contains`
+    searches them; signed hosts take signed patterns, searched in the host
+    split by sign once.
     """
     split = None
     for p in patterns:
@@ -462,7 +485,7 @@ def first_occurrence(
                 split = _split_signs(pi.window)
             occ = _occurrence(pi.window, _signed_positions(split, p.window))
         else:
-            occ = contains(pi, p)
+            occ = _occurrence(pi.word, _first_positions(pi.word, p.word))
         if occ is not None:
             return p, occ
     return None

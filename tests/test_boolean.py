@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -6,6 +7,7 @@ import pytest
 from boolinv import boolean, involution_words
 from boolinv.boolean import (
     METHODS,
+    BooleanVerdict,
     connected_components,
     first_long_crossing_pair,
     has_long_crossing,
@@ -14,10 +16,10 @@ from boolinv.boolean import (
     repeat_free_word,
     restrict,
 )
-from boolinv.counting import boolean_involutions, involutions
+from boolinv.counting import boolean_involutions, involutions, signed_involutions
 from boolinv.ideals import bruhat_leq
 from boolinv.involution_words import evaluate_word, rank
-from boolinv.patterns import FORBIDDEN_PATTERNS, avoids_all
+from boolinv.patterns import FORBIDDEN_PATTERNS, Occurrence, avoids_all
 from boolinv.permutations import (
     Involution,
     compose,
@@ -27,6 +29,7 @@ from boolinv.permutations import (
     parse_permutation,
     transposition,
 )
+from boolinv.signed import SIGNED_METHODS, is_boolean_signed
 from oracles import chain, crossing_components, repeat_free_word_by_components, uniform_involution
 
 
@@ -272,7 +275,7 @@ def test_long_crossing_scan_runs_once_per_verdict(monkeypatch, method):
     assert not is_boolean(parse_permutation("5764132"), method).is_boolean
     assert len(calls) == 1
     assert is_boolean(parse_permutation("3412"), method).is_boolean
-    assert len(calls) == 3  # the second scan of a Boolean w is repeat_free_word's own
+    assert len(calls) == 2  # the word witness reuses the verdict's scan
 
 
 def test_word_witness_on_long_chain():
@@ -301,3 +304,49 @@ def test_word_criterion_peels_at_most_n_letters(monkeypatch):
     assert is_boolean(reversal, "word") == expected[0]
     assert len(acted) <= reversal.n
     assert is_boolean(boolean_chain, "word") == expected[1]
+
+
+def assert_same_as_public_rebuild(verdict):
+    occ = verdict.occurrence and Occurrence(verdict.occurrence.positions, verdict.occurrence.values)
+    rebuilt = BooleanVerdict(
+        verdict.is_boolean, verdict.long_crossing_pair, verdict.pattern, occ, verdict.word)
+    for built, public in ((verdict, rebuilt), (verdict.occurrence, occ)):
+        assert built == public and hash(built) == hash(public) and repr(built) == repr(public)
+    assert verdict.to_json() == rebuilt.to_json()
+    assert vars(verdict) == vars(rebuilt)  # every field set on the instance
+    assert dataclasses.asdict(verdict) == dataclasses.asdict(rebuilt)
+    assert dataclasses.replace(verdict) == verdict
+
+
+def test_verdicts_equal_their_public_rebuilds():
+    for n in range(9):
+        for w in involutions(n):
+            for method in METHODS:
+                assert_same_as_public_rebuild(is_boolean(w, method))
+    for n in range(6):
+        for w in signed_involutions(n):
+            for method in SIGNED_METHODS:
+                assert_same_as_public_rebuild(is_boolean_signed(w, method))
+
+
+def test_default_verdicts_call_no_public_constructor(monkeypatch):
+    expected = [(w, is_boolean(w).to_json()) for n in range(8) for w in involutions(n)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("public constructor called inside a verdict")
+
+    monkeypatch.setattr(Occurrence, "__post_init__", refuse)
+    monkeypatch.setattr(BooleanVerdict, "__init__", refuse)
+    for w, text in expected:
+        assert is_boolean(w).to_json() == text
+
+
+def test_public_constructors_still_validate():
+    with pytest.raises(ValueError, match="not strictly increasing"):
+        Occurrence((2, 1), (1, 2))
+    with pytest.raises(ValueError, match="differ in length"):
+        Occurrence((1, 2), (1,))
+    with pytest.raises(TypeError):
+        BooleanVerdict()
+    with pytest.raises(TypeError):
+        BooleanVerdict(True, words=(1,))

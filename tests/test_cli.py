@@ -521,18 +521,18 @@ def test_interrupt_exits_130_quietly():
 
 
 def test_closed_stdout_exits_141_quietly():
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "boolinv.cli", "enumerate", "--n", "10"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-    )
-    try:
-        first = proc.stdout.readline()
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert proc.wait(timeout=60) == 141
-    finally:
-        proc.kill()
-        proc.wait()
+    ) as proc:  # closes both pipes and reaps the process on the way out
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+    assert code == 141
     assert first == b"1,2,3,4,5,6,7,8,9,10\n"
     assert err == b""

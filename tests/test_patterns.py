@@ -19,7 +19,8 @@ from boolinv.patterns import (
     occurrences,
     parse_signed_pattern,
 )
-from boolinv.permutations import Involution, Permutation, identity, parse_permutation
+from boolinv.permutations import (
+    InvariantViolationError, Involution, Permutation, identity, parse_permutation)
 from boolinv.signed import SignedPermutation, is_boolean_signed, parse_signed
 from oracles import chain, dfs_occurrences, pattern_occurrences, signed_pattern_occurrences
 
@@ -387,3 +388,9 @@ def test_pattern_verdicts_on_long_chains():
     assert not verdict.is_boolean
     assert verdict.pattern == parse_permutation("45312")
     assert verdict.occurrence.positions == tuple(range(4092, 4097))
+
+
+@pytest.mark.parametrize("positions", [(2, 1), (0, 1), (1, 1)])
+def test_search_occurrence_refuses_positions_not_increasing_from_1(positions):
+    with pytest.raises(InvariantViolationError, match="not increasing from 1"):
+        patterns._occurrence((2, 1, 3), positions)

@@ -282,6 +282,17 @@ def test_signed_host_is_split_once_per_verdict(monkeypatch):
     assert windows == [p.window for p in SIGNED_FORBIDDEN_PATTERNS]
 
 
+def test_signed_window_shapes_computed_once():
+    patterns._window_shape.cache_clear()
+    hosts = [parse_signed("-5,2,3,4,-1"), parse_signed("2,1")]  # Boolean: all 16 windows tried
+    for _ in range(3):
+        for w in hosts:
+            assert is_boolean_signed(w, "signed_patterns").is_boolean
+    info = patterns._window_shape.cache_info()
+    assert info.misses == len(SIGNED_FORBIDDEN_PATTERNS)
+    assert info.hits == 5 * len(SIGNED_FORBIDDEN_PATTERNS)
+
+
 def test_signed_verdicts_build_no_permutation(monkeypatch):
     expected = {w: is_boolean_signed(w, "all") for n in range(6) for w in signed_involutions(n)}
 
