@@ -16,23 +16,25 @@ so only the Boolean involutions are visited, each decided on its prefixes
 by the long-crossing criterion rather than filtered from the whole
 stream.  It reads each one's inversions and excedances off the walk,
 which carries them in its frames, so it builds no element and costs O(1)
-per Boolean involution.  It runs one walk per size in this process, and
-is refused up front when its predicted work exceeds MAX_BRUTE_WORK.  The
-recurrence route counts the restricted Motzkin paths of the paper's
-bijection by a transfer matrix over their height
-(`motzkin.restricted_path_rows`): rank is n minus the returns to the
-axis, excedances are the up steps and inversions 2 rank - ups, so it
-reads neither the brute nor the series route.  The series route expands
-the generating functions one size at a time, each row packed into one
-integer.  These two refuse up front a table whose predicted work exceeds
-MAX_TABLE_WORK.  All routes must agree;
+per Boolean involution.  It walks S_{n_max} once, which holds each
+smaller Boolean involution once, and is refused up front when its
+predicted work exceeds MAX_BRUTE_WORK.  The recurrence route counts the
+restricted Motzkin paths of the paper's bijection by a packed transfer
+matrix over their height (`motzkin.restricted_path_rows`): rank is n
+minus the returns to the axis, excedances are the up steps and
+inversions 2 rank - ups, so it reads neither the brute nor the series
+route.  The series route expands the generating functions one size at a
+time, each row packed into one integer.  These two refuse up front a
+table whose predicted work exceeds MAX_TABLE_WORK.  All routes must agree;
 `cross_validate` checks them against each other, against the
 marginalization identities, and against the restricted Motzkin path count.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from collections import Counter
 from itertools import accumulate, chain, islice
+from operator import itemgetter
 from typing import Iterator
 
 from .involution_words import ResourceLimitError
@@ -43,9 +45,9 @@ from .signed import SignedInvolution, _trusted_signed_involution
 
 MAX_STREAM_N = 14
 MAX_SIGNED_STREAM_N = 7
-# Boolean involutions walked, summed over the sizes, at O(1) each: admits
-# n_max 15 (118281), refuses 16 (265775).
-MAX_BRUTE_WORK = 2 * 10**5
+# Boolean involutions of S_{n_max} walked, h(n_max), at O(1) each: admits
+# n_max 15 (65641), refuses 16 (147494).
+MAX_BRUTE_WORK = 10**5
 # Cells times count bits: admits f 176, g 907 and h 22360 (318006155, the
 # largest sum), refuses f 177, g 908 and h 22361 (318034599, the smallest).
 # Best of 3 at those edges, in 3 rounds (2 vCPUs, Python 3.11): paths
@@ -62,7 +64,8 @@ def _walk(n: int, pruned: bool = False) -> Iterator[tuple]:
     Depth-first walk over the involutions of S_n in lexicographic order of
     their one-line words.  Yields (index, word): the element's position in
     the full stream and its word as a list, valid until the next step; the
-    pruned walk also yields the word's inversions and excedances.
+    pruned walk also yields the word's inversions, excedances and largest
+    moved point (0 for the identity), the prefix max of its frame.
 
     Each node decides its first free point p, first as a fixed point and
     then paired with each larger free point q in turn, on an explicit stack
@@ -85,8 +88,8 @@ def _walk(n: int, pruned: bool = False) -> Iterator[tuple]:
     exceeds p.  So each leaf costs O(1).  3412 has two crossing arcs,
     3 + 3 - 2 = 4 inversions; 4231 has one arc over two fixed points, 5.
 
-    >>> [(i, tuple(w), inv, exc) for i, w, inv, exc in _walk(4, pruned=True)][-2:]
-    [(7, (3, 4, 1, 2), 4, 2), (8, (4, 2, 3, 1), 5, 1)]
+    >>> [(i, tuple(w), inv, exc, s) for i, w, inv, exc, s in _walk(4, pruned=True)][-2:]
+    [(7, (3, 4, 1, 2), 4, 2, 4), (8, (4, 2, 3, 1), 5, 1, 4)]
     """
     sizes = [1, 1]
     for k in range(2, n + 1):
@@ -104,7 +107,7 @@ def _walk(n: int, pruned: bool = False) -> Iterator[tuple]:
             while not free[p]:
                 p += 1
         if pruned:
-            yield index, word, inv, exc
+            yield index, word, inv, exc, prefix
         else:
             yield index, word
         while stack:
@@ -218,37 +221,39 @@ def signed_involutions(
 def brute_inv_exc_counts(n_max: int, jobs: int = 1) -> InvExcTable:
     """
     Count Boolean involutions by (size, inversions, excedances) for every
-    1 <= n <= n_max by the pruned walk, one walk per size in this process.
-    `jobs` is accepted and ignored: at O(1) per Boolean involution, worker
-    processes cost more to start than the walks they would share.
+    1 <= n <= n_max by one pruned walk of S_{n_max} in this process.  A
+    Boolean involution w of S_n is w + id there, in the same order, with
+    the same statistics; so a leaf of largest moved point s counts in every
+    row from max(s, 1) on.  `jobs` is accepted and ignored: at O(1) per
+    Boolean involution, worker processes cost more to start than they save.
     """
     _check_brute_work(n_max)
-    table: InvExcTable = {}
-    for n in range(1, n_max + 1):
-        for _, _, inv, exc in _walk(n, True):
-            key = (n, inv, exc)
-            table[key] = table.get(key, 0) + 1
-    return table
+    leaves = Counter(map(itemgetter(4, 2, 3), _walk(n_max, True)))  # (s, inv, exc)
+    rows: list[dict] = [{} for _ in range(n_max + 1)]
+    for (s, inv, exc), count in leaves.items():
+        for row in rows[max(s, 1) :]:
+            row[inv, exc] = row.get((inv, exc), 0) + count
+    return {(n, *cell): count for n, row in enumerate(rows) for cell, count in row.items()}
 
 
-def _check_work(n_max: int, rows: Iterator[int], limit: int, refusal: str) -> None:
-    """Refuse a negative size, or a run whose predicted work, the sum of the
-    first n_max `rows` (sizes 1, 2, ...), exceeds limit; the sum stops once over."""
+def _check_work(n_max: int, work: Iterator[int], limit: int, refusal: str) -> None:
+    """Refuse a negative size, or a run whose predicted work, the n_max-th of
+    the nondecreasing `work` (to sizes 1, 2, ...), exceeds limit, once over."""
     _check_size(n_max)
-    if any(work > limit for work in accumulate(islice(rows, n_max))):
+    if any(done > limit for done in islice(work, n_max)):
         raise ResourceLimitError(refusal)
 
 
 def _check_brute_work(n_max: int) -> None:
     """
     Refuse, before any element is walked, a negative size or a brute table
-    whose predicted work, the sum of h(n) over 1 <= n <= n_max (the walk
-    costs O(1) per Boolean involution), exceeds MAX_BRUTE_WORK.  The totals
-    h are the restricted path counts; they only size the run.
+    whose predicted work, h(n_max) (the walk of S_{n_max} costs O(1) per
+    Boolean involution), exceeds MAX_BRUTE_WORK.  The totals h are the
+    restricted path counts; they only size the run.
     """
-    rows = (row[0, 0] for row in restricted_path_rows(n_max, 0, 0))
+    work = (row[0, 0] for row in restricted_path_rows(n_max, 0, 0))
     refusal = f"n_max {n_max} exceeds brute guard {MAX_BRUTE_WORK} (Boolean involutions walked)"
-    _check_work(n_max, rows, MAX_BRUTE_WORK, refusal)
+    _check_work(n_max, work, MAX_BRUTE_WORK, refusal)
 
 
 def rank_counts_from_inv_exc(table: InvExcTable) -> RankTable:
@@ -292,7 +297,7 @@ def _check_table_work(stat: str, n_max: int) -> None:
     """
     rows = (_ROW_CELLS[stat](n) * count_bits(n) for n in range(1, n_max + 1))
     refusal = f"table {stat} to n_max {n_max} exceeds work guard {MAX_TABLE_WORK}"
-    _check_work(n_max, rows, MAX_TABLE_WORK, refusal + " (cells times count bits)")
+    _check_work(n_max, accumulate(rows), MAX_TABLE_WORK, refusal + " (cells times count bits)")
 
 
 def recurrence_inv_exc_counts(n_max: int) -> InvExcTable:
@@ -450,10 +455,12 @@ def table_rows(table: dict, fmt: str, columns: tuple[str, ...] = ()) -> Iterator
 
 
 def table_to_tsv(table: dict, columns: tuple[str, ...]) -> str:
-    """Rows sorted by key; keys may be ints or tuples, last column the count."""
+    """Rows sorted by key; keys may be ints or tuples, last column the count.
+    Read by the benchmark's `tables` workload and `counting.emit` span."""
     return "".join(table_rows(table, "tsv", columns))
 
 
 def table_to_json(table: dict) -> str:
-    """The table as one JSON object, keys "n" or "n,i,...", sorted as strings."""
+    """The table as one JSON object, keys "n" or "n,i,...", sorted as strings.
+    Read by the benchmark's `tables` workload and `counting.emit` span."""
     return "".join(table_rows(table, "json"))

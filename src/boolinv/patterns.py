@@ -49,6 +49,8 @@ class Occurrence:
     def __post_init__(self):
         if list(self.positions) != sorted(set(self.positions)):
             raise ValueError(f"positions not strictly increasing: {self.positions}")
+        if self.positions and self.positions[0] < 1:
+            raise ValueError(f"positions start below 1: {self.positions}")
         if len(self.positions) != len(self.values):
             raise ValueError("positions and values differ in length")
 

@@ -16,9 +16,10 @@ involutions of S_n with l inversions and a excedances:
 
 Each series is the dict of its nonzero coefficients, {exponents:
 coefficient}, in ascending order of exponents; no numerator has an x^0
-term, so none has a size-0 coefficient.  These series share no code with
-the restricted path counts of `motzkin.restricted_path_rows`, so each
-checks the other.
+term, so none has a size-0 coefficient.  The restricted path counts of
+`motzkin.restricted_path_rows` share only `count_bits` and the slot
+decoder with these series; their arithmetic and slot layouts differ, so a
+decoder fault shows up as a disagreement, and each still checks the other.
 
 Expansion is by series division, one x-degree row at a time, each row
 packed into one integer (Kronecker substitution).  The coefficient of
@@ -32,9 +33,9 @@ counts below 2^count_bits(n) <= 2^(8w), all inside the truncation box, so
 its slots decode uniquely.  A slot of at most 8 bytes is rounded up to 1,
 2, 4 or 8 bytes, a machine word, and such a row is decoded by one cast of
 its bytes in native order (count_bits is at most 64 up to n = 50); a wider
-slot is read with one int.from_bytes each.  A packed row that is negative,
-runs past the box or decodes to a count of 2^count_bits(n) or more is no
-such row and raises InvariantViolationError.
+slot is read with one int.from_bytes each (`decode_slots`).  A packed row
+that is negative, runs past the box or decodes to a count of
+2^count_bits(n) or more is no such row and raises InvariantViolationError.
 """
 from __future__ import annotations
 
@@ -68,6 +69,34 @@ def count_bits(n: int) -> int:
     return 1272 * n // 1000 + 1
 
 
+def slot_bytes(bits: int) -> int:
+    """Bytes per slot of `bits`-bit counts: a machine word when one holds them."""
+    width = -(-bits // 8)
+    return 1 << (width - 1).bit_length() if width <= 8 else width
+
+
+def decode_slots(row: int, width: int, bits: int, slots: int, name: str) -> list[int]:
+    """The counts in the `width`-byte slots of the packed `row`, lowest first,
+    up to its highest occupied slot; raises InvariantViolationError, naming
+    `name`, on a row that is negative, passes `slots` slots or holds a count
+    of 2^bits or more."""
+    if row < 0 or row.bit_length() > 8 * width * slots:
+        raise InvariantViolationError(f"{name} is not a row of counts in its box")
+    size = -(-row.bit_length() // (8 * width)) * width  # bytes of the occupied slots
+    if slots == 1:  # one slot: the row is its count
+        values = [row]
+    elif code := _WORD_CODES.get(width):  # one machine word per slot, in native byte order
+        values = memoryview(row.to_bytes(size, sys.byteorder)).cast(code).tolist()
+        if sys.byteorder == "big":
+            values.reverse()
+    else:
+        data = row.to_bytes(size, "little")
+        values = [int.from_bytes(data[i : i + width], "little") for i in range(0, size, width)]
+    if max(values, default=0) >> bits:
+        raise InvariantViolationError(f"{name} has a count of more than {bits} bits")
+    return values
+
+
 def expand_rational(numerator: Terms, denominator: Terms, bounds: tuple[int, ...]) -> Terms:
     """
     Nonzero coefficients of numerator/denominator up to the bounds
@@ -81,10 +110,7 @@ def expand_rational(numerator: Terms, denominator: Terms, bounds: tuple[int, ...
         raise ValueError("denominator tail must have positive first-variable degree")
     keys = list(product(*(range(bound + 1) for bound in bounds[1:])))  # of each slot
     bits = count_bits(bounds[0])
-    width = -(-bits // 8)  # bytes per slot
-    if width <= 8:  # round up to a machine word
-        width = 1 << (width - 1).bit_length()
-    code = _WORD_CODES.get(width)
+    width = slot_bytes(bits)
     strides = [8 * width * prod(b + 1 for b in bounds[i + 1 :]) for i in range(1, len(bounds))]
 
     def shift(m: Monomial) -> int:
@@ -101,22 +127,9 @@ def expand_rational(numerator: Terms, denominator: Terms, bounds: tuple[int, ...
         for t0, s, c in tail:
             term = packed.get(d - t0, 0) << s
             row = row - term if c == 1 else row + term if c == -1 else row - c * term
-        if row < 0 or row.bit_length() > 8 * width * len(keys):
-            raise InvariantViolationError(f"series row {d} is not a row of counts in its box")
         packed[d] = row
         packed.pop(d - depth, None)
-        size = -(-row.bit_length() // (8 * width)) * width  # bytes of the occupied slots
-        if len(bounds) == 1:  # x only: the row is its one count
-            values = [row]
-        elif code:  # one machine word per slot, in native byte order
-            values = memoryview(row.to_bytes(size, sys.byteorder)).cast(code).tolist()
-            if sys.byteorder == "big":
-                values.reverse()
-        else:
-            data = row.to_bytes(size, "little")
-            values = [int.from_bytes(data[i : i + width], "little") for i in range(0, size, width)]
-        if max(values, default=0) >> bits:
-            raise InvariantViolationError(f"series row {d} has a count of more than {bits} bits")
+        values = decode_slots(row, width, bits, len(keys), f"series row {d}")
         coeffs.update(zip(map((d,).__add__, compress(keys, values)), compress(values, values)))
     return coeffs
 

@@ -6,6 +6,7 @@ different from the ones the library takes.
 from itertools import combinations, groupby, product
 
 from boolinv.boolean import connected_components, has_long_crossing
+from boolinv.counting import _walk
 from boolinv.ideals import IdealPoset
 from boolinv.involution_words import _act, apply_letter, rank, reduced_word
 from boolinv.permutations import Involution, compose, conjugate, identity, transposition
@@ -509,6 +510,16 @@ def filtered_inv_exc_counts(n_max):
         for _, word in filtered_boolean_words(n):
             key = (n, inversion_count(word), sum(1 for i, v in enumerate(word, 1) if v > i))
             table[key] = table.get(key, 0) + 1
+    return table
+
+
+def per_size_walk_inv_exc_counts(n_max):
+    """Boolean involutions by (n, inversions, excedances), by one pruned
+    walk of each size n <= n_max, each row in its walk's order."""
+    table = {}
+    for n in range(1, n_max + 1):
+        for _, _, inv, exc, _ in _walk(n, True):
+            table[n, inv, exc] = table.get((n, inv, exc), 0) + 1
     return table
 
 

@@ -344,6 +344,9 @@ def test_default_verdicts_call_no_public_constructor(monkeypatch):
 def test_public_constructors_still_validate():
     with pytest.raises(ValueError, match="not strictly increasing"):
         Occurrence((2, 1), (1, 2))
+    for positions in ((0, 1), (-3, 2)):  # no host has a position below 1
+        with pytest.raises(ValueError, match="start below 1"):
+            Occurrence(positions, (5, 6))
     with pytest.raises(ValueError, match="differ in length"):
         Occurrence((1, 2), (1,))
     with pytest.raises(TypeError):

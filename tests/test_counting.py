@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from boolinv import counting, series
+from boolinv import counting, motzkin, series
 from boolinv.boolean import InvariantViolationError
 from boolinv.counting import (
     CheckResult,
@@ -36,6 +36,7 @@ from oracles import (
     inversion_count,
     nested_involution_words,
     nested_signed_windows,
+    per_size_walk_inv_exc_counts,
     sorted_signed_windows,
     three_term_total_recurrence,
 )
@@ -85,15 +86,16 @@ def test_pruned_walk_matches_filtered_stream():
     for n in range(12):
         expected = filtered_boolean_words(n)
         walked = [
-            (index, tuple(word), inv, exc)
-            for index, word, inv, exc in counting._walk(n, pruned=True)
+            (index, tuple(word), inv, exc, s)
+            for index, word, inv, exc, s in counting._walk(n, pruned=True)
         ]
         assert [leaf[:2] for leaf in walked] == expected
         assert [w.word for w in boolean_involutions(n)] == [w for _, w in expected]
         # the carried statistics of every leaf, against the rescanned word
-        for _, word, inv, exc in walked:
+        for _, word, inv, exc, s in walked:
             assert inv == inversion_count(word)
             assert exc == sum(1 for i, v in enumerate(word, start=1) if v > i)
+            assert s == max((i for i, v in enumerate(word, start=1) if v != i), default=0)
 
 
 def test_shards_match_oracles():
@@ -112,6 +114,36 @@ def test_shards_match_oracles():
         next(boolean_involutions(15))
     with pytest.raises(ValueError, match="bad shard"):
         next(boolean_involutions(4, 2, 2))
+
+
+def test_brute_tables_match_per_size_walks():
+    """The one walk of S_{n_max} against a walk of each size, cell order
+    included."""
+    for n_max in range(14):
+        _assert_same_in_order(brute_inv_exc_counts(n_max), per_size_walk_inv_exc_counts(n_max))
+
+
+@pytest.mark.slow
+def test_brute_table_matches_per_size_walks_at_guard_edge():
+    _assert_same_in_order(brute_inv_exc_counts(15), per_size_walk_inv_exc_counts(15))
+
+
+def test_brute_walks_once(monkeypatch):
+    """One pruned walk per table, of S_{n_max}, with h(n_max) leaves."""
+    real, walks = counting._walk, []
+
+    def walk(n, pruned=False):
+        walks.append([n, pruned, 0])
+        for leaf in real(n, pruned):
+            walks[-1][2] += 1
+            yield leaf
+
+    monkeypatch.setattr(counting, "_walk", walk)
+    totals = three_term_total_recurrence(13)
+    for n_max in range(1, 14):
+        walks.clear()
+        brute_totals(n_max)
+        assert walks == [[n_max, True, totals[n_max]]]
 
 
 def test_brute_tables_match_filtered_stream():
@@ -380,6 +412,39 @@ def test_gf_tables_match_recurrence_across_slot_widths(n_max):
         _assert_same_in_order(
             counting.build_table(stat, "gf", n_max), counting.build_table(stat, "recurrence", n_max)
         )
+
+
+@pytest.mark.parametrize(
+    "n_max, width",
+    [(0, 1), (1, 1), (4, 1), (5, 2), (10, 2), (11, 4), (23, 4), (24, 8), (48, 8), (49, 9)],
+)
+def test_recurrence_across_slot_widths(oracle_f, n_max, width):
+    """Each size on either side of a slot-width edge of the packed paths:
+    count_bits(n_max + 2) bits in 1-byte slots up to n_max 4, then 2, 4 and
+    8 bytes, and from n_max 49 more than 64 bits, read one int.from_bytes
+    per slot; f against the full-range recurrence, g against the four-term
+    one."""
+    assert series.slot_bytes(series.count_bits(n_max + 2)) == width
+    _assert_same_in_order(recurrence_inv_exc_counts(n_max), _truncated(oracle_f[0], n_max))
+    _assert_same_in_order(recurrence_rank_counts(n_max), four_term_rank_recurrence(n_max))
+
+
+@pytest.mark.parametrize(
+    "route, n_max",
+    [
+        (recurrence_inv_exc_counts, 24),
+        (recurrence_rank_counts, 24),
+        (recurrence_inv_exc_counts, 60),
+    ],
+)
+def test_recurrence_raises_on_slots_too_narrow(monkeypatch, route, n_max):
+    """Slots one byte narrower than the largest count carry into their
+    neighbours, which lowers the sum of the slots below the path total: the
+    route raises instead of returning counts."""
+    needed = max(-(-count.bit_length() // 8) for count in route(n_max).values())
+    monkeypatch.setattr(motzkin, "slot_bytes", lambda bits: needed - 1)
+    with pytest.raises(InvariantViolationError, match="overflows its"):
+        route(n_max)
 
 
 def test_expand_rational_raises_on_row_outside_its_box():
