@@ -23,7 +23,7 @@ from typing import Sequence
 
 from . import counting, ideals, motzkin
 from .boolean import BooleanVerdict, InvariantViolationError, has_long_crossing, is_boolean
-from .involution_words import ResourceLimitError, rank_profile
+from .involution_words import rank_profile
 from .permutations import (
     Involution,
     ParseError,
@@ -31,6 +31,7 @@ from .permutations import (
     parse_permutation,
 )
 from .signed import SignedInvolution, _signed_verdict, embed, format_signed, parse_signed
+from .work import ResourceLimitError
 
 USAGE_ERROR = 2
 INVARIANT_FAILURE = 3

@@ -18,16 +18,19 @@ stream.  It reads each one's inversions and excedances off the walk,
 which carries them in its frames, so it builds no element and costs O(1)
 per Boolean involution.  It walks S_{n_max} once, which holds each
 smaller Boolean involution once, and is refused up front when its
-predicted work exceeds MAX_BRUTE_WORK.  The recurrence route counts the
-restricted Motzkin paths of the paper's bijection by a packed transfer
-matrix over their height (`motzkin.restricted_path_rows`): rank is n
-minus the returns to the axis, excedances are the up steps and
-inversions 2 rank - ups, so it reads neither the brute nor the series
-route.  The series route expands the generating functions one size at a
-time, each row packed into one integer.  These two refuse up front a
-table whose predicted work exceeds MAX_TABLE_WORK.  All routes must agree;
-`cross_validate` checks them against each other, against the
-marginalization identities, and against the restricted Motzkin path count.
+predicted work, the h(n_max) leaves walked, passes the `brute` guard.  The
+recurrence route counts the restricted Motzkin paths of the paper's
+bijection by a packed transfer matrix over their height
+(`motzkin.restricted_path_rows`): rank is n minus the returns to the axis,
+excedances are the up steps and inversions 2 rank - ups, so it reads
+neither the brute nor the series route.  The series route expands the
+generating functions one size at a time, each row packed into one
+integer.  These two refuse up front a table whose predicted cells times
+count bits pass the `work` guard, and the streams a size past the
+`stream` or `signed` guard: each guard is one row of `work.LIMITS`.  All
+routes must agree; `cross_validate` checks them against each other,
+against the marginalization identities, and against the restricted
+Motzkin path count.
 """
 from __future__ import annotations
 
@@ -37,22 +40,11 @@ from itertools import accumulate, chain, islice
 from operator import itemgetter
 from typing import Iterator
 
-from .involution_words import ResourceLimitError
 from .motzkin import restricted_path_rows
 from .permutations import Involution, _trusted_involution
 from .series import count_bits, inv_exc_series, rank_series, total_series
 from .signed import SignedInvolution, _trusted_signed_involution
-
-MAX_STREAM_N = 14
-MAX_SIGNED_STREAM_N = 7
-# Boolean involutions of S_{n_max} walked, h(n_max), at O(1) each: admits
-# n_max 15 (65641), refuses 16 (147494).
-MAX_BRUTE_WORK = 10**5
-# Cells times count bits: admits f 176, g 907 and h 22360 (318006155, the
-# largest sum), refuses f 177, g 908 and h 22361 (318034599, the smallest).
-# Best of 3 at those edges, in 3 rounds (2 vCPUs, Python 3.11): paths
-# 1.5-2.1 / 0.8-1.1 / 0.10-0.14 s, gf 1.8-2.6 / 0.8-0.9 / 0.15-0.21 s.
-MAX_TABLE_WORK = 318_020_000
+from .work import refuse
 
 InvExcTable = dict[tuple[int, int, int], int]
 RankTable = dict[tuple[int, int], int]
@@ -156,12 +148,9 @@ def _check_size(n: int) -> None:
         raise ValueError(f"negative size {n}")
 
 
-def _check_stream(
-    n: int, shard: int, num_shards: int, guard: int = MAX_STREAM_N, kind: str = "stream"
-) -> None:
+def _check_stream(n: int, shard: int, num_shards: int, guard: str = "stream") -> None:
     _check_size(n)
-    if n > guard:
-        raise ResourceLimitError(f"n {n} exceeds {kind} guard {guard}")
+    refuse(guard, (n,), f"n {n}")
     if not 0 <= shard < num_shards:
         raise ValueError(f"bad shard {shard}/{num_shards}")
 
@@ -196,7 +185,7 @@ def signed_involutions(
     each undecided q from n down to p, then +q for each undecided q from p
     up, and q then holds the same sign times p.
     """
-    _check_stream(n, shard, num_shards, MAX_SIGNED_STREAM_N, "signed")
+    _check_stream(n, shard, num_shards, "signed")
     window = [0] * n
 
     def fill(p: int) -> Iterator[tuple[int, ...]]:
@@ -236,24 +225,16 @@ def brute_inv_exc_counts(n_max: int, jobs: int = 1) -> InvExcTable:
     return {(n, *cell): count for n, row in enumerate(rows) for cell, count in row.items()}
 
 
-def _check_work(n_max: int, work: Iterator[int], limit: int, refusal: str) -> None:
-    """Refuse a negative size, or a run whose predicted work, the n_max-th of
-    the nondecreasing `work` (to sizes 1, 2, ...), exceeds limit, once over."""
-    _check_size(n_max)
-    if any(done > limit for done in islice(work, n_max)):
-        raise ResourceLimitError(refusal)
-
-
 def _check_brute_work(n_max: int) -> None:
     """
     Refuse, before any element is walked, a negative size or a brute table
     whose predicted work, h(n_max) (the walk of S_{n_max} costs O(1) per
-    Boolean involution), exceeds MAX_BRUTE_WORK.  The totals h are the
-    restricted path counts; they only size the run.
+    Boolean involution), passes the `brute` guard.  The totals h are the
+    restricted path counts, read only until they pass; they size the run.
     """
+    _check_size(n_max)
     work = (row[0, 0] for row in restricted_path_rows(n_max, 0, 0))
-    refusal = f"n_max {n_max} exceeds brute guard {MAX_BRUTE_WORK} (Boolean involutions walked)"
-    _check_work(n_max, work, MAX_BRUTE_WORK, refusal)
+    refuse("brute", work, f"n_max {n_max}")
 
 
 def rank_counts_from_inv_exc(table: InvExcTable) -> RankTable:
@@ -291,13 +272,13 @@ _ROW_CELLS = {
 def _check_table_work(stat: str, n_max: int) -> None:
     """
     Refuse, before any cell is filled, a negative size or a recurrence or
-    series table whose predicted work exceeds MAX_TABLE_WORK: the cells of
+    series table whose predicted work passes the `work` guard: the cells of
     each row times `count_bits(n)`, the bound on the bit length of its counts
-    that also sizes the series' packed slots.
+    that also sizes the series' packed slots, summed only until they pass.
     """
+    _check_size(n_max)
     rows = (_ROW_CELLS[stat](n) * count_bits(n) for n in range(1, n_max + 1))
-    refusal = f"table {stat} to n_max {n_max} exceeds work guard {MAX_TABLE_WORK}"
-    _check_work(n_max, accumulate(rows), MAX_TABLE_WORK, refusal + " (cells times count bits)")
+    refuse("work", accumulate(rows), f"table {stat} to n_max {n_max}")
 
 
 def recurrence_inv_exc_counts(n_max: int) -> InvExcTable:

@@ -28,14 +28,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import IO
 
-from .involution_words import ResourceLimitError, Word, _act, rank, reduced_word
+from .involution_words import Word, _act, rank, reduced_word
 from .permutations import (
     Involution, InvariantViolationError, Permutation, _as_involution, _trusted_involution,
     format_permutation, identity)
-
-# Refuse ideals of more elements.  This bounds elements and covers, but each
-# element is a word of n: DOT text is 4.8 MB at (1 14), 1 GB at (1 11) in S_16000.
-IDEAL_MAX_ELEMENTS = 8192
+from .work import refuse
 
 
 def bruhat_leq(u: Permutation, w: Permutation) -> bool:
@@ -102,29 +99,28 @@ def subword_closure(w: Involution) -> tuple[list[Word], list[int], list[list[int
     words, numbered in the order they are reached, their ranks and their
     down-covers as numbers, by the lifting rule above.
 
-    Refuses w once the closure, a subset of the ideal, exceeds
-    IDEAL_MAX_ELEMENTS; so does a rank of IDEAL_MAX_ELEMENTS or more, as
-    every maximal chain of the ideal has rank(w) + 1 elements.
+    The `ideal` guard counts elements.  It refuses w up front when rank(w)
+    + 1, the elements of a maximal chain of the ideal, pass it, and then
+    once the closure after a letter, a subset of the ideal, passes it.  The
+    elements bound the covers, but each is a word of n: the DOT text is
+    4.8 MB at (1 14), and 1 GB at (1 11) in S_16000.
     """
+    refuse("ideal", (rank(w) + 1,), "ideal")
     words, ranks, downs = [identity(w.n).word], [0], [[]]
-    if rank(w) < IDEAL_MAX_ELEMENTS:
-        number = {words[0]: 0}
-        for s in reduced_word(w):
-            lifted: dict[int, int] = {}  # x -> x.s, for each x with ascent s
-            for x in range(len(words)):
-                u = words[x]
-                if u[s - 1] < u[s]:
-                    y = _act(u, s)
-                    lifted[x] = b = number.setdefault(y, len(words))
-                    if b == len(words):  # y is new; x's down-covers precede x
-                        words.append(y)
-                        ranks.append(ranks[x] + 1)
-                        downs.append([x] + [lifted[z] for z in downs[x] if z in lifted])
-            if len(words) > IDEAL_MAX_ELEMENTS:
-                break
-        else:
-            return words, ranks, downs
-    raise ResourceLimitError(f"ideal exceeds guard of {IDEAL_MAX_ELEMENTS} elements")
+    number = {words[0]: 0}
+    for s in reduced_word(w):
+        lifted: dict[int, int] = {}  # x -> x.s, for each x with ascent s
+        for x in range(len(words)):
+            u = words[x]
+            if u[s - 1] < u[s]:
+                y = _act(u, s)
+                lifted[x] = b = number.setdefault(y, len(words))
+                if b == len(words):  # y is new; x's down-covers precede x
+                    words.append(y)
+                    ranks.append(ranks[x] + 1)
+                    downs.append([x] + [lifted[z] for z in downs[x] if z in lifted])
+        refuse("ideal", (len(words),), "ideal")
+    return words, ranks, downs
 
 
 def ideal(w: Involution) -> IdealPoset:

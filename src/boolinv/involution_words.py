@@ -19,15 +19,9 @@ from typing import Iterable, NamedTuple
 from .permutations import (
     Involution, InvariantViolationError, _as_involution, _trusted_involution, inversion_count,
     sum_blocks)
+from .work import refuse
 
 Word = tuple[int, ...]
-
-# all_reduced_words enumerates a tree with up to rank! leaves; cap the rank.
-ALL_WORDS_MAX_RANK = 12
-
-
-class ResourceLimitError(RuntimeError):
-    """Raised when an exhaustive search would exceed its size guard."""
 
 
 class RankProfile(NamedTuple):
@@ -115,15 +109,6 @@ def is_reduced(letters: Iterable[int], n: int) -> bool:
     return True
 
 
-def descents(w: Involution) -> list[int]:
-    """
-    Letters whose action lowers the rank of w by one.  For an involution
-    these are exactly the i with w(i) > w(i+1) (Richardson-Springer 1990).
-    """
-    word = w.word
-    return [i for i in range(1, w.n) if word[i - 1] > word[i]]
-
-
 def _peel_descents(word: list[int], limit: int) -> list[int]:
     """
     Peel smallest rank-lowering letters off an involution word in place,
@@ -163,13 +148,12 @@ def reduced_word(w: Involution) -> Word:
 def all_reduced_words(w: Involution) -> set[Word]:
     """
     Every reduced word for w, by depth-first search over rank-lowering
-    letters on one word, each letter undone by acting again.  Guarded:
-    refuses ranks above ALL_WORDS_MAX_RANK.
+    letters on one word, each letter undone by acting again.  The search
+    tree has up to rank! leaves, so the `words` guard refuses a rank past it.
     """
     w = _as_involution(w)
     r = rank(w)
-    if r > ALL_WORDS_MAX_RANK:
-        raise ResourceLimitError(f"rank {r} exceeds guard {ALL_WORDS_MAX_RANK}")
+    refuse("words", (r,), f"rank {r}")
     word = list(w.word)
     suffix: list[int] = []
     results: set[Word] = set()

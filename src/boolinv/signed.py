@@ -90,10 +90,6 @@ def _trusted_signed_involution(window: tuple[int, ...]) -> SignedInvolution:
     return w
 
 
-def signed_identity(n: int) -> SignedInvolution:
-    return _trusted_signed_involution(tuple(range(1, n + 1)))
-
-
 def parse_signed(text: str) -> SignedPermutation:
     """Comma-separated signed integers, e.g. "2,1,-3"."""
     w = SignedPermutation(tuple(parse_int_tokens(text)))

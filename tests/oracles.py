@@ -10,6 +10,7 @@ from boolinv.counting import _walk
 from boolinv.ideals import IdealPoset
 from boolinv.involution_words import _act, apply_letter, rank, reduced_word
 from boolinv.permutations import Involution, compose, conjugate, identity, transposition
+from boolinv.signed import SignedInvolution
 
 
 def chain(n):
@@ -145,6 +146,11 @@ def act_by_definition(w: Involution, i: int):
     w*s_i when s_i w s_i = w, otherwise s_i w s_i."""
     conjugated = conjugate(w, (i, i + 1))
     return compose(w, transposition(w.n, i, i + 1)) if conjugated == w else conjugated
+
+
+def signed_identity(n):
+    """The identity of the signed permutations of [+-n], by the validating constructor."""
+    return SignedInvolution(tuple(range(1, n + 1)))
 
 
 def descents_by_rank(w: Involution):

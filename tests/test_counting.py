@@ -25,8 +25,8 @@ from boolinv.counting import (
     table_to_tsv,
     totals_from_rank_counts,
 )
-from boolinv.involution_words import ResourceLimitError
 from boolinv.series import inv_exc_series, rank_series, total_series
+from boolinv.work import ResourceLimitError
 from oracles import (
     dense_expand_rational,
     filtered_boolean_words,

@@ -5,7 +5,6 @@ import pytest
 from boolinv import ideals
 from boolinv.counting import involutions
 from boolinv.ideals import (
-    IDEAL_MAX_ELEMENTS,
     bruhat_leq,
     dot_export,
     hasse_edges,
@@ -13,9 +12,10 @@ from boolinv.ideals import (
     is_boolean_lattice,
     subword_closure,
 )
-from boolinv.involution_words import ResourceLimitError, rank
+from boolinv.involution_words import rank
 from boolinv.permutations import Involution, identity, parse_permutation
 from boolinv.selfcheck import product_decomposition_check
+from boolinv.work import LIMITS, ResourceLimitError
 from oracles import (
     bruhat_leq_by_matrix,
     covers_from_below,
@@ -153,7 +153,7 @@ def test_ideal_fills_down_sets_only_when_read():
     assert is_boolean_lattice(poset) is True
     dot_export(poset)
     assert "below" not in vars(poset)
-    assert poset.below[-1] == (1 << IDEAL_MAX_ELEMENTS) - 1
+    assert poset.below[-1] == (1 << LIMITS["ideal"][0]) - 1
     small = ideal(parse_permutation("4321"))
     assert is_boolean_lattice(small) is False and "below" not in vars(small)
     assert all(down & 1 for down in small.below) and "below" in vars(small)
@@ -196,12 +196,12 @@ def test_dot_export_matches_grouped_oracle():
     for w in elements:
         poset = ideal(w)
         assert dot_export(poset) == grouped_dot(poset), w
-    assert len(poset) == IDEAL_MAX_ELEMENTS
+    assert len(poset) == LIMITS["ideal"][0]
 
 
 def test_ideal_guard():
     w = Involution(tuple(range(10, 0, -1)))  # rank (45 + 5) / 2 = 25
-    assert len(list(involutions(10))) > IDEAL_MAX_ELEMENTS  # its ideal is all of I(S_10)
+    assert len(list(involutions(10))) > LIMITS["ideal"][0]  # its ideal is all of I(S_10)
     with pytest.raises(ResourceLimitError):
         ideal(w)
 

@@ -1,6 +1,6 @@
 import pytest
 
-from boolinv import boolean, counting, patterns, signed
+from boolinv import boolean, patterns, signed, work
 from boolinv.boolean import InvariantViolationError
 from boolinv.counting import signed_involutions
 from boolinv.involution_words import evaluate_word
@@ -14,9 +14,8 @@ from boolinv.signed import (
     format_signed,
     is_boolean_signed,
     parse_signed,
-    signed_identity,
 )
-from oracles import signed_pattern_occurrences
+from oracles import signed_identity, signed_pattern_occurrences
 
 
 def test_parse_examples():
@@ -185,7 +184,7 @@ def test_methods_agree_to_n8(monkeypatch):
     # the sixteen windows against the embedding on every signed involution
     # with 5 <= n <= 8 (312 + 1384 + 6512 + 32400), past the stream's guard;
     # 5,-4,6,-2,1,3 is never the witness (see test_dropping_a_window_is_seen)
-    monkeypatch.setattr(counting, "MAX_SIGNED_STREAM_N", 8)
+    monkeypatch.setitem(work.LIMITS, "signed", (8, "n"))
     for n in (5, 6, 7, 8):
         for w in signed_involutions(n):
             # raises on disagreement
@@ -195,7 +194,7 @@ def test_methods_agree_to_n8(monkeypatch):
 @pytest.mark.slow
 def test_methods_agree_n9(monkeypatch):
     # 168,992 signed involutions; run by `pytest -m slow`
-    monkeypatch.setattr(counting, "MAX_SIGNED_STREAM_N", 9)
+    monkeypatch.setitem(work.LIMITS, "signed", (9, "n"))
     for w in signed_involutions(9):
         is_boolean_signed(w, "all")
 
