@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from typing import Sequence
 
 from . import counting, ideals, motzkin
@@ -156,17 +157,13 @@ def cmd_ideal(args: argparse.Namespace) -> int:
     w = _parse_involution(args.element)
     poset = ideals.ideal(w)
     boolean = ideals.is_boolean_lattice(poset)
-    cert = (
-        f"// boolean lattice: {str(boolean).lower()}; elements: {len(poset)};"
-        f" rank: {poset.ranks[-1]}"
-    )
-    text = cert + "\n" + ideals.dot_export(poset)
+    cert = (f"// boolean lattice: {str(boolean).lower()}; elements: {len(poset)};"
+            f" rank: {poset.ranks[-1]}\n")
+    with open(args.output, "w") if args.output else nullcontext(sys.stdout) as sink:
+        sink.write(cert)
+        sink.writelines(ideals.dot_rows(poset))
     if args.output:
-        with open(args.output, "w") as sink:
-            sink.write(text)
-        print(cert)
-    else:
-        sys.stdout.write(text)
+        sys.stdout.write(cert)
     return 0
 
 
@@ -179,14 +176,13 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         except ValueError:
             raise ParseError(f"bad shard spec {args.shard!r}; expected K/M") from None
     if args.signed:
-        for sw in counting.signed_involutions(args.n, shard, num_shards):
-            if args.boolean_only and has_long_crossing(embed(sw).perm):
-                continue
-            print(format_signed(sw))
+        windows = counting.signed_involutions(args.n, shard, num_shards)
+        rows = (format_signed(sw) + "\n" for sw in windows
+                if not (args.boolean_only and has_long_crossing(embed(sw).perm)))
     else:
         stream = counting.boolean_involutions if args.boolean_only else counting.involutions
-        for w in stream(args.n, shard, num_shards):
-            print(format_permutation(w))
+        rows = (format_permutation(w) + "\n" for w in stream(args.n, shard, num_shards))
+    sys.stdout.writelines(rows)
     return 0
 
 

@@ -26,13 +26,15 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import IO
+from itertools import groupby
+from operator import itemgetter
+from typing import IO, Iterator
 
 from .involution_words import Word, _act, rank, reduced_word
 from .permutations import (
     Involution, InvariantViolationError, Permutation, _as_involution, _trusted_involution,
     format_permutation, identity)
-from .work import refuse
+from .work import LIMITS, refuse
 
 
 def bruhat_leq(u: Permutation, w: Permutation) -> bool:
@@ -100,12 +102,13 @@ def subword_closure(w: Involution) -> tuple[list[Word], list[int], list[list[int
     down-covers as numbers, by the lifting rule above.
 
     The `ideal` guard counts elements.  It refuses w up front when rank(w)
-    + 1, the elements of a maximal chain of the ideal, pass it, and then
-    once the closure after a letter, a subset of the ideal, passes it.  The
-    elements bound the covers, but each is a word of n: the DOT text is
-    4.8 MB at (1 14), and 1 GB at (1 11) in S_16000.
+    + 1, a maximal chain's elements, pass it, and then at the closure's
+    limit + 1st element, before it is stored.  The elements bound the
+    covers, but each is a word of n: the DOT text is 4.8 MB at (1 14), and
+    1 GB at (1 11) in S_16000.
     """
     refuse("ideal", (rank(w) + 1,), "ideal")
+    limit = LIMITS["ideal"][0]
     words, ranks, downs = [identity(w.n).word], [0], [[]]
     number = {words[0]: 0}
     for s in reduced_word(w):
@@ -116,10 +119,11 @@ def subword_closure(w: Involution) -> tuple[list[Word], list[int], list[list[int
                 y = _act(u, s)
                 lifted[x] = b = number.setdefault(y, len(words))
                 if b == len(words):  # y is new; x's down-covers precede x
+                    if b == limit:
+                        refuse("ideal", (b + 1,), "ideal")
                     words.append(y)
                     ranks.append(ranks[x] + 1)
                     downs.append([x] + [lifted[z] for z in downs[x] if z in lifted])
-        refuse("ideal", (len(words),), "ideal")
     return words, ranks, downs
 
 
@@ -130,14 +134,9 @@ def ideal(w: Involution) -> IdealPoset:
     ranks, words, order = zip(*sorted(zip(ranks, words, range(len(words)))))
     if words[0] != identity(w.n).word or words[-1] != w.word:
         raise InvariantViolationError(f"ideal of {w.word} lost its extremes")
-    place = [0] * len(order)
-    for b, z in enumerate(order):
-        place[z] = b
-    ups: list[list[int]] = [[] for _ in order]  # up-covers, increasing
-    for b, z in enumerate(order):
-        for a in map(place.__getitem__, downs[z]):
-            ups[a].append(b)
-    covers = tuple([(a, b) for a, up in enumerate(ups) for b in up])
+    place = dict(zip(order, range(len(order))))
+    pairs = [(place[a], b) for b, z in enumerate(order) for a in downs[z]]  # b increasing
+    covers = tuple(sorted(pairs, key=itemgetter(0)))  # stable: by a, then by b
     elements = tuple(map(_trusted_involution, words))
     return IdealPoset(w, elements, ranks, covers)
 
@@ -167,23 +166,28 @@ def hasse_edges(poset: IdealPoset) -> list[tuple[Involution, Involution]]:
     return [(poset.elements[a], poset.elements[b]) for a, b in poset.covers]
 
 
-def dot_export(poset: IdealPoset, sink: IO[str] | None = None) -> str:
+def dot_rows(poset: IdealPoset) -> Iterator[str]:
     """
-    Render the Hasse diagram as Graphviz DOT, nodes labelled by one-line
-    word and rank, clustered by rank.  Deterministic for a fixed input.
+    The text of `dot_export` one row at a time, each line made once with its
+    newline, so that a writer holds one row beyond the element names.
     """
     names = list(map(format_permutation, poset.elements))
-    lines = ["digraph ideal {", "  rankdir=BT;", '  node [shape=box, fontname="monospace"];']
-    end = 0
-    for r, count in enumerate(poset.rank_counts()):
-        start, end = end, end + count
-        lines.append("  { rank=same;")
-        lines += [f'    "{name}" [label="{name}\\nrank {r}"];' for name in names[start:end]]
-        lines.append("  }")
-    lines += [f'  "{names[a]}" -> "{names[b]}";' for a, b in poset.covers]
-    lines.append("}")
-    text = "\n".join(lines) + "\n"
+    yield 'digraph ideal {\n  rankdir=BT;\n  node [shape=box, fontname="monospace"];\n'
+    for r, cluster in groupby(zip(poset.ranks, names), itemgetter(0)):
+        yield "  { rank=same;\n"
+        yield from (f'    "{name}" [label="{name}\\nrank {r}"];\n' for _, name in cluster)
+        yield "  }\n"
+    for a, b in poset.covers:
+        yield f'  "{names[a]}" -> "{names[b]}";\n'
+    yield "}\n"
+
+
+def dot_export(poset: IdealPoset, sink: IO[str] | None = None) -> str:
+    """
+    The Hasse diagram as Graphviz DOT, nodes labelled by one-line word and
+    rank, clustered by rank: `dot_rows` joined, and written to `sink` if given.
+    """
+    text = "".join(dot_rows(poset))
     if sink is not None:
         sink.write(text)
     return text
-

@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -467,6 +468,37 @@ def test_golden_stdout(capsys, argv, expected_code, digest):
     code, out, _ = run_cli(capsys, *argv)
     assert code == expected_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# the ideal inputs above, and (1 14), whose ideal of 8192 elements sits at the guard
+IDEAL_INPUTS = [argv[1] for argv, _, _ in GOLDEN_STDOUT if argv[0] == "ideal"]
+IDEAL_INPUTS.append(",".join(map(str, (14, *range(2, 14), 1))))
+
+
+@pytest.mark.parametrize("element", IDEAL_INPUTS)
+def test_ideal_output_file_holds_the_printed_bytes(capsys, tmp_path, element):
+    code, printed, _ = run_cli(capsys, "ideal", element)
+    assert code == 0
+    target = tmp_path / "ideal.dot"
+    code, out, _ = run_cli(capsys, "ideal", element, "--output", str(target))
+    assert code == 0
+    assert target.read_bytes() == printed.encode()
+    assert out == printed[:printed.index("\n") + 1]  # the certificate line alone
+
+
+def test_ideal_output_is_written_row_by_row(capsys, tmp_path):
+    # (1 9) in S_500: 256 elements of 500 entries and 4.9 MB of DOT.  The
+    # writer holds the elements, their names and one row, not the text.
+    target = tmp_path / "ideal.dot"
+    tracemalloc.start()
+    try:
+        code = main(["ideal", ",".join(map(str, (9, *range(2, 9), 1, *range(10, 501)))),
+                     "--output", str(target)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < target.stat().st_size / 2
 
 
 def test_invariant_violation_exits_3(capsys, monkeypatch):

@@ -7,6 +7,7 @@ from boolinv.counting import involutions
 from boolinv.ideals import (
     bruhat_leq,
     dot_export,
+    dot_rows,
     hasse_edges,
     ideal,
     is_boolean_lattice,
@@ -190,12 +191,14 @@ def test_numbered_closure_matches_word_keyed_oracle():
 
 def test_dot_export_matches_grouped_oracle():
     # every involution with n <= 6, and (1 14), whose ideal of 8192
-    # elements sits at the guard
+    # elements sits at the guard; the rows join to the same text
     elements = [w for n in range(7) for w in involutions(n)]
     elements.append(Involution((14,) + tuple(range(2, 14)) + (1,)))
     for w in elements:
         poset = ideal(w)
-        assert dot_export(poset) == grouped_dot(poset), w
+        text = dot_export(poset)
+        assert text == grouped_dot(poset), w
+        assert "".join(dot_rows(poset)) == text, w
     assert len(poset) == LIMITS["ideal"][0]
 
 

@@ -59,7 +59,7 @@ EDGES = [
         "work", lambda: recurrence_totals(22360), lambda: series_totals(22361), 318034599,
         id="h 22360/22361"),
     pytest.param(
-        "ideal", lambda: ideal(swap_ends(14)), lambda: ideal(swap_ends(21)), 2**14,
+        "ideal", lambda: ideal(swap_ends(14)), lambda: ideal(swap_ends(21)), 2**13 + 1,
         id="ideal (1 14)/(1 21)"),
     pytest.param(
         "words", rank_12_admitted, lambda: all_reduced_words(evaluate_word(range(1, 14), 14)),
