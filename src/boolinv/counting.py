@@ -20,10 +20,10 @@ per Boolean involution.  It walks S_{n_max} once, which holds each
 smaller Boolean involution once, and is refused up front when its
 predicted work, the h(n_max) leaves walked, passes the `brute` guard.  The
 recurrence route counts the restricted Motzkin paths of the paper's
-bijection by a packed transfer matrix over their height
-(`motzkin.restricted_path_rows`): rank is n minus the returns to the axis,
-excedances are the up steps and inversions 2 rank - ups, so it reads
-neither the brute nor the series route.  The series route expands the
+bijection by a transfer matrix over their height, packed for f and g in
+`motzkin.restricted_path_rows` (rank is n minus the returns to the axis,
+excedances the up steps, inversions 2 rank - ups), plain for h in
+`restricted_totals`; it reads no other route.  The series route expands the
 generating functions one size at a time, each row packed into one
 integer.  These two refuse up front a table whose predicted cells times
 count bits pass the `work` guard, and the streams a size past the
@@ -40,8 +40,8 @@ from itertools import accumulate, chain, islice
 from operator import itemgetter
 from typing import Iterator
 
-from .motzkin import restricted_path_rows
-from .permutations import Involution, _trusted_involution
+from .motzkin import restricted_path_rows, restricted_totals
+from .permutations import Involution, _format, _trusted_involution, check_size
 from .series import count_bits, inv_exc_series, rank_series, total_series
 from .signed import SignedInvolution, _trusted_signed_involution
 from .work import refuse
@@ -143,14 +143,8 @@ def _elements(n: int, shard: int, num_shards: int, pruned: bool) -> Iterator[Inv
             yield _trusted_involution(tuple(leaf[1]))
 
 
-def _check_size(n: int) -> None:
-    if n < 0:
-        raise ValueError(f"negative size {n}")
-
-
 def _check_stream(n: int, shard: int, num_shards: int, guard: str = "stream") -> None:
-    _check_size(n)
-    refuse(guard, (n,), f"n {n}")
+    refuse(guard, (check_size(n),), f"n {n}")
     if not 0 <= shard < num_shards:
         raise ValueError(f"bad shard {shard}/{num_shards}")
 
@@ -227,14 +221,12 @@ def brute_inv_exc_counts(n_max: int, jobs: int = 1) -> InvExcTable:
 
 def _check_brute_work(n_max: int) -> None:
     """
-    Refuse, before any element is walked, a negative size or a brute table
-    whose predicted work, h(n_max) (the walk of S_{n_max} costs O(1) per
-    Boolean involution), passes the `brute` guard.  The totals h are the
+    Refuse, before any element is walked, a bad size or a brute table whose
+    predicted work, h(n_max) (the walk of S_{n_max} costs O(1) per Boolean
+    involution), passes the `brute` guard.  The totals h are the
     restricted path counts, read only until they pass; they size the run.
     """
-    _check_size(n_max)
-    work = (row[0, 0] for row in restricted_path_rows(n_max, 0, 0))
-    refuse("brute", work, f"n_max {n_max}")
+    refuse("brute", restricted_totals(check_size(n_max)), f"n_max {n_max}")
 
 
 def rank_counts_from_inv_exc(table: InvExcTable) -> RankTable:
@@ -271,13 +263,12 @@ _ROW_CELLS = {
 
 def _check_table_work(stat: str, n_max: int) -> None:
     """
-    Refuse, before any cell is filled, a negative size or a recurrence or
+    Refuse, before any cell is filled, a bad size or a recurrence or
     series table whose predicted work passes the `work` guard: the cells of
     each row times `count_bits(n)`, the bound on the bit length of its counts
     that also sizes the series' packed slots, summed only until they pass.
     """
-    _check_size(n_max)
-    rows = (_ROW_CELLS[stat](n) * count_bits(n) for n in range(1, n_max + 1))
+    rows = (_ROW_CELLS[stat](n) * count_bits(n) for n in range(1, check_size(n_max) + 1))
     refuse("work", accumulate(rows), f"table {stat} to n_max {n_max}")
 
 
@@ -306,7 +297,7 @@ def recurrence_rank_counts(n_max: int) -> RankTable:
 def recurrence_totals(n_max: int) -> TotalTable:
     """Totals as the restricted path counts."""
     _check_table_work("h", n_max)
-    return {n: row[0, 0] for n, row in enumerate(restricted_path_rows(n_max, 0, 0), start=1)}
+    return dict(enumerate(restricted_totals(n_max), start=1))
 
 
 def series_inv_exc_counts(n_max: int) -> InvExcTable:
@@ -399,8 +390,7 @@ def cross_validate(n_max: int, jobs: int = 1) -> CrossValidationReport:
         })
         for stat, name in _TABLE_NAMES.items()
     ]
-    rows = restricted_path_rows(n_max, 0, 0)
-    paths = {n: row[0, 0] for n, row in enumerate(rows, start=1)}
+    paths = dict(enumerate(restricted_totals(n_max), start=1))
     checks.append(_compare_tables(
         "restricted Motzkin paths = totals", {"paths": paths, "totals": brute["h"]}
     ))
@@ -419,14 +409,14 @@ def table_rows(table: dict, fmt: str, columns: tuple[str, ...] = ()) -> Iterator
     """
     first = next(iter(table), ())
     tuples = isinstance(first, tuple)
-    fields = ["%d"] * (len(first) if tuples else 1)  # one per part of a key
+    parts = len(first) if tuples else 1  # ints per key
     if fmt == "tsv":
         yield "\t".join(columns) + "\n"
-        line = "\t".join(fields + ["%d\n"])
+        line = _format(parts + 1, "\t") + "\n"
         for key in sorted(table):
             yield line % ((*key, table[key]) if tuples else (key, table[key]))
         return
-    key_name = ",".join(fields)
+    key_name = _format(parts, ",")
     names = {key_name % key: key for key in table}
     separator = "{"
     for name in sorted(names):

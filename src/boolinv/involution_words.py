@@ -17,8 +17,8 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from .permutations import (
-    Involution, InvariantViolationError, _as_involution, _trusted_involution, inversion_count,
-    sum_blocks)
+    Involution, InvariantViolationError, _as_involution, _trusted_involution, check_size,
+    inversion_count, sum_blocks)
 from .work import refuse
 
 Word = tuple[int, ...]
@@ -72,7 +72,7 @@ def apply_letter(w: Involution, i: int) -> Involution:
 
 def evaluate_word(letters: Iterable[int], n: int) -> Involution:
     """Act by the letters in turn on the identity of S_n."""
-    word = list(range(1, n + 1))
+    word = list(range(1, check_size(n) + 1))
     for i in _letters_in_range(letters, n):
         _act_into(word, i)
     return _trusted_involution(tuple(word))
@@ -101,7 +101,7 @@ def is_reduced(letters: Iterable[int], n: int) -> bool:
     Each letter moves the rank by one, up exactly at an ascent, so that
     holds iff every letter is an ascent where it acts.
     """
-    word = list(range(1, n + 1))
+    word = list(range(1, check_size(n) + 1))
     for i in _letters_in_range(letters, n):
         if word[i - 1] > word[i]:
             return False

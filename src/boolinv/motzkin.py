@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Iterator
 
-from .permutations import InvariantViolationError, Involution, ParseError
+from .permutations import InvariantViolationError, Involution, ParseError, check_size
 from .series import count_bits, decode_slots, slot_bytes
 
 STEP_RISE = {"U": 1, "F": 0, "D": -1}
@@ -117,20 +117,29 @@ def rank_from_path(path: MotzkinPath) -> int:
     return path.n - axis_contacts(path)
 
 
-def restricted_path_rows(n_max: int, _returns: int = 1, _ups: int = 1) -> Iterator[dict]:
+def restricted_totals(n_max: int) -> Iterator[int]:
+    """h(1), ..., h(n_max): the restricted paths of each length, by the
+    transfer matrix of `restricted_path_rows` on plain ints."""
+    at0, at1, at2 = 1, 0, 0
+    for _ in range(n_max):
+        at0, at1, at2 = at0 + at1, at0 + at1 + at2, at1
+        yield at0
+
+
+def restricted_path_rows(n_max: int, _ups: int = 1) -> Iterator[dict]:
     """
     The restricted paths of each length n = 1..n_max in turn, counted as
     {(returns to the axis, up steps): count}, by a transfer matrix over the
     height of the last step: flats only below 2, every step onto the axis a
-    return.  A 0 for `_returns` or `_ups` keeps that coordinate at 0, so the
-    rows stay as small as the marginal needs.
+    return.  A 0 for `_ups` keeps that coordinate at 0, so the rows stay as
+    small as the rank marginal needs.
 
     The paths at each height are one packed int, (r, u) in slot
     r * stride + u, so a return is one shift and an up step another.  A
     prefix at height 1 or 2 ends, by D or DD, in its own path of length at
     most n_max + 2: no count passes h(n_max + 2) < 2^count_bits(n_max + 2),
     and no prefix has more than n_max // 2 + 1 ups.  A carry out of a slot
-    would lower the sum of the slots below the path total, which is checked.
+    would lower the sum of the slots below `restricted_totals`, as checked.
 
     >>> list(restricted_path_rows(3))
     [{(1, 0): 1}, {(1, 1): 1, (2, 0): 1}, {(1, 1): 1, (2, 1): 2, (3, 0): 1}]
@@ -138,28 +147,22 @@ def restricted_path_rows(n_max: int, _returns: int = 1, _ups: int = 1) -> Iterat
     bits = count_bits(n_max + 2)
     width = slot_bytes(bits)
     stride = n_max // 2 + 2 if _ups else 1
-    keys = [(r, u) for r in range(n_max + 1 if _returns else 1) for u in range(stride)]
-    up, back = 8 * width * _ups, 8 * width * stride * _returns
-    at0, at1, at2 = sum0, sum1, sum2 = 1, 0, 0  # packed rows, and their totals
-    for n in range(1, n_max + 1):
+    keys = [(r, u) for r in range(n_max + 1) for u in range(stride)]
+    up, back = 8 * width * _ups, 8 * width * stride
+    at0, at1, at2 = 1, 0, 0  # packed rows
+    for n, total in enumerate(restricted_totals(n_max), start=1):
         at0, at1, at2 = (
             (at0 + at1) << back,  # flat at 0, or down from 1
             (at0 << up) + at1 + at2,  # up from 0, flat at 1, down from 2
             at1 << up,  # up from 1
         )
-        if len(keys) == 1:
-            yield {(0, 0): at0}
-            continue
-        sum0, sum1, sum2 = sum0 + sum1, sum0 + sum1 + sum2, sum1
         values = decode_slots(at0, width, bits, len(keys), f"path row {n}")
-        if sum(values) != sum0:
+        if sum(values) != total:
             raise InvariantViolationError(f"path row {n} overflows its {width}-byte slots")
         yield dict(zip(compress(keys, values), compress(values, values)))
 
 
 def count_restricted(n: int) -> int:
-    """Count restricted Motzkin paths of length n, by `restricted_path_rows`."""
-    if n < 0:
-        raise ValueError("negative length")
-    *_, last = ({(0, 0): 1}, *restricted_path_rows(n, 0, 0))
-    return last[0, 0]
+    """Count restricted Motzkin paths of length n, by `restricted_totals`."""
+    *_, last = 1, *restricted_totals(check_size(n))
+    return last

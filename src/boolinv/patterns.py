@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .permutations import (
-    InvariantViolationError, Permutation, check_word, parse_int_tokens, parse_permutation,
-    sum_blocks)
+    InvariantViolationError, Permutation, _format, check_word, parse_int_tokens,
+    parse_permutation, sum_blocks)
 
 if TYPE_CHECKING:
     from .signed import SignedPermutation
@@ -79,7 +79,7 @@ def parse_signed_pattern(text: str) -> SignedPattern:
 
 def format_signed(w: SignedPermutation | SignedPattern) -> str:
     """A signed window as comma-separated integers, as the parsers read it."""
-    return ",".join(map(str, w.window))
+    return _format(len(w.window), ",") % w.window
 
 
 @functools.lru_cache(maxsize=256)

@@ -11,6 +11,7 @@ comma-separated values like "10,2,3,4,5,6,7,8,9,1".  `parse_permutation` and
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -102,6 +103,13 @@ def check_word(values: Sequence[int], signed: bool = False) -> tuple[int, ...]:
     return word
 
 
+def check_size(n: int) -> int:
+    """n, checked to be a size: ValueError if it is not an int or is negative."""
+    if type(n) is not int or n < 0:
+        raise ValueError(f"negative size {n}" if type(n) is int else f"size {n!r} is not an int")
+    return n
+
+
 def _trusted_involution(word: tuple[int, ...]) -> Involution:
     """
     An Involution on a tuple the caller has built as one, without the
@@ -126,7 +134,7 @@ def _as_involution(w: Permutation) -> Involution:
 
 
 def identity(n: int) -> Involution:
-    return _trusted_involution(tuple(range(1, n + 1)))
+    return _trusted_involution(tuple(range(1, check_size(n) + 1)))
 
 
 def transposition(n: int, i: int, j: int) -> Involution:
@@ -176,17 +184,16 @@ def parse_int_tokens(text: str) -> list[int]:
     return values
 
 
-# One %-format per length below 65: a word's entries are ints (check_word),
-# for which %d reads as str.
-_FORMATS = ["%d" * n if n <= 9 else ",".join(["%d"] * n) for n in range(65)]
+@functools.lru_cache(maxsize=64)
+def _format(n: int, separator: str) -> str:
+    """The %-format of n ints (check_word) joined by `separator`; %d reads as str."""
+    return separator.join(["%d"] * n)
 
 
 def format_permutation(w: Permutation) -> str:
     """One-line text form; digit string for n <= 9, else comma-separated."""
     word = w.word
-    if len(word) < len(_FORMATS):
-        return _FORMATS[len(word)] % word
-    return ",".join(map(str, word))
+    return _format(len(word), "," if len(word) > 9 else "") % word
 
 
 def inversions(w: Permutation) -> tuple[int, list[tuple[int, int]]]:

@@ -172,10 +172,8 @@ SWEEPS = (
 
 
 def run_selfcheck(n_max: int) -> list[CheckResult]:
-    """Cross-validate the counting routes up to min(n_max, 10), then run
-    every sweep with each bound at min(n_max, cap)."""
-    if n_max < 0:
-        raise ValueError(f"negative size bound {n_max}")
+    """Cross-validate the counting routes up to min(n_max, 10), which refuses
+    a bad size, then run every sweep with each bound at min(n_max, cap)."""
     results = list(counting.cross_validate(min(n_max, 10)).checks)
     for sweep, caps in SWEEPS:
         results.append(sweep(*(min(n_max, cap) for cap in caps)))

@@ -14,6 +14,8 @@ from boolinv.motzkin import (
     parse_path,
     path_to_involution,
     rank_from_path,
+    restricted_path_rows,
+    restricted_totals,
 )
 from boolinv.permutations import (
     ParseError,
@@ -22,7 +24,7 @@ from boolinv.permutations import (
     inversions,
     parse_permutation,
 )
-from oracles import motzkin_strings, restricted_strings
+from oracles import motzkin_strings, restricted_strings, three_term_total_recurrence
 
 
 def test_path_validation():
@@ -140,3 +142,12 @@ def test_motzkin_paths_cover_all_involutions():
     for n in range(8):
         paths = {involution_to_path(w).steps for w in involutions(n)}
         assert paths <= set(motzkin_strings(n))
+
+
+def test_restricted_totals_are_the_path_row_sums():
+    totals = list(restricted_totals(40))
+    assert totals == list(three_term_total_recurrence(40).values())
+    assert totals[:9] == [len(restricted_strings(n)) for n in range(1, 10)]
+    for ups in (1, 0):
+        assert [sum(row.values()) for row in restricted_path_rows(40, ups)] == totals
+    assert list(restricted_totals(0)) == []

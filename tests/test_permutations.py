@@ -1,12 +1,18 @@
 import random
 from itertools import permutations as itertools_permutations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from boolinv.counting import involutions
-from boolinv.involution_words import rank_profile
+import boolinv
+from boolinv.counting import (
+    boolean_involutions, brute_totals, cross_validate, involutions, recurrence_totals,
+    series_totals, signed_involutions)
+from boolinv.involution_words import evaluate_word, is_reduced, rank_profile
+from boolinv.motzkin import count_restricted
+from boolinv.patterns import SignedPattern, format_signed, parse_signed_pattern
 from boolinv.permutations import (
     CycleDecomposition,
     Involution,
@@ -25,6 +31,7 @@ from boolinv.permutations import (
     sum_blocks,
     transposition,
 )
+from boolinv.selfcheck import run_selfcheck
 from boolinv.signed import SignedInvolution, SignedPermutation, parse_signed
 from oracles import (
     crossing_components,
@@ -247,3 +254,57 @@ def test_constructors_and_parsers_accept_as_the_sorting_checks_did():
         Permutation((1, 1))
     with pytest.raises(ParseError, match=r"value -3 out of range \[\+-2\]"):
         SignedPermutation((1, -3))
+
+
+@pytest.mark.parametrize("n", [0, 9, 10, 64, 65, 2000])
+def test_format_is_the_join_at_the_edges_of_the_old_fork(n):
+    # the ends of the digit form and of the 65-entry format table it replaced
+    rng = random.Random(n)
+    shuffled = tuple(rng.sample(range(1, n + 1), n))
+    for word in (shuffled, tuple(range(n, 0, -1))):
+        text = format_permutation(Permutation(word))
+        assert text == joined_format(word)
+        if n:  # the empty word has no text to parse
+            assert parse_permutation(text).word == word
+
+
+@pytest.mark.parametrize("n", [1, 10, 65])
+def test_format_signed_with_negative_entries(n):
+    rng = random.Random(n)
+    signs = [-1] + [rng.choice((-1, 1)) for _ in range(n - 1)]
+    window = tuple(s * v for s, v in zip(signs, rng.sample(range(1, n + 1), n)))
+    text = ",".join(map(str, window))
+    assert format_signed(SignedPermutation(window)) == format_signed(SignedPattern(window)) == text
+    assert parse_signed(text).window == parse_signed_pattern(text).window == window
+
+
+SIZED = [
+    identity,
+    lambda n: evaluate_word((), n),
+    lambda n: is_reduced((), n),
+    count_restricted,
+    lambda n: next(involutions(n)),
+    lambda n: next(boolean_involutions(n)),
+    lambda n: next(signed_involutions(n)),
+    brute_totals,
+    recurrence_totals,
+    series_totals,
+    cross_validate,
+    run_selfcheck,
+]
+
+
+@pytest.mark.parametrize("build", SIZED)
+@pytest.mark.parametrize(
+    "n, message", [(-1, "negative size -1"), (2.5, "size 2.5 is not an int"),
+                   (True, "size True is not an int")])
+def test_bad_sizes_are_refused_everywhere(build, n, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build(n)
+
+
+def test_text_and_size_rules_live_only_in_permutations():
+    package = Path(boolinv.__file__).parent
+    for rule in ("%d", "negative size"):
+        sites = [p.name for p in sorted(package.glob("*.py")) if rule in p.read_text()]
+        assert sites == ["permutations.py"], rule

@@ -97,7 +97,7 @@ BEFORE_WORK = [
         counting, "restricted_path_rows", lambda: recurrence_rank_counts(908),
         id="recurrence g"),
     pytest.param(
-        counting, "restricted_path_rows", lambda: recurrence_totals(22361), id="recurrence h"),
+        counting, "restricted_totals", lambda: recurrence_totals(22361), id="recurrence h"),
     pytest.param(series, "expand_rational", lambda: series_inv_exc_counts(177), id="gf f"),
     pytest.param(series, "expand_rational", lambda: series_rank_counts(908), id="gf g"),
     pytest.param(series, "expand_rational", lambda: series_totals(22361), id="gf h"),
