@@ -28,6 +28,7 @@ from .involution_words import rank_profile
 from .permutations import (
     Involution,
     ParseError,
+    _format,
     format_permutation,
     parse_permutation,
 )
@@ -81,16 +82,19 @@ def _print_verdict(payload: dict, fmt: str) -> None:
         f"  two-cycles: {payload['absolute_length']}"
     )
     if payload["is_boolean"]:
-        print(f"repeat-free word: {','.join(str(i) for i in payload['word'])}")
+        print(f"repeat-free word: {_commas(payload['word'])}")
     else:
         i, j = payload["long_crossing_pair"]
         print(f"long-crossing pair: ({i},{j})")
         occ = payload["occurrence"]
         print(
             f"pattern {payload['pattern']} at positions "
-            f"({','.join(str(p) for p in occ['positions'])}) values "
-            f"({','.join(str(v) for v in occ['values'])})"
+            f"({_commas(occ['positions'])}) values ({_commas(occ['values'])})"
         )
+
+
+def _commas(values: list[int]) -> str:
+    return _format(len(values), ",") % tuple(values)
 
 
 def cmd_check(args: argparse.Namespace) -> int:

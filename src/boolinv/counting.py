@@ -10,14 +10,16 @@ Tables are plain dicts with exact integer values:
   * totals:                      {n: count}
 
 The involution stream is one iterative depth-first walk, whose elements
-are built without revalidation.  The brute route walks it pruned: no
-point is paired once an earlier pair reaches beyond its right neighbour,
-so only the Boolean involutions are visited, each decided on its prefixes
-by the long-crossing criterion rather than filtered from the whole
-stream.  It reads each one's inversions and excedances off the walk,
-which carries them in its frames, so it builds no element and costs O(1)
-per Boolean involution.  It walks S_{n_max} once, which holds each
-smaller Boolean involution once, and is refused up front when its
+are built without revalidation.  Pruned, it pairs no point once an
+earlier pair reaches beyond its right neighbour, so it visits only the
+Boolean involutions, each decided on its prefixes by the long-crossing
+criterion rather than filtered from the whole stream.  The brute route
+makes the same pruned walk in `_boolean_leaves` without words: there the
+only taken point above the first free one p is the prefix max, so a
+frame holds only p, its partner, the prefix max and the inversions and
+excedances so far, and the walk builds no element and costs O(1) per
+Boolean involution.  It walks S_{n_max} once, which holds each smaller
+Boolean involution once, and is refused up front when its
 predicted work, the h(n_max) leaves walked, passes the `brute` guard.  The
 recurrence route counts the restricted Motzkin paths of the paper's
 bijection by a transfer matrix over their height, packed for f and g in
@@ -35,9 +37,7 @@ Motzkin path count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections import Counter
 from itertools import accumulate, chain, islice
-from operator import itemgetter
 from typing import Iterator
 
 from .motzkin import restricted_path_rows, restricted_totals
@@ -51,37 +51,23 @@ RankTable = dict[tuple[int, int], int]
 TotalTable = dict[int, int]
 
 
-def _walk(n: int, pruned: bool = False) -> Iterator[tuple]:
+def _walk(n: int, pruned: bool = False) -> Iterator[tuple[int, list[int]]]:
     """
     Depth-first walk over the involutions of S_n in lexicographic order of
     their one-line words.  Yields (index, word): the element's position in
-    the full stream and its word as a list, valid until the next step; the
-    pruned walk also yields the word's inversions, excedances and largest
-    moved point (0 for the identity), the prefix max of its frame.
+    the full stream and its word as a list, valid until the next step.
 
     Each node decides its first free point p, first as a fixed point and
     then paired with each larger free point q in turn, on an explicit stack
-    of [p, q, prefix max, index of the first leaf below, free points,
-    inversions, excedances] frames.  With `pruned`, p is never paired once
-    an earlier partner exceeds p + 1, the test `has_long_crossing` makes on
-    a whole word, so the leaves are exactly the Boolean involutions; a
-    skipped subtree still moves the index on, by (m - 1) I(m - 2) =
-    I(m) - I(m - 1) at a node with m free points, I(k) being the number of
-    involutions of S_k.
+    of [p, q, prefix max, index of the first leaf below, free points]
+    frames.  With `pruned`, p is never paired once an earlier partner
+    exceeds p + 1, the test `has_long_crossing` makes on a whole word, so
+    the leaves are exactly the Boolean involutions; a skipped subtree still
+    moves the index on, by (m - 1) I(m - 2) = I(m) - I(m - 1) at a node
+    with m free points, I(k) being the number of involutions of S_k.
 
-    The pruned walk carries the two statistics in its frames, and only it
-    updates them.  Each excedance is an arc, a 2-cycle a < b.  Split by
-    arcs, the inversions are 1 per arc, 2 per fixed point strictly inside
-    an arc, 2 per crossing pair of arcs and 4 per nested pair; so they are
-    the sum of 2 (b - a) - 1 over the arcs, less 2 per crossing pair, which
-    that sum counts from both arcs.  Pairing p with q thus adds
-    2 (q - p) - 1, less 2 if an earlier arc ends inside (p, q).  Pruned,
-    only one ending at p + 1 can, and one does exactly when the prefix max
-    exceeds p.  So each leaf costs O(1).  3412 has two crossing arcs,
-    3 + 3 - 2 = 4 inversions; 4231 has one arc over two fixed points, 5.
-
-    >>> [(i, tuple(w), inv, exc, s) for i, w, inv, exc, s in _walk(4, pruned=True)][-2:]
-    [(7, (3, 4, 1, 2), 4, 2, 4), (8, (4, 2, 3, 1), 5, 1, 4)]
+    >>> [(i, tuple(w)) for i, w in _walk(4, pruned=True)][-2:]
+    [(7, (3, 4, 1, 2)), (8, (4, 2, 3, 1))]
     """
     sizes = [1, 1]
     for k in range(2, n + 1):
@@ -89,22 +75,19 @@ def _walk(n: int, pruned: bool = False) -> Iterator[tuple]:
     word = list(range(1, n + 1))
     free = [False] + [True] * (n + 1)  # free[n + 1] ends every scan
     stack: list[list[int]] = []
-    p, prefix, index, m, inv, exc = 1, 0, 0, n, 0, 0
+    p, prefix, index, m = 1, 0, 0, n
     while True:
         while m > 1:  # a last free point can only be fixed and needs no frame
-            stack.append([p, p, prefix, index, m, inv, exc])
+            stack.append([p, p, prefix, index, m])
             free[p] = False
             m -= 1
             p += 1
             while not free[p]:
                 p += 1
-        if pruned:
-            yield index, word, inv, exc, prefix
-        else:
-            yield index, word
+        yield index, word
         while stack:
             frame = stack[-1]
-            p, q, prefix, index, m, inv, exc = frame
+            p, q, prefix, index, m = frame
             if q != p:
                 word[p - 1], word[q - 1] = p, q
                 free[q] = True
@@ -123,9 +106,6 @@ def _walk(n: int, pruned: bool = False) -> Iterator[tuple]:
             frame[1], frame[3] = q, index
             word[p - 1], word[q - 1] = q, p
             free[q] = False
-            if pruned:
-                inv += 2 * (q - p) - (3 if prefix > p else 1)
-                exc += 1
             if q > prefix:
                 prefix = q
             m -= 2
@@ -137,16 +117,87 @@ def _walk(n: int, pruned: bool = False) -> Iterator[tuple]:
             return
 
 
+def _boolean_leaves(n: int) -> dict[tuple[int, int, int], int]:
+    """
+    The Boolean involutions of S_n counted by (s, inversions, excedances),
+    s the largest moved point (0 for the identity), keys in the order of
+    their first leaf in the pruned walk of `_walk`.  This walk makes the
+    same choices in the same order without a word, a free-point array or an
+    index, on frames [p, q, prefix max, inversions, excedances], q the last
+    partner of p tried (top, below, before the first).
+
+    At every node, the only point above the first free point p that is
+    already taken is the prefix max, when it exceeds p.  This holds at the
+    root, where nothing is taken, and fixing p takes nothing above p.
+    Pairing p with q is allowed only when prefix <= p + 1, so after it the
+    points above p taken are at most p + 1 and q, the new prefix max: the
+    next free point skips those two at most, and above it only q can be
+    taken.  So the free points above p are those above top = max(p, prefix)
+    and need no scan.  When prefix > p + 1, p and each point below
+    prefix - 1 can only be fixed, so the walk jumps to p = prefix - 1, where
+    `_walk` pushes frames it pops unpaired.  A node with one free point
+    above p (top = n - 1) has two leaves, p fixed and p paired with n, and
+    needs no frame either.
+
+    Each excedance is an arc, a 2-cycle a < b.  Split by arcs, the
+    inversions are 1 per arc, 2 per fixed point strictly inside an arc, 2
+    per crossing pair of arcs and 4 per nested pair; so they are the sum of
+    2 (b - a) - 1 over the arcs, less 2 per crossing pair, which that sum
+    counts from both arcs.  Pairing p with q thus adds 2 (q - p) - 1, less 2
+    if an earlier arc ends inside (p, q).  Only one ending at p + 1 can, and
+    one does exactly when the prefix max exceeds p.  So each leaf costs
+    O(1).  3412 has two crossing arcs, 3 + 3 - 2 = 4 inversions; 4231 has
+    one arc over two fixed points, 5.
+
+    >>> list(_boolean_leaves(4).items())[-2:]
+    [((4, 4, 2), 1), ((4, 5, 1), 1)]
+    """
+    leaves: dict[tuple[int, int, int], int] = {}
+    stack: list[list[int]] = []
+    p = top = 1
+    prefix = inv = exc = 0
+    while True:
+        while top < n - 1:  # fix p, with a frame to pair it later
+            stack.append([p, top, prefix, inv, exc])
+            p = top = top + 1
+        key = prefix, inv, exc
+        leaves[key] = leaves.get(key, 0) + 1
+        if top == n - 1:  # pair p with n, adding one inversion either way
+            key = n, inv + 1, exc + 1
+            leaves[key] = leaves.get(key, 0) + 1
+        while stack:
+            frame = stack[-1]
+            p, q, prefix, inv, exc = frame
+            q += 1
+            if q == n:
+                stack.pop()
+            else:
+                frame[1] = q
+            top = p + 1 if prefix > p else p
+            inv += 2 * (q - top) - 1  # 2 (q - p) - 1, less 2 if prefix = p + 1
+            exc += 1
+            prefix = q
+            if q == top + 1:
+                p = top = q + 1
+            else:  # fix top + 1 up to q - 2
+                p, top = q - 1, q
+            break
+        else:
+            return leaves
+
+
 def _elements(n: int, shard: int, num_shards: int, pruned: bool) -> Iterator[Involution]:
-    for leaf in _walk(n, pruned):
-        if leaf[0] % num_shards == shard:
-            yield _trusted_involution(tuple(leaf[1]))
+    for index, word in _walk(n, pruned):
+        if index % num_shards == shard:
+            yield _trusted_involution(tuple(word))
 
 
 def _check_stream(n: int, shard: int, num_shards: int, guard: str = "stream") -> None:
+    """Refuse a bad size, a size past `guard`, or shard arguments that are
+    not ints (as `check_size` refuses sizes) or not 0 <= shard < num_shards."""
     refuse(guard, (check_size(n),), f"n {n}")
-    if not 0 <= shard < num_shards:
-        raise ValueError(f"bad shard {shard}/{num_shards}")
+    if type(shard) is not int or type(num_shards) is not int or not 0 <= shard < num_shards:
+        raise ValueError(f"bad shard {shard!r}/{num_shards!r}")
 
 
 def involutions(n: int, shard: int = 0, num_shards: int = 1) -> Iterator[Involution]:
@@ -204,18 +255,18 @@ def signed_involutions(
 def brute_inv_exc_counts(n_max: int, jobs: int = 1) -> InvExcTable:
     """
     Count Boolean involutions by (size, inversions, excedances) for every
-    1 <= n <= n_max by one pruned walk of S_{n_max} in this process.  A
-    Boolean involution w of S_n is w + id there, in the same order, with
-    the same statistics; so a leaf of largest moved point s counts in every
-    row from max(s, 1) on.  `jobs` is accepted and ignored: at O(1) per
+    1 <= n <= n_max by one walk of the Boolean involutions of S_{n_max}
+    (`_boolean_leaves`) in this process.  A Boolean involution w of S_n is
+    w + id there, in the same order, with the same statistics; so a leaf of
+    largest moved point s counts in every row from max(s, 1) on.  `jobs` is accepted and ignored: at O(1) per
     Boolean involution, worker processes cost more to start than they save.
     """
     _check_brute_work(n_max)
-    leaves = Counter(map(itemgetter(4, 2, 3), _walk(n_max, True)))  # (s, inv, exc)
     rows: list[dict] = [{} for _ in range(n_max + 1)]
-    for (s, inv, exc), count in leaves.items():
+    for (s, inv, exc), count in _boolean_leaves(n_max).items():
+        cell = inv, exc
         for row in rows[max(s, 1) :]:
-            row[inv, exc] = row.get((inv, exc), 0) + count
+            row[cell] = row.get(cell, 0) + count
     return {(n, *cell): count for n, row in enumerate(rows) for cell, count in row.items()}
 
 

@@ -33,7 +33,7 @@ from typing import IO, Iterator
 from .involution_words import Word, _act, rank, reduced_word
 from .permutations import (
     Involution, InvariantViolationError, Permutation, _as_involution, _trusted_involution,
-    format_permutation, identity)
+    _word_format, identity)
 from .work import LIMITS, refuse
 
 
@@ -171,7 +171,8 @@ def dot_rows(poset: IdealPoset) -> Iterator[str]:
     The text of `dot_export` one row at a time, each line made once with its
     newline, so that a writer holds one row beyond the element names.
     """
-    names = list(map(format_permutation, poset.elements))
+    fmt = _word_format(poset.root.n)  # every element has the root's length
+    names = [fmt % w.word for w in poset.elements]
     yield 'digraph ideal {\n  rankdir=BT;\n  node [shape=box, fontname="monospace"];\n'
     for r, cluster in groupby(zip(poset.ranks, names), itemgetter(0)):
         yield "  { rank=same;\n"

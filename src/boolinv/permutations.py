@@ -190,10 +190,18 @@ def _format(n: int, separator: str) -> str:
     return separator.join(["%d"] * n)
 
 
+@functools.lru_cache(maxsize=64)
+def _word_format(n: int) -> str:
+    """The %-format of a one-line word of length n: a digit string for
+    n <= 9, else comma-separated."""
+    return _format(n, "," if n > 9 else "")
+
+
 def format_permutation(w: Permutation) -> str:
-    """One-line text form; digit string for n <= 9, else comma-separated."""
+    """One-line text form: a digit string for n <= 9, else comma-separated
+    (`_word_format`)."""
     word = w.word
-    return _format(len(word), "," if len(word) > 9 else "") % word
+    return _word_format(len(word)) % word
 
 
 def inversions(w: Permutation) -> tuple[int, list[tuple[int, int]]]:

@@ -3,6 +3,7 @@ Independent oracles used by the tests: small brute-force routines that
 recompute expected values by definitions, down routes deliberately
 different from the ones the library takes.
 """
+from functools import lru_cache
 from itertools import combinations, groupby, product
 
 from boolinv.boolean import connected_components, has_long_crossing
@@ -498,9 +499,11 @@ def sorted_signed_windows(n):
     return sorted(windows)
 
 
+@lru_cache(maxsize=None)
 def filtered_boolean_words(n):
     """(index in the full stream, word) of each involution of S_n without a
-    long crossing, by filtering the nested stream with `has_long_crossing`."""
+    long crossing, by filtering the nested stream with `has_long_crossing`;
+    kept per size, as several tests read the same sizes."""
     return [
         (index, word)
         for index, word in enumerate(nested_involution_words(n))
@@ -508,25 +511,41 @@ def filtered_boolean_words(n):
     ]
 
 
-def filtered_inv_exc_counts(n_max):
-    """Boolean involutions by (n, inversions, excedances), counted over the
-    filtered stream."""
+def leaf_counts(words):
+    """The words counted by (largest moved point, 0 for the identity;
+    inversions; excedances), each word rescanned, keys in the order of
+    their first word."""
+    counts = {}
+    for word in words:
+        key = (
+            max((i for i, v in enumerate(word, 1) if v != i), default=0),
+            inversion_count(word),
+            sum(1 for i, v in enumerate(word, 1) if v > i),
+        )
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def _per_size_inv_exc_counts(n_max, words_of):
     table = {}
     for n in range(1, n_max + 1):
-        for _, word in filtered_boolean_words(n):
-            key = (n, inversion_count(word), sum(1 for i, v in enumerate(word, 1) if v > i))
-            table[key] = table.get(key, 0) + 1
+        for (_, inv, exc), count in leaf_counts(words_of(n)).items():
+            table[n, inv, exc] = table.get((n, inv, exc), 0) + count
     return table
+
+
+def filtered_inv_exc_counts(n_max):
+    """Boolean involutions by (n, inversions, excedances), each word of the
+    filtered stream of each size n <= n_max rescanned."""
+    return _per_size_inv_exc_counts(n_max, lambda n: (w for _, w in filtered_boolean_words(n)))
 
 
 def per_size_walk_inv_exc_counts(n_max):
-    """Boolean involutions by (n, inversions, excedances), by one pruned
-    walk of each size n <= n_max, each row in its walk's order."""
-    table = {}
-    for n in range(1, n_max + 1):
-        for _, _, inv, exc, _ in _walk(n, True):
-            table[n, inv, exc] = table.get((n, inv, exc), 0) + 1
-    return table
+    """Boolean involutions by (n, inversions, excedances), each word of the
+    pruned walk of each size n <= n_max rescanned, each row in walk order.
+    The filtered stream would hold every involution of S_15 at the brute
+    guard edge, and `boolean_involutions` refuses S_15."""
+    return _per_size_inv_exc_counts(n_max, lambda n: (word for _, word in _walk(n, True)))
 
 
 def prefix_rank_table(word):

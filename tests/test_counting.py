@@ -33,7 +33,7 @@ from oracles import (
     filtered_inv_exc_counts,
     four_term_rank_recurrence,
     full_range_recurrence_inv_exc,
-    inversion_count,
+    leaf_counts,
     nested_involution_words,
     nested_signed_windows,
     per_size_walk_inv_exc_counts,
@@ -85,17 +85,16 @@ def test_walk_matches_nested_stream():
 def test_pruned_walk_matches_filtered_stream():
     for n in range(12):
         expected = filtered_boolean_words(n)
-        walked = [
-            (index, tuple(word), inv, exc, s)
-            for index, word, inv, exc, s in counting._walk(n, pruned=True)
-        ]
-        assert [leaf[:2] for leaf in walked] == expected
+        assert [(index, tuple(word)) for index, word in counting._walk(n, pruned=True)] == expected
         assert [w.word for w in boolean_involutions(n)] == [w for _, w in expected]
-        # the carried statistics of every leaf, against the rescanned word
-        for _, word, inv, exc, s in walked:
-            assert inv == inversion_count(word)
-            assert exc == sum(1 for i, v in enumerate(word, start=1) if v > i)
-            assert s == max((i for i, v in enumerate(word, start=1) if v != i), default=0)
+
+
+def test_boolean_leaves_match_rescanned_filtered_stream():
+    """The statistics the leaf walk carries, against each Boolean word
+    rescanned, key order included."""
+    for n in range(13):
+        expected = leaf_counts(word for _, word in filtered_boolean_words(n))
+        assert list(counting._boolean_leaves(n).items()) == list(expected.items())
 
 
 def test_shards_match_oracles():
@@ -116,11 +115,22 @@ def test_shards_match_oracles():
         next(boolean_involutions(4, 2, 2))
 
 
+@pytest.mark.parametrize("stream", [involutions, boolean_involutions, signed_involutions])
+def test_streams_refuse_shards_that_are_not_ints(stream):
+    # range checks alone take some of these, and a float modulus or offset silently
+    # drops elements
+    for shard, num_shards in [(0, 1.5), (0.5, 2), (True, 2), (0, True), (0, "2")]:
+        with pytest.raises(ValueError, match="^bad shard "):
+            next(stream(4, shard, num_shards))
+
+
 def test_brute_tables_match_per_size_walks():
     """The one walk of S_{n_max} against a walk of each size, cell order
     included."""
+    per_size = per_size_walk_inv_exc_counts(13)
     for n_max in range(14):
-        _assert_same_in_order(brute_inv_exc_counts(n_max), per_size_walk_inv_exc_counts(n_max))
+        expected = {key: count for key, count in per_size.items() if key[0] <= n_max}
+        _assert_same_in_order(brute_inv_exc_counts(n_max), expected)
 
 
 @pytest.mark.slow
@@ -129,21 +139,20 @@ def test_brute_table_matches_per_size_walks_at_guard_edge():
 
 
 def test_brute_walks_once(monkeypatch):
-    """One pruned walk per table, of S_{n_max}, with h(n_max) leaves."""
-    real, walks = counting._walk, []
+    """One leaf walk per table, of S_{n_max}, with h(n_max) leaves."""
+    real, walks = counting._boolean_leaves, []
 
-    def walk(n, pruned=False):
-        walks.append([n, pruned, 0])
-        for leaf in real(n, pruned):
-            walks[-1][2] += 1
-            yield leaf
+    def leaves(n):
+        counts = real(n)
+        walks.append((n, sum(counts.values())))
+        return counts
 
-    monkeypatch.setattr(counting, "_walk", walk)
+    monkeypatch.setattr(counting, "_boolean_leaves", leaves)
     totals = three_term_total_recurrence(13)
     for n_max in range(1, 14):
         walks.clear()
         brute_totals(n_max)
-        assert walks == [[n_max, True, totals[n_max]]]
+        assert walks == [(n_max, totals[n_max])]
 
 
 def test_brute_tables_match_filtered_stream():
@@ -233,7 +242,7 @@ def test_brute_guard_refuses_before_walking(monkeypatch):
     def walk(*args):
         raise AssertionError("walked past the guard")
 
-    monkeypatch.setattr(counting, "_walk", walk)
+    monkeypatch.setattr(counting, "_boolean_leaves", walk)
     for route in (brute_inv_exc_counts, brute_rank_counts, brute_totals, cross_validate):
         with pytest.raises(ResourceLimitError, match="brute guard"):
             route(16)
@@ -255,6 +264,7 @@ def test_recurrence_routes_do_not_walk(monkeypatch):
         raise AssertionError("a recurrence route walked")
 
     monkeypatch.setattr(counting, "_walk", walk)
+    monkeypatch.setattr(counting, "_boolean_leaves", walk)
     assert recurrence_rank_counts(12) == series_rank_counts(12)
     assert recurrence_totals(12) == series_totals(12)
 

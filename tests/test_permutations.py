@@ -305,6 +305,9 @@ def test_bad_sizes_are_refused_everywhere(build, n, message):
 
 def test_text_and_size_rules_live_only_in_permutations():
     package = Path(boolinv.__file__).parent
-    for rule in ("%d", "negative size"):
+    # ints are spelt as text only through permutations._format
+    rules = {"%d": ["permutations.py"], "negative size": ["permutations.py"],
+             "join(str(": [], "join(map(str": []}
+    for rule, where in rules.items():
         sites = [p.name for p in sorted(package.glob("*.py")) if rule in p.read_text()]
-        assert sites == ["permutations.py"], rule
+        assert sites == where, rule

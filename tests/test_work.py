@@ -89,7 +89,7 @@ BEFORE_WORK = [
     pytest.param(
         counting, "_trusted_signed_involution", lambda: next(signed_involutions(8)),
         id="signed"),
-    pytest.param(counting, "_walk", lambda: brute_inv_exc_counts(16), id="brute"),
+    pytest.param(counting, "_boolean_leaves", lambda: brute_inv_exc_counts(16), id="brute"),
     pytest.param(
         counting, "restricted_path_rows", lambda: recurrence_inv_exc_counts(177),
         id="recurrence f"),
