@@ -125,18 +125,15 @@ def cmd_table(args: argparse.Namespace) -> int:
         report = counting.cross_validate(args.max_n)
         print(report.summary())
         return 0 if report.passed else 1
-    fmt = args.format or _default_format()
-    table = counting.build_table(args.stat, args.method, args.max_n)
+    fmt = "json" if (args.format or _default_format()) == "json" else "tsv"
+    rows = counting.build_table(args.stat, args.method, args.max_n, True)
     # Counts are computed, never parsed: lift the int-to-str limit guarding parsing.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        if fmt == "tsv" or fmt == "text":
-            sys.stdout.writelines(counting.table_rows(table, "tsv", _TABLE_COLUMNS[args.stat]))
-        else:
-            sys.stdout.writelines(counting.table_rows(table, "json"))
-            sys.stdout.write("\n")
+        sys.stdout.writelines(counting.table_rows(rows, fmt, _TABLE_COLUMNS[args.stat]))
+        sys.stdout.write("\n" if fmt == "json" else "")
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)

@@ -9,40 +9,31 @@ Tables are plain dicts with exact integer values:
   * rank counts:                 {(n, rank): count}
   * totals:                      {n: count}
 
-The involution stream is one iterative depth-first walk, whose elements
-are built without revalidation.  Pruned, it pairs no point once an
-earlier pair reaches beyond its right neighbour, so it visits only the
-Boolean involutions, each decided on its prefixes by the long-crossing
-criterion rather than filtered from the whole stream.  The brute route
-makes the same pruned walk in `_boolean_leaves` without words: there the
-only taken point above the first free one p is the prefix max, so a
-frame holds only p, its partner, the prefix max and the inversions and
-excedances so far, and the walk builds no element and costs O(1) per
-Boolean involution.  It walks S_{n_max} once, which holds each smaller
-Boolean involution once, and is refused up front when its
-predicted work, the h(n_max) leaves walked, passes the `brute` guard.  The
-recurrence route counts the restricted Motzkin paths of the paper's
-bijection by a transfer matrix over their height, packed for f and g in
-`motzkin.restricted_path_rows` (rank is n minus the returns to the axis,
-excedances the up steps, inversions 2 rank - ups), plain for h in
-`restricted_totals`; it reads no other route.  The series route expands the
-generating functions one size at a time, each row packed into one
-integer.  These two refuse up front a table whose predicted cells times
-count bits pass the `work` guard, and the streams a size past the
-`stream` or `signed` guard: each guard is one row of `work.LIMITS`.  All
-routes must agree; `cross_validate` checks them against each other,
-against the marginalization identities, and against the restricted
-Motzkin path count.
+The involution streams are one iterative depth-first walk, `_walk`, whose
+elements are built without revalidation; pruned, it visits only the
+Boolean involutions.  The brute route walks the same pruned tree without
+words in `_boolean_leaves`, at O(1) per Boolean involution of S_{n_max},
+which holds each smaller one once.  The recurrence route reads only the
+restricted Motzkin paths of the paper's bijection (`motzkin`), the series
+route the generating functions (`series`).  Each route makes its table a
+row of n at a time, (n, keys, counts): the route functions merge the rows
+into one dict, and `table_rows` writes them as they come, so that
+`boolinv table` holds one row of TSV, or the text of each row of JSON.
+Each route is refused up front by its guard in `work.LIMITS`.
+`cross_validate` checks the routes against each other, the
+marginalization identities and the restricted path counts.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice
-from typing import Iterator
+from functools import partial
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import add, itemgetter
+from typing import Iterable, Iterator
 
 from .motzkin import restricted_path_rows, restricted_totals
 from .permutations import Involution, _format, _trusted_involution, check_size
-from .series import count_bits, inv_exc_series, rank_series, total_series
+from .series import Row, count_bits, inv_exc_series, merge_rows, rank_series, total_series
 from .signed import SignedInvolution, _trusted_signed_involution
 from .work import refuse
 
@@ -258,8 +249,8 @@ def brute_inv_exc_counts(n_max: int, jobs: int = 1) -> InvExcTable:
     1 <= n <= n_max by one walk of the Boolean involutions of S_{n_max}
     (`_boolean_leaves`) in this process.  A Boolean involution w of S_n is
     w + id there, in the same order, with the same statistics; so a leaf of
-    largest moved point s counts in every row from max(s, 1) on.  `jobs` is accepted and ignored: at O(1) per
-    Boolean involution, worker processes cost more to start than they save.
+    largest moved point s counts in every row from max(s, 1) on.  `jobs` is
+    ignored: at O(1) per Boolean involution, workers cost more than they save.
     """
     _check_brute_work(n_max)
     rows: list[dict] = [{} for _ in range(n_max + 1)]
@@ -267,7 +258,7 @@ def brute_inv_exc_counts(n_max: int, jobs: int = 1) -> InvExcTable:
         cell = inv, exc
         for row in rows[max(s, 1) :]:
             row[cell] = row.get(cell, 0) + count
-    return {(n, *cell): count for n, row in enumerate(rows) for cell, count in row.items()}
+    return merge_rows((n, [(n, *cell) for cell in row], row.values()) for n, row in enumerate(rows))
 
 
 def _check_brute_work(n_max: int) -> None:
@@ -305,11 +296,7 @@ def brute_totals(n_max: int, jobs: int = 1) -> TotalTable:
 
 
 # Cells of row n in each table: f has l <= 2n and a <= n/2, g has k <= n.
-_ROW_CELLS = {
-    "f": lambda n: (2 * n + 1) * (n // 2 + 1),
-    "g": lambda n: n + 1,
-    "h": lambda n: 1,
-}
+_ROW_CELLS = {"f": lambda n: (2 * n + 1) * (n // 2 + 1), "g": lambda n: n + 1, "h": lambda n: 1}
 
 
 def _check_table_work(stat: str, n_max: int) -> None:
@@ -323,49 +310,48 @@ def _check_table_work(stat: str, n_max: int) -> None:
     refuse("work", accumulate(rows), f"table {stat} to n_max {n_max}")
 
 
-def recurrence_inv_exc_counts(n_max: int) -> InvExcTable:
-    """The inversion/excedance table from the restricted paths, each row sorted:
-    those with r returns and a up steps count in cell (n, 2(n - r) - a, a)."""
-    _check_table_work("f", n_max)
-    table: InvExcTable = {}
-    for n, row in enumerate(restricted_path_rows(n_max), start=1):
-        cells = sorted((2 * (n - r) - a, a, count) for (r, a), count in row.items())
-        table.update(((n, length, a), count) for length, a, count in cells)
-    return table
+def _rows(stat: str, method: str, n_max: int) -> Iterator[Row]:
+    """The rows of table `stat` by the recurrence or gf `method`, past its guard."""
+    _check_table_work(stat, n_max)
+    if method == "gf":
+        rows = {"f": inv_exc_series, "g": rank_series, "h": total_series}[stat](n_max)
+        return ((n, [n] * len(c), c) for n, _, c in rows) if stat == "h" else rows
+    if stat == "h":
+        return ((n, [n], [total]) for n, total in enumerate(restricted_totals(n_max), start=1))
+    return _path_rows(stat == "f", n_max)
 
 
-def recurrence_rank_counts(n_max: int) -> RankTable:
-    """The rank table from the restricted paths, each row sorted: those with
-    r returns count in cell (n, n - r)."""
-    _check_table_work("g", n_max)
-    table: RankTable = {}
-    for n, row in enumerate(restricted_path_rows(n_max, _ups=0), start=1):
-        cells = sorted(row.items(), reverse=True)  # rank n - r rises as r falls
-        table.update(((n, n - r), count) for (r, _), count in cells)
-    return table
+def _path_rows(ups: bool, n_max: int) -> Iterator[Row]:
+    """
+    The rows of f (with `ups`) or g from `restricted_path_rows`: the paths
+    of length n in slot (r, u), with r returns and u up steps, count in cell
+    (n, 2n - 2r - u, u) of f and (n, n - r) of g.  So at every n, the cells
+    ascend with the slots by 2r + u (f) or r (g) descending, then by u.
+    """
+    stride, scale = (n_max // 2 + 2, 2) if ups else (1, 1)
+    # each slot as (its cell's second part less scale n, u, r), in cell order
+    shifts, ups_of, returns = map(tuple, zip(*sorted(
+        (-scale * r - u, u, r) for r in range(n_max + 1) for u in range(stride))))
+    order = itemgetter(*map(add, map(stride.__mul__, returns), ups_of))
+    for n, values in enumerate(restricted_path_rows(n_max, ups), start=1):
+        counts = order(values)
+        seconds = map((scale * n).__add__, compress(shifts, counts))
+        keys = zip(repeat(n), seconds, compress(ups_of, counts)) if ups else zip(repeat(n), seconds)
+        yield n, list(keys), list(compress(counts, counts))
 
 
-def recurrence_totals(n_max: int) -> TotalTable:
-    """Totals as the restricted path counts."""
-    _check_table_work("h", n_max)
-    return dict(enumerate(restricted_totals(n_max), start=1))
+def _route(stat: str, method: str, n_max: int) -> dict:
+    return merge_rows(_rows(stat, method, n_max))
 
 
-def series_inv_exc_counts(n_max: int) -> InvExcTable:
-    """Inversion/excedance table read off the three-variable series."""
-    _check_table_work("f", n_max)
-    return inv_exc_series(n_max)
-
-
-def series_rank_counts(n_max: int) -> RankTable:
-    _check_table_work("g", n_max)
-    return rank_series(n_max)
-
-
-def series_totals(n_max: int) -> TotalTable:
-    _check_table_work("h", n_max)
-    return {n: value for (n,), value in total_series(n_max).items()}
-
+# The recurrence and gf routes, named in TABLE_ROUTES: each the dict of its
+# `_rows`, from the restricted paths (`_path_rows`) or from the series.
+recurrence_inv_exc_counts = partial(_route, "f", "recurrence")
+recurrence_rank_counts = partial(_route, "g", "recurrence")
+recurrence_totals = partial(_route, "h", "recurrence")
+series_inv_exc_counts = partial(_route, "f", "gf")
+series_rank_counts = partial(_route, "g", "gf")
+series_totals = partial(_route, "h", "gf")
 
 # The brute, recurrence and gf route of each table by function name, looked
 # up when called, so that a rebound module attribute is the one that runs.
@@ -376,12 +362,19 @@ TABLE_ROUTES = {
     "h": ("brute_totals", "recurrence_totals", "series_totals"),
 }
 _TABLE_NAMES = {"f": "inversion/excedance counts", "g": "rank counts", "h": "totals"}
+for _name in [name for names in TABLE_ROUTES.values() for name in names[1:]]:
+    globals()[_name].__name__ = _name  # a partial has no name of its own
 
 
-def build_table(stat: str, method: str, n_max: int) -> dict:
-    """Table `stat` (f, g or h) to n_max by `method` (brute, recurrence or
-    gf) through its route in TABLE_ROUTES."""
-    return globals()[TABLE_ROUTES[stat][TABLE_METHODS.index(method)]](n_max)
+def build_table(stat: str, method: str, n_max: int, rows: bool = False) -> dict | Iterable[Row]:
+    """Table `stat` (f, g or h) to n_max by `method` (brute, recurrence or gf)
+    through its route in TABLE_ROUTES.  With `rows`, a recurrence or gf route
+    gives its rows, keys ascending, as made past its guard; a brute route
+    (walk order) or a rebound name, as a tracer's, builds the dict."""
+    route = globals()[TABLE_ROUTES[stat][TABLE_METHODS.index(method)]]
+    if rows and getattr(route, "func", None) is _route:
+        return _rows(*route.args, n_max)
+    return route(n_max)
 
 
 @dataclass(frozen=True)
@@ -415,6 +408,8 @@ class CrossValidationReport:
 def _compare_tables(name: str, tables: dict[str, dict]) -> CheckResult:
     (reference_name, reference), *others = tables.items()
     for other_name, other in others:
+        if other == reference:
+            continue
         for key in sorted(set(reference) | set(other)):
             a, b = reference.get(key, 0), other.get(key, 0)
             if a != b:
@@ -448,32 +443,42 @@ def cross_validate(n_max: int, jobs: int = 1) -> CrossValidationReport:
     return CrossValidationReport(n_max, tuple(checks))
 
 
-def table_rows(table: dict, fmt: str, columns: tuple[str, ...] = ()) -> Iterator[str]:
+def table_rows(table: dict | Iterable[Row], fmt: str, columns: tuple = ()) -> Iterator[str]:
     """
-    The text of `table` one row at a time, so that a writer holds one row:
-    with fmt "tsv", the `columns` header and then a line per key, sorted by
-    key, the count last; with "json", one object, keys joined by commas and
-    sorted as strings, in json.dumps' form, without a final newline.
+    The text of a table, a dict (one row) or `build_table`'s rows, a row at
+    a time: with fmt "tsv", the `columns` header, then a line per key, keys
+    ascending, the count last, a row per `%`; with "json", one object, keys
+    joined by commas and sorted as strings, in json.dumps' form, with no
+    final newline.  As ',' sorts below every digit, those names sort by the
+    string of their n first: JSON sorts each row, then the rows by that.
 
     >>> list(table_rows({(2, 1): 1, (10, 0): 4}, "json"))
-    ['{"10,0": 4', ', "2,1": 1', '}']
+    ['{', '"10,0": 4, "2,1": 1', '}']
     """
-    first = next(iter(table), ())
-    tuples = isinstance(first, tuple)
-    parts = len(first) if tuples else 1  # ints per key
+    if isinstance(table, dict):
+        keys = sorted(table) if fmt == "tsv" else list(table)
+        counts = map(table.__getitem__, keys) if fmt == "tsv" else table.values()
+        table = [(0, keys, list(counts))]
     if fmt == "tsv":
         yield "\t".join(columns) + "\n"
-        line = _format(parts + 1, "\t") + "\n"
-        for key in sorted(table):
-            yield line % ((*key, table[key]) if tuples else (key, table[key]))
-        return
-    key_name = _format(parts, ",")
-    names = {key_name % key: key for key in table}
-    separator = "{"
-    for name in sorted(names):
-        yield f'{separator}"{name}": {table[names[name]]}'
-        separator = ", "
-    yield "}" if table else "{}"
+    texts = []
+    for n, keys, counts in filter(itemgetter(1), table):  # the rows with cells
+        tuples = isinstance(keys[0], tuple)
+        width = len(keys[0]) + 1 if tuples else 2  # ints per line
+        if fmt == "tsv":
+            fields = [0] * (width * len(keys))
+            fields[width - 1 :: width] = counts
+            for i in range(width - 1):  # by itemgetter: zip(*keys) holds an iterator per key
+                fields[i::width] = map(itemgetter(i), keys) if tuples else keys
+            yield (_format(width, "\t") + "\n") * len(keys) % tuple(fields)
+        else:
+            named = dict(zip(map(_format(width - 1, ",").__mod__, keys), counts))
+            texts.append((str(n), ", ".join([f'"{k}": {named[k]}' for k in sorted(named)])))
+    if fmt != "tsv":
+        yield "{"
+        for i, (_, text) in enumerate(sorted(texts)):
+            yield ", " + text if i else text
+        yield "}"
 
 
 def table_to_tsv(table: dict, columns: tuple[str, ...]) -> str:

@@ -13,7 +13,6 @@ Path text form: a string over {U, F, D}, e.g. "UUDUDUDDF".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from typing import Iterator
 
 from .permutations import InvariantViolationError, Involution, ParseError, check_size
@@ -126,28 +125,29 @@ def restricted_totals(n_max: int) -> Iterator[int]:
         yield at0
 
 
-def restricted_path_rows(n_max: int, _ups: int = 1) -> Iterator[dict]:
+def restricted_path_rows(n_max: int, _ups: int = 1) -> Iterator[list[int]]:
     """
-    The restricted paths of each length n = 1..n_max in turn, counted as
-    {(returns to the axis, up steps): count}, by a transfer matrix over the
-    height of the last step: flats only below 2, every step onto the axis a
-    return.  A 0 for `_ups` keeps that coordinate at 0, so the rows stay as
-    small as the rank marginal needs.
+    The restricted paths of each length n = 1..n_max in turn, counted by
+    returns to the axis r and up steps u, by a transfer matrix over the
+    height of the last step (flats only below 2, every step onto the axis a
+    return): a list with the count of (r, u) in slot r * stride + u, stride
+    n_max // 2 + 2, for every r <= n_max.  A 0 for `_ups` keeps u at 0 and
+    the stride at 1, as small as the rank marginal needs.
 
-    The paths at each height are one packed int, (r, u) in slot
-    r * stride + u, so a return is one shift and an up step another.  A
-    prefix at height 1 or 2 ends, by D or DD, in its own path of length at
-    most n_max + 2: no count passes h(n_max + 2) < 2^count_bits(n_max + 2),
-    and no prefix has more than n_max // 2 + 1 ups.  A carry out of a slot
-    would lower the sum of the slots below `restricted_totals`, as checked.
+    The paths at each height are one packed int in those slots, so a return
+    is one shift and an up step another.  A prefix at height 1 or 2 ends,
+    by D or DD, in its own path of length at most n_max + 2: no count passes
+    h(n_max + 2) < 2^count_bits(n_max + 2), and no prefix has more than
+    n_max // 2 + 1 ups.  A carry out of a slot would lower the sum of the
+    slots below `restricted_totals`, as checked.
 
-    >>> list(restricted_path_rows(3))
+    >>> [{divmod(i, 3): c for i, c in enumerate(row) if c} for row in restricted_path_rows(3)]
     [{(1, 0): 1}, {(1, 1): 1, (2, 0): 1}, {(1, 1): 1, (2, 1): 2, (3, 0): 1}]
     """
     bits = count_bits(n_max + 2)
     width = slot_bytes(bits)
     stride = n_max // 2 + 2 if _ups else 1
-    keys = [(r, u) for r in range(n_max + 1) for u in range(stride)]
+    slots = (n_max + 1) * stride
     up, back = 8 * width * _ups, 8 * width * stride
     at0, at1, at2 = 1, 0, 0  # packed rows
     for n, total in enumerate(restricted_totals(n_max), start=1):
@@ -156,10 +156,10 @@ def restricted_path_rows(n_max: int, _ups: int = 1) -> Iterator[dict]:
             (at0 << up) + at1 + at2,  # up from 0, flat at 1, down from 2
             at1 << up,  # up from 1
         )
-        values = decode_slots(at0, width, bits, len(keys), f"path row {n}")
+        values = decode_slots(at0, width, bits, slots, f"path row {n}")
         if sum(values) != total:
             raise InvariantViolationError(f"path row {n} overflows its {width}-byte slots")
-        yield dict(zip(compress(keys, values), compress(values, values)))
+        yield values + [0] * (slots - len(values))
 
 
 def count_restricted(n: int) -> int:

@@ -14,8 +14,9 @@ involutions of S_n with l inversions and a excedances:
   * total_series:    sum of totals, coefficient of x^n
         = x(1 - x^2) / (1 - 2x - x^2 + x^3)
 
-Each series is the dict of its nonzero coefficients, {exponents:
-coefficient}, in ascending order of exponents; no numerator has an x^0
+Each series is given by its nonzero coefficients a row of x-degree d at a
+time, (d, their exponents, their coefficients), in ascending order of
+exponents (`merge_rows` makes one dict of them); no numerator has an x^0
 term, so none has a size-0 coefficient.  The restricted path counts of
 `motzkin.restricted_path_rows` share only `count_bits` and the slot
 decoder with these series; their arithmetic and slot layouts differ, so a
@@ -30,24 +31,24 @@ is exactly the numerator's packed row d less c times packed row d - t0
 shifted by the slots of (t1, t2), over the denominator's terms
 c x^t0 y^t1 z^t2 other than its constant 1.  A true row has nonnegative
 counts below 2^count_bits(n) <= 2^(8w), all inside the truncation box, so
-its slots decode uniquely.  A slot of at most 8 bytes is rounded up to 1,
-2, 4 or 8 bytes, a machine word, and such a row is decoded by one cast of
-its bytes in native order (count_bits is at most 64 up to n = 50); a wider
-slot is read with one int.from_bytes each (`decode_slots`).  A packed row
-that is negative, runs past the box or decodes to a count of
-2^count_bits(n) or more is no such row and raises InvariantViolationError.
+its slots decode uniquely (`decode_slots`, a machine word at a time up to
+n = 50); a packed row that is negative, runs past the box or decodes to a
+count of 2^count_bits(n) or more is no such row and raises
+InvariantViolationError.
 """
 from __future__ import annotations
 
 import sys
-from itertools import compress, product
+from itertools import chain, compress, product
 from math import prod
 from operator import mul
+from typing import Iterable, Iterator
 
 from .permutations import InvariantViolationError
 
 Monomial = tuple[int, ...]
 Terms = dict[Monomial, int]
+Row = tuple[int, list, list]  # a row of a table or series: n, the keys of size n, their counts
 
 
 # The memoryview cast code of each machine-word slot width, in bytes.
@@ -97,12 +98,13 @@ def decode_slots(row: int, width: int, bits: int, slots: int, name: str) -> list
     return values
 
 
-def expand_rational(numerator: Terms, denominator: Terms, bounds: tuple[int, ...]) -> Terms:
+def expand_rational(numerator: Terms, denominator: Terms, bounds: tuple[int, ...]) -> Iterator[Row]:
     """
     Nonzero coefficients of numerator/denominator up to the bounds
-    (inclusive).  Only the rows the denominator's x-degree still reaches
-    are kept, and each row is decoded, up to its highest occupied slot, as
-    soon as it is complete.
+    (inclusive), one x-degree d at a time: (d, their exponents, ascending,
+    and their coefficients).  Only the rows the denominator's x-degree still
+    reaches are kept, and each row is decoded, up to its highest occupied
+    slot, as soon as it is complete.
     """
     if denominator.get((0,) * len(bounds), 0) != 1:
         raise ValueError("denominator constant term must be 1")
@@ -121,7 +123,6 @@ def expand_rational(numerator: Terms, denominator: Terms, bounds: tuple[int, ...
         packed[m[0]] = packed.get(m[0], 0) + (c << shift(m))
     tail = [(t[0], shift(t), c) for t, c in denominator.items() if any(t)]
     depth = max((t0 for t0, _, _ in tail), default=0)
-    coeffs: Terms = {}
     for d in range(bounds[0] + 1):
         row = packed.get(d, 0)
         for t0, s, c in tail:
@@ -130,27 +131,24 @@ def expand_rational(numerator: Terms, denominator: Terms, bounds: tuple[int, ...
         packed[d] = row
         packed.pop(d - depth, None)
         values = decode_slots(row, width, bits, len(keys), f"series row {d}")
-        coeffs.update(zip(map((d,).__add__, compress(keys, values)), compress(values, values)))
-    return coeffs
+        yield d, list(map((d,).__add__, compress(keys, values))), list(compress(values, values))
 
 
-def inv_exc_series(n_max: int) -> Terms:
+def merge_rows(rows: Iterable[Row]) -> dict:
+    """The cells of `rows` as one dict, {key: count}, in the order made."""
+    return dict(chain.from_iterable(zip(keys, values) for _, keys, values in rows))
+
+
+def inv_exc_series(n_max: int) -> Iterator[Row]:
     """Series in (x, y, z) counting Boolean involutions by size, inversions
     and excedances, cut at 2 n_max inversions and n_max // 2 excedances."""
     numerator = {(2, 1, 1): 1, (1, 0, 0): 1, (2, 2, 0): -1, (3, 3, 1): -1}
-    denominator = {
-        (0, 0, 0): 1,
-        (1, 0, 0): -1,
-        (2, 1, 1): -1,
-        (1, 2, 0): -1,
-        (2, 2, 0): 1,
-        (2, 3, 1): -1,
-        (3, 3, 1): 1,
-    }
+    denominator = {(0, 0, 0): 1, (1, 0, 0): -1, (2, 1, 1): -1, (1, 2, 0): -1, (2, 2, 0): 1,
+                   (2, 3, 1): -1, (3, 3, 1): 1}
     return expand_rational(numerator, denominator, (n_max, 2 * n_max, n_max // 2))
 
 
-def rank_series(n_max: int) -> Terms:
+def rank_series(n_max: int) -> Iterator[Row]:
     """Series in (x, t) counting Boolean involutions by size and rank, cut at
     rank n_max."""
     numerator = {(1, 0): 1, (3, 2): -1}
@@ -158,7 +156,7 @@ def rank_series(n_max: int) -> Terms:
     return expand_rational(numerator, denominator, (n_max, n_max))
 
 
-def total_series(n_max: int) -> Terms:
+def total_series(n_max: int) -> Iterator[Row]:
     """Series in x counting all Boolean involutions of each size."""
     numerator = {(1,): 1, (3,): -1}
     denominator = {(0,): 1, (1,): -2, (2,): -1, (3,): 1}

@@ -350,6 +350,43 @@ def dense_expand_rational(numerator, denominator, bounds):
     return coeffs
 
 
+def dense_expand_rows(numerator, denominator, bounds):
+    """`dense_expand_rational` cut into its rows of each x-degree d, as
+    `series.expand_rational` gives them: (d, exponents, coefficients)."""
+    coeffs = dense_expand_rational(numerator, denominator, bounds)
+    rows = {d: [] for d in range(bounds[0] + 1)}
+    for mono in coeffs:
+        rows[mono[0]].append(mono)
+    for d, keys in rows.items():
+        yield d, keys, [coeffs[mono] for mono in keys]
+
+
+def per_cell_table_rows(table, fmt, columns=()):
+    """
+    The text of a table dict one cell at a time, as `boolinv table` wrote it
+    before its rows were formatted a row of n at a time: with fmt "tsv", the
+    `columns` header and then a line per key, sorted by key, the count last;
+    with "json", one object, keys joined by commas and sorted as strings,
+    in json.dumps' form, without a final newline.
+    """
+    first = next(iter(table), ())
+    tuples = isinstance(first, tuple)
+    parts = len(first) if tuples else 1  # ints per key
+    if fmt == "tsv":
+        yield "\t".join(columns) + "\n"
+        line = "\t".join(["%d"] * (parts + 1)) + "\n"
+        for key in sorted(table):
+            yield line % ((*key, table[key]) if tuples else (key, table[key]))
+        return
+    key_name = ",".join(["%d"] * parts)
+    names = {key_name % key: key for key in table}
+    separator = "{"
+    for name in sorted(names):
+        yield f'{separator}"{name}": {table[names[name]]}'
+        separator = ", "
+    yield "}" if table else "{}"
+
+
 def base_inv_exc(n, length, exc):
     """
     The paper's closed forms covering sizes up to 3, inversion counts up to

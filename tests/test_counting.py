@@ -1,8 +1,10 @@
 import json
+import sys
 
 import pytest
 
 from boolinv import counting, motzkin, series
+from boolinv.cli import _TABLE_COLUMNS
 from boolinv.boolean import InvariantViolationError
 from boolinv.counting import (
     CheckResult,
@@ -25,10 +27,11 @@ from boolinv.counting import (
     table_to_tsv,
     totals_from_rank_counts,
 )
-from boolinv.series import inv_exc_series, rank_series, total_series
+from boolinv.series import inv_exc_series, merge_rows, rank_series, total_series
 from boolinv.work import ResourceLimitError
 from oracles import (
-    dense_expand_rational,
+    dense_expand_rows,
+    per_cell_table_rows,
     filtered_boolean_words,
     filtered_inv_exc_counts,
     four_term_rank_recurrence,
@@ -301,14 +304,14 @@ def test_marginalization():
 
 
 def test_series_examples():
-    assert [total_series(4)[(k,)] for k in range(1, 5)] == [1, 2, 4, 9]
-    F = inv_exc_series(4)
+    assert [merge_rows(total_series(4))[(k,)] for k in range(1, 5)] == [1, 2, 4, 9]
+    F = merge_rows(inv_exc_series(4))
     assert F[(4, 2, 2)] == 1
     assert all(F[(n, 0, 0)] == 1 for n in range(1, 5))
-    assert [rank_series(4)[(4, k)] for k in range(4)] == [1, 3, 3, 2]
+    assert [merge_rows(rank_series(4))[(4, k)] for k in range(4)] == [1, 3, 3, 2]
     # no numerator has an x^0 term, so no series has a size-0 cell
     for expand in (inv_exc_series, rank_series, total_series):
-        assert all(key[0] >= 1 for n in range(13) for key in expand(n))
+        assert all(key[0] >= 1 for n in range(13) for key in merge_rows(expand(n)))
 
 
 def test_parallel_brute_matches_serial():
@@ -355,7 +358,7 @@ def dense_series_routes():
 
     def run(route, n_max):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(series, "expand_rational", dense_expand_rational)
+            mp.setattr(series, "expand_rational", dense_expand_rows)
             return route(n_max)
 
     return run
@@ -460,16 +463,16 @@ def test_recurrence_raises_on_slots_too_narrow(monkeypatch, route, n_max):
 def test_expand_rational_raises_on_row_outside_its_box():
     # 1/(1 + x) = 1 - x + x^2 - ...: packed row 1 is negative
     with pytest.raises(InvariantViolationError, match="series row 1 "):
-        series.expand_rational({(0,): 1}, {(0,): 1, (1,): 1}, (3,))
+        merge_rows(series.expand_rational({(0,): 1}, {(0,): 1, (1,): 1}, (3,)))
     # at n = 8 the largest count below 2^count_bits(8) decodes, and one more
     # raises, in the top slot of the box too, although its slot could hold it
     bits = series.count_bits(8)
     largest = (1 << bits) - 1
     for bounds, top in (((8,), (1,)), ((8, 3, 2), (1, 3, 2))):
         one = {(0,) * len(bounds): 1}
-        assert series.expand_rational({top: largest}, one, bounds) == {top: largest}
+        assert merge_rows(series.expand_rational({top: largest}, one, bounds)) == {top: largest}
         with pytest.raises(InvariantViolationError, match="series row 1 "):
-            series.expand_rational({top: 1 << bits}, one, bounds)
+            merge_rows(series.expand_rational({top: 1 << bits}, one, bounds))
 
 
 def test_recurrence_fills_only_reachable_rows():
@@ -558,8 +561,68 @@ def test_table_rows_match_joined_fields():
     ]
     for table, columns in tables:
         fields = {key: key if isinstance(key, tuple) else (key,) for key in table}
-        assert list(counting.table_rows(table, "tsv", columns)) == ["\t".join(columns) + "\n"] + [
-            "\t".join(map(str, (*fields[key], table[key]))) + "\n" for key in sorted(table)
-        ]
+        assert "".join(counting.table_rows(table, "tsv", columns)) == "".join(
+            ["\t".join(columns) + "\n"]
+            + ["\t".join(map(str, (*fields[key], table[key]))) + "\n" for key in sorted(table)]
+        )
         names = {",".join(map(str, fields[key])): count for key, count in table.items()}
         assert table_to_json(table) == json.dumps(dict(sorted(names.items())))
+
+
+def test_table_text_matches_the_per_cell_oracle():
+    """The text of every table, written from the rows `table` reads and from
+    the dict its route returns, against the per-cell emitter it replaced:
+    every stat, method and format at max-n 0-40, brute up to its guard."""
+    for stat, columns in _TABLE_COLUMNS.items():
+        for method in counting.TABLE_METHODS:
+            for n_max in range(16 if method == "brute" else 41):
+                made = counting.build_table(stat, method, n_max, True)
+                rows = made if isinstance(made, dict) else list(made)
+                table = made if isinstance(made, dict) else merge_rows(rows)
+                for fmt in ("tsv", "json"):
+                    expected = "".join(per_cell_table_rows(table, fmt, columns))
+                    assert "".join(counting.table_rows(rows, fmt, columns)) == expected
+                    assert "".join(counting.table_rows(table, fmt, columns)) == expected
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        {3: 7, 1: 2, 10: 5, 2: 0, 21: 1},
+        {},
+        {(10, 0, 1): 4, (2, 11, 1): 1, (2, 3, 0): 3, (1, 0, 0): 9, (-1, 3, 0): 2, (100, 2, 5): 8},
+        {(1,): 10**5000, (12,): 1},
+        {(2, 0): 10**5000 + 7},
+    ],
+    ids=["int keys", "empty", "unsorted tuple keys", "1-tuple keys", "5000 digits"],
+)
+def test_hand_made_tables_match_the_per_cell_oracle(table):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        columns = ("n", "k", "count")
+        for fmt in ("tsv", "json"):
+            expected = "".join(per_cell_table_rows(table, fmt, columns))
+            assert "".join(counting.table_rows(table, fmt, columns)) == expected
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_cross_validate_compares_whole_tables_then_scans_keys(monkeypatch):
+    """Equal tables pass on one comparison; a table that differs is scanned
+    in key order, so the FAIL line names its first differing key as before,
+    and a table that only adds a zero cell still passes."""
+    ranks = recurrence_rank_counts(4)
+    mutant = {**ranks, (4, 2): 4, (3, 1): 5}
+    monkeypatch.setattr(counting, "series_rank_counts", lambda n_max: mutant)
+    monkeypatch.setattr(counting, "series_totals", lambda n_max: {**recurrence_totals(4), 7: 0})
+    lines = cross_validate(4).summary().splitlines()
+    assert lines == [
+        "PASS inversion/excedance counts: brute = recurrence = series",
+        "FAIL rank counts: brute = recurrence = series: brute[(3, 1)]=2 but series[(3, 1)]=5",
+        "PASS totals: brute = recurrence = series",
+        "PASS restricted Motzkin paths = totals",
+        "cross-validation n <= 4: FAILURES above",
+    ]

@@ -149,5 +149,5 @@ def test_restricted_totals_are_the_path_row_sums():
     assert totals == list(three_term_total_recurrence(40).values())
     assert totals[:9] == [len(restricted_strings(n)) for n in range(1, 10)]
     for ups in (1, 0):
-        assert [sum(row.values()) for row in restricted_path_rows(40, ups)] == totals
+        assert [sum(row) for row in restricted_path_rows(40, ups)] == totals
     assert list(restricted_totals(0)) == []
