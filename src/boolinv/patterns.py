@@ -165,6 +165,8 @@ def _occurrences_iter(
 # word and returns 1-based positions, or None.  The same holds for 321 and
 # 12, which the one-sign signed windows -3,-2,-1 and -1,-2 reduce to: 12
 # at positions (i, j) of w is 21 at the same positions of n + 1 - w.
+# The passes are linear but 456123's, whose union-find over values walks
+# O(n log n) steps at worst (path compression alone: Tarjan, van Leeuwen).
 
 
 def _first_decreasing(word: Sequence[int], slots: int = 4, top: int = 0) -> tuple[int, ...] | None:
@@ -287,13 +289,14 @@ def _first_45312(word: Sequence[int]) -> tuple[int, ...] | None:
 def _first_456123(word: Sequence[int]) -> tuple[int, ...] | None:
     """
     First occurrence of 456123 = 123-123.  Right to left, one pass keeps:
-    the least top of a 123 in each suffix (a 123 with middle j has least
-    top the least larger value right of j, and it fits in a suffix that
-    holds the previous smaller element of j, so a previous-smaller stack
-    buckets that top at its position); the next greater element; and, in a
-    Fenwick tree over values, the earliest end of a rising pair above each
-    value.  The "4" is the first position whose value exceeds the least
-    123 top after the earliest end of a rising pair above it.
+    top123[k], the least top of a 123 in the suffix from k (a 123 with
+    middle j has least top the least larger value right of j, and it fits
+    in a suffix that holds the previous smaller element of j, so a
+    previous-smaller stack buckets that top at its position); g(j), the
+    next greater element; and the values covered by the open intervals
+    (top123[g(j) + 1], w(j)) of the positions j passed so far, each
+    covered once through a "next uncovered value" array.  As top123 is
+    non-decreasing, the "4" is the first position whose value is covered.
     `_rising_tail` places the "123" below the "4", after the "6".
 
     >>> _first_456123((7, 4, 5, 8, 6, 1, 2, 3))  # 4 5 8 1 2 3
@@ -303,7 +306,7 @@ def _first_456123(word: Sequence[int]) -> tuple[int, ...] | None:
     larger = _least_larger_right(word)
     top123 = [n + 1] * (n + 1)
     greater = [n] * n
-    tree = [n] * (n + 1)  # by n + 1 - value: least next-greater position
+    up = list(range(n + 1))  # up[v] > v: v..up[v] - 1 are covered
     rising: list[int] = []  # next greater element stack
     unmatched: list[int] = []  # positions whose previous smaller is unknown
     top, first = n + 1, -1
@@ -315,22 +318,17 @@ def _first_456123(word: Sequence[int]) -> tuple[int, ...] | None:
                 top = larger[j]
         unmatched.append(i)
         top123[i] = top
-        end, k = n, n - v
-        while k:
-            if tree[k] < end:
-                end = tree[k]
-            k &= k - 1
-        if end < n and top123[end + 1] < v:
+        if up[v] != v:
             first = i
         while rising and word[rising[-1]] < v:
             rising.pop()
         if rising:
-            end = greater[i] = rising[-1]
-            k = n + 1 - v
-            while k <= n:
-                if end < tree[k]:
-                    tree[k] = end
-                k += k & -k
+            six = greater[i] = rising[-1]
+            u = low = top123[six + 1] + 1
+            while u < v:  # the walk's end: low..u - 1 are then covered
+                u = max(up[u], u + 1)
+            while low < v:  # the walk again, pointing each value at its end
+                up[low], low = u, max(up[low], low + 1)
         rising.append(i)
     if first < 0:
         return None

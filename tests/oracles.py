@@ -10,6 +10,7 @@ from boolinv.boolean import connected_components, has_long_crossing
 from boolinv.counting import _walk
 from boolinv.ideals import IdealPoset
 from boolinv.involution_words import _act, apply_letter, rank, reduced_word
+from boolinv.patterns import _least_larger_right, _rising_tail
 from boolinv.permutations import Involution, compose, conjugate, identity, transposition
 from boolinv.signed import SignedInvolution
 
@@ -41,6 +42,53 @@ def uniform_involution(n, rng):
         else:
             j = free.pop(rng.randrange(len(free)))
             word[i - 1], word[j - 1] = j, i
+    return Involution(tuple(word))
+
+
+# The steps a restricted Motzkin path may take from height 0, 1 and 2 (it
+# stays at height 2 or below and has flats at height 1 or below), each with
+# the height it reaches.
+_RESTRICTED_STEPS = ((("U", 1), ("F", 0)), (("U", 2), ("F", 1), ("D", 0)), (("D", 1),))
+
+
+@lru_cache(maxsize=None)
+def _restricted_completions(n):
+    """ways[k][h]: the restricted paths from height h after k steps to
+    height 0 after n steps."""
+    ways = [(1, 0, 0)]
+    for _ in range(n):
+        later = ways[-1]
+        ways.append(tuple(sum(later[h] for _, h in steps) for steps in _RESTRICTED_STEPS))
+    return tuple(reversed(ways))
+
+
+def uniform_restricted_path(n, rng):
+    """A restricted Motzkin path of length n drawn uniformly, as a string of
+    U, F and D steps: each step is taken with probability proportional to
+    the number of paths that complete it."""
+    ways = _restricted_completions(n)
+    height, steps = 0, []
+    for k in range(1, n + 1):
+        options = _RESTRICTED_STEPS[height]
+        r = rng.randrange(sum(ways[k][h] for _, h in options))
+        for step, height in options:
+            if r < ways[k][height]:
+                break
+            r -= ways[k][height]
+        steps.append(step)
+    return "".join(steps)
+
+
+def boolean_involution(n, rng):
+    """A uniformly random Boolean involution of S_n, by the paper's
+    bijection from a uniform restricted path: the m-th up step is paired
+    with the m-th down step, and the flats are fixed."""
+    steps = uniform_restricted_path(n, rng)
+    ups = [k for k, s in enumerate(steps, 1) if s == "U"]
+    downs = [k for k, s in enumerate(steps, 1) if s == "D"]
+    word = list(range(1, n + 1))
+    for u, d in zip(ups, downs):
+        word[u - 1], word[d - 1] = d, u
     return Involution(tuple(word))
 
 
@@ -99,6 +147,63 @@ def dfs_occurrences(host, pattern, limit=None, signed=False):
 
     extend(1)
     return out
+
+
+def fenwick_first_456123(word):
+    """
+    The first occurrence of 456123 as `patterns._first_456123` found it
+    before it covered values by intervals.  Right to left, one pass keeps:
+    the least top of a 123 in each suffix (a 123 with middle j has least
+    top the least larger value right of j, and it fits in a suffix that
+    holds the previous smaller element of j, so a previous-smaller stack
+    buckets that top at its position); the next greater element; and, in a
+    Fenwick tree over values, the earliest end of a rising pair above each
+    value.  The "4" is the first position whose value exceeds the least
+    123 top after the earliest end of a rising pair above it.
+    `_rising_tail` places the "123" below the "4", after the "6".
+    """
+    n = len(word)
+    larger = _least_larger_right(word)
+    top123 = [n + 1] * (n + 1)
+    greater = [n] * n
+    tree = [n] * (n + 1)  # by n + 1 - value: least next-greater position
+    rising = []  # next greater element stack
+    unmatched = []  # positions whose previous smaller is unknown
+    top, first = n + 1, -1
+    for i in range(n - 1, -1, -1):
+        v = word[i]
+        while unmatched and word[unmatched[-1]] > v:
+            j = unmatched.pop()
+            if larger[j] < top:
+                top = larger[j]
+        unmatched.append(i)
+        top123[i] = top
+        end, k = n, n - v
+        while k:
+            if tree[k] < end:
+                end = tree[k]
+            k &= k - 1
+        if end < n and top123[end + 1] < v:
+            first = i
+        while rising and word[rising[-1]] < v:
+            rising.pop()
+        if rising:
+            end = greater[i] = rising[-1]
+            k = n + 1 - v
+            while k <= n:
+                if end < tree[k]:
+                    tree[k] = end
+                k += k & -k
+        rising.append(i)
+    if first < 0:
+        return None
+    cap = word[first]
+    five = next(
+        j for j in range(first + 1, n)
+        if word[j] > cap and greater[j] < n and top123[greater[j] + 1] < cap
+    )
+    six = greater[five]
+    return (first + 1, five + 1, six + 1) + _rising_tail(word, six + 1, cap, 3)
 
 
 def crossing_components(word):

@@ -7,6 +7,7 @@ import random
 from boolinv import patterns
 from boolinv.boolean import has_long_crossing, is_boolean
 from boolinv.counting import involutions, signed_involutions
+from boolinv.involution_words import apply_letter
 from boolinv.patterns import (
     FORBIDDEN_PATTERNS,
     SIGNED_FORBIDDEN_PATTERNS,
@@ -22,7 +23,9 @@ from boolinv.patterns import (
 from boolinv.permutations import (
     InvariantViolationError, Involution, Permutation, identity, parse_permutation)
 from boolinv.signed import SignedPermutation, is_boolean_signed, parse_signed
-from oracles import chain, dfs_occurrences, pattern_occurrences, signed_pattern_occurrences
+from oracles import (
+    boolean_involution, chain, dfs_occurrences, fenwick_first_456123, pattern_occurrences,
+    signed_pattern_occurrences)
 
 HOST = parse_permutation("84725631")
 P4231 = parse_permutation("4231")
@@ -378,6 +381,51 @@ def test_table_witness_matches_dfs_on_larger_hosts():
             assert _first(host, pattern) == _positions(host, pattern)[:1]
 
 
+def _interleaved_runs(rng, n, runs):
+    """The values 1..n dealt at random into `runs` increasing runs, whose
+    positions interleave at random: their rising pairs nest and overlap."""
+    labels = [rng.randrange(runs) for _ in range(n)]
+    dealt = [iter([v for v, r in enumerate(labels, 1) if r == run]) for run in range(runs)]
+    rng.shuffle(labels)
+    return tuple(next(dealt[r]) for r in labels)
+
+
+def _with_456123_at(word, at):
+    """The word with its six values from position at + 1 rearranged as 456123."""
+    six = sorted(word[at:at + 6])
+    return word[:at] + tuple(six[3:] + six[:3]) + word[at + 6:]
+
+
+def _456123_hosts(rng, n):
+    """Hosts of n >= 6 points: a uniform one; the chain with a 456123 at
+    its start, middle and end; a sampled Boolean host, as it is, with a
+    456123 somewhere inside and after two letters; interleaved increasing
+    runs; and the increasing and decreasing words."""
+    boolean = boolean_involution(n, rng)
+    yield tuple(rng.sample(range(1, n + 1), n))
+    for at in (0, (n - 6) // 2, n - 6):
+        yield _with_456123_at(chain(n), at)
+    yield boolean.word
+    yield _with_456123_at(boolean.word, rng.randrange(n - 5))
+    yield apply_letter(apply_letter(boolean, rng.randrange(1, n)), rng.randrange(1, n)).word
+    for runs in (2, 3, 5, 9):
+        yield _interleaved_runs(rng, n, runs)
+    yield tuple(range(1, n + 1))
+    yield tuple(range(n, 0, -1))
+
+
+def test_first_456123_matches_the_fenwick_oracle():
+    # The depth-first oracle costs about n^4 on a host that avoids 456123
+    # (0.4-0.6 s at n = 60), so it checks first-ness up to n = 30 only.
+    rng = random.Random(456123)
+    for n in (6, 7, 9, 12, 17, 23, 30, 45, 60, 100, 250, 600, 1200, 2000):
+        for host in _456123_hosts(rng, n):
+            found = patterns._first_456123(host)
+            assert found == fenwick_first_456123(host), host
+            if n <= 30:
+                assert ([found] if found else []) == dfs_occurrences(host, (4, 5, 6, 1, 2, 3), limit=1)
+
+
 def test_pattern_verdicts_on_long_chains():
     # Both ran for minutes when the witness came from the depth-first
     # search, whose cost on one long avoiding block grows about n^4.
@@ -388,6 +436,11 @@ def test_pattern_verdicts_on_long_chains():
     assert not verdict.is_boolean
     assert verdict.pattern == parse_permutation("45312")
     assert verdict.occurrence.positions == tuple(range(4092, 4097))
+    w = Involution(_direct_sum([chain(4090), (4, 5, 6, 1, 2, 3)]))
+    for verdict in (is_boolean(w), is_boolean(w, "patterns")):
+        assert not verdict.is_boolean
+        assert verdict.pattern == parse_permutation("456123")
+        assert verdict.occurrence.positions == tuple(range(4091, 4097))
 
 
 @pytest.mark.parametrize("positions", [(2, 1), (0, 1), (1, 1)])
