@@ -145,12 +145,8 @@ def cmd_motzkin(args: argparse.Namespace) -> int:
         w = _parse_involution(args.argument)
         print(motzkin.format_path(motzkin.involution_to_path(w)))
     else:
-        path = motzkin.parse_path(args.argument)
-        try:
-            w = motzkin.path_to_involution(path)
-        except ValueError as exc:
-            raise ParseError(str(exc)) from None
-        print(format_permutation(w))
+        # an unrestricted path raises ValueError, which `main` reports as a usage error
+        print(format_permutation(motzkin.path_to_involution(motzkin.parse_path(args.argument))))
     return 0
 
 

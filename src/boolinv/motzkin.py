@@ -6,16 +6,22 @@ An involution maps to the path whose k-th step is flat, up or down
 according as k is a fixed point, an excedance or a deficiency.  The image
 of the Boolean involutions is exactly the "restricted" paths: height at
 most 2 with every flat step at height at most 1.  Inverting pairs the m-th
-up step with the m-th down step.
+up step with the m-th down step, in the pass that checks the restriction.
+Both directions build their results unchecked, in one pass: an involution's
+steps always form a Motzkin path, as the D at d closes the U at w(d) < d,
+and a restricted path's disjoint pairs make a self-inverse word.
+`MotzkinPath(...)` and `parse_path` still validate their input.
 
 Path text form: a string over {U, F, D}, e.g. "UUDUDUDDF".
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator
 
 from .permutations import InvariantViolationError, Involution, ParseError, check_size
+from .permutations import _as_involution, _trusted_involution
 from .series import count_bits, decode_slots, slot_bytes
 
 STEP_RISE = {"U": 1, "F": 0, "D": -1}
@@ -44,10 +50,7 @@ class MotzkinPath:
 
     def heights(self) -> tuple[int, ...]:
         """h_0 = 0, h_1, ..., h_n after each step."""
-        out = [0]
-        for step in self.steps:
-            out.append(out[-1] + STEP_RISE[step])
-        return tuple(out)
+        return tuple(accumulate(map(STEP_RISE.__getitem__, self.steps), initial=0))
 
 
 def parse_path(text: str) -> MotzkinPath:
@@ -62,29 +65,39 @@ def format_path(path: MotzkinPath) -> str:
 
 
 def involution_to_path(w: Involution) -> MotzkinPath:
-    """Record fixed points, excedances and deficiencies as F, U, D steps."""
-    steps = []
-    for i, v in enumerate(w.word, start=1):
-        steps.append("F" if v == i else "U" if v > i else "D")
-    return MotzkinPath("".join(steps))
+    """Record fixed points, excedances and deficiencies as F, U, D steps; an
+    argument not typed Involution raises ValueError unless self-inverse."""
+    path = object.__new__(MotzkinPath)
+    path.__dict__["steps"] = "".join(
+        ["F" if v == i else "U" if v > i else "D" for i, v in enumerate(_as_involution(w).word, 1)])
+    return path
 
 
 def path_to_involution(path: MotzkinPath) -> Involution:
-    """
-    Invert the step encoding on a restricted path: flats become fixed
-    points and the m-th up step pairs with the m-th down step.  The result
-    is always a Boolean involution.
-    """
-    violation = first_restriction_violation(path)
+    """The Boolean involution of a restricted path, by `_pair_steps`; a path
+    that is not restricted raises ValueError naming its first bad step."""
+    word, violation = _pair_steps(path.steps)
     if violation is not None:
         index, reason = violation
         raise ValueError(f"path not restricted: {reason} at step {index}")
-    ups = [k for k, s in enumerate(path.steps, start=1) if s == "U"]
-    downs = [k for k, s in enumerate(path.steps, start=1) if s == "D"]
-    word = list(range(1, path.n + 1))
-    for u, d in zip(ups, downs):
-        word[u - 1], word[d - 1] = d, u
-    return Involution(tuple(word))
+    return _trusted_involution(tuple(word))
+
+
+def _pair_steps(steps: str) -> tuple[list[int], tuple[int, str] | None]:
+    """One pass: the word that fixes each flat and pairs the m-th up step with
+    the m-th down step, and the first step that breaks the restriction (a
+    step other than D at height 2) with a description, or None."""
+    word = list(range(1, len(steps) + 1))
+    ups = []  # the up steps not yet closed, oldest first: one per unit of height
+    for k, step in enumerate(steps, 1):
+        if step == "D":
+            u = ups.pop(0)
+            word[u - 1], word[k - 1] = k, u
+        elif len(ups) == 2:
+            return word, (k, "height above 2" if step == "U" else "flat step above level 1")
+        elif step == "U":
+            ups.append(k)
+    return word, None
 
 
 def is_restricted(path: MotzkinPath) -> bool:
@@ -93,14 +106,7 @@ def is_restricted(path: MotzkinPath) -> bool:
 
 def first_restriction_violation(path: MotzkinPath) -> tuple[int, str] | None:
     """The first step breaking the restriction, with a description, or None."""
-    h = 0
-    for k, step in enumerate(path.steps, start=1):
-        h += STEP_RISE[step]
-        if h > 2:
-            return k, "height above 2"
-        if step == "F" and h > 1:
-            return k, "flat step above level 1"
-    return None
+    return _pair_steps(path.steps)[1]
 
 
 def axis_contacts(path: MotzkinPath) -> int:

@@ -99,17 +99,15 @@ def check_motzkin(n_max: int) -> CheckResult:
         booleans = 0
         for w in counting.involutions(n):
             path = motzkin.involution_to_path(w)
-            boolean = not has_long_crossing(w)
-            if not boolean:
-                # The path may still be restricted, but then it belongs to
-                # a different, Boolean, involution.
-                if motzkin.is_restricted(path) and motzkin.path_to_involution(path) == w:
+            back = motzkin.path_to_involution(path) if motzkin.is_restricted(path) else None
+            if has_long_crossing(w):  # its path, if restricted, is a Boolean one's
+                if back == w:
                     return CheckResult(name, False, f"{w.word} round-trips but is not Boolean")
                 continue
-            if not motzkin.is_restricted(path):
+            if back is None:
                 return CheckResult(name, False, f"Boolean {w.word} maps to unrestricted path")
             booleans += 1
-            if motzkin.path_to_involution(path) != w:
+            if back != w:
                 return CheckResult(name, False, f"round trip failed for {w.word}")
             profile = rank_profile(w)
             if motzkin.rank_from_path(path) != profile.rank:

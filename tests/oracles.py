@@ -10,6 +10,7 @@ from boolinv.boolean import connected_components, has_long_crossing
 from boolinv.counting import _walk
 from boolinv.ideals import IdealPoset
 from boolinv.involution_words import _act, apply_letter, rank, reduced_word
+from boolinv.motzkin import STEP_RISE, MotzkinPath
 from boolinv.patterns import _least_larger_right, _rising_tail
 from boolinv.permutations import Involution, compose, conjugate, identity, transposition
 from boolinv.signed import SignedInvolution
@@ -81,12 +82,45 @@ def uniform_restricted_path(n, rng):
 
 def boolean_involution(n, rng):
     """A uniformly random Boolean involution of S_n, by the paper's
-    bijection from a uniform restricted path: the m-th up step is paired
-    with the m-th down step, and the flats are fixed."""
-    steps = uniform_restricted_path(n, rng)
-    ups = [k for k, s in enumerate(steps, 1) if s == "U"]
-    downs = [k for k, s in enumerate(steps, 1) if s == "D"]
-    word = list(range(1, n + 1))
+    bijection from a uniform restricted path (`three_pass_path_to_involution`)."""
+    return three_pass_path_to_involution(MotzkinPath(uniform_restricted_path(n, rng)))
+
+
+def restricted_walks(n):
+    """Every restricted Motzkin string of length n, by extending each
+    restricted prefix, at its height, by the steps `_RESTRICTED_STEPS`
+    allows there, and keeping the walks that end on the axis."""
+    walks = {"": 0}
+    for _ in range(n):
+        walks = {w + step: h for w, at in walks.items() for step, h in _RESTRICTED_STEPS[at]}
+    return [w for w, h in walks.items() if h == 0]
+
+
+def checked_involution_to_path(w):
+    """The F, U, D steps of a word's fixed points, excedances and
+    deficiencies, built by the validating `MotzkinPath` constructor; the
+    word itself is not checked to be an involution."""
+    steps = []
+    for i, v in enumerate(w.word, start=1):
+        steps.append("F" if v == i else "U" if v > i else "D")
+    return MotzkinPath("".join(steps))
+
+
+def three_pass_path_to_involution(path):
+    """The involution of a restricted path in three passes: a walk of the
+    heights that raises ValueError at the first step above height 2 or flat
+    step above level 1; the up and down steps, listed and paired in order;
+    the word, built by the validating `Involution` constructor."""
+    h = 0
+    for k, step in enumerate(path.steps, start=1):
+        h += STEP_RISE[step]
+        if h > 2:
+            raise ValueError(f"path not restricted: height above 2 at step {k}")
+        if step == "F" and h > 1:
+            raise ValueError(f"path not restricted: flat step above level 1 at step {k}")
+    ups = [k for k, s in enumerate(path.steps, start=1) if s == "U"]
+    downs = [k for k, s in enumerate(path.steps, start=1) if s == "D"]
+    word = list(range(1, path.n + 1))
     for u, d in zip(ups, downs):
         word[u - 1], word[d - 1] = d, u
     return Involution(tuple(word))

@@ -18,13 +18,17 @@ from boolinv.motzkin import (
     restricted_totals,
 )
 from boolinv.permutations import (
+    Involution,
     ParseError,
+    Permutation,
     excedance_profile,
     identity,
     inversions,
     parse_permutation,
 )
-from oracles import motzkin_strings, restricted_strings, three_term_total_recurrence
+from oracles import (
+    checked_involution_to_path, motzkin_strings, restricted_strings, restricted_walks,
+    three_pass_path_to_involution, three_term_total_recurrence)
 
 
 def test_path_validation():
@@ -151,3 +155,59 @@ def test_restricted_totals_are_the_path_row_sums():
     for ups in (1, 0):
         assert [sum(row) for row in restricted_path_rows(40, ups)] == totals
     assert list(restricted_totals(0)) == []
+
+
+def test_involution_to_path_refuses_a_non_involution():
+    # 2413's steps form a Motzkin path, which maps back to 3412, not to it
+    w = Permutation((2, 4, 1, 3))
+    assert checked_involution_to_path(w).steps == "UUDD"
+    assert path_to_involution(MotzkinPath("UUDD")) == parse_permutation("3412")
+    with pytest.raises(ValueError, match="not self-inverse"):
+        involution_to_path(w)
+    assert involution_to_path(Permutation((2, 1, 3))).steps == "UDF"
+
+
+def test_involution_to_path_matches_the_validating_oracle():
+    for n in range(10):
+        for w in involutions(n):
+            path = involution_to_path(w)
+            assert path == checked_involution_to_path(w)
+            assert vars(path) == vars(MotzkinPath(path.steps))
+
+
+def test_path_to_involution_matches_the_three_pass_oracle():
+    for n in range(9):
+        assert sorted(restricted_walks(n)) == sorted(restricted_strings(n))
+    for n in range(13):
+        for steps in restricted_walks(n):
+            path = MotzkinPath(steps)
+            w = path_to_involution(path)
+            assert w == three_pass_path_to_involution(path)
+            assert type(w) is Involution and vars(w) == vars(Involution(w.word))
+            assert involution_to_path(w).steps == steps
+            assert first_restriction_violation(path) is None
+
+
+def test_unrestricted_paths_raise_the_oracle_message():
+    for n in range(9):
+        for steps in sorted(set(motzkin_strings(n)) - set(restricted_strings(n))):
+            path = MotzkinPath(steps)
+            with pytest.raises(ValueError) as expected:
+                three_pass_path_to_involution(path)
+            with pytest.raises(ValueError) as raised:
+                path_to_involution(path)
+            assert str(raised.value) == str(expected.value)
+            index, reason = first_restriction_violation(path)
+            assert str(expected.value) == f"path not restricted: {reason} at step {index}"
+
+
+def test_round_trip_calls_no_validating_constructor(monkeypatch):
+    paths = [MotzkinPath(steps) for n in range(10) for steps in restricted_walks(n)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("validating constructor called inside the bijection")
+
+    monkeypatch.setattr(MotzkinPath, "__post_init__", refuse)
+    monkeypatch.setattr(Involution, "__post_init__", refuse)
+    for path in paths:
+        assert involution_to_path(path_to_involution(path)) == path
