@@ -56,24 +56,24 @@ class BooleanVerdict:
     occurrence: Occurrence | None = None
     word: Word | None = None
 
+    def _payload(self) -> dict:
+        """The JSON object of `to_json`, which `boolinv check` extends."""
+        pattern, occurrence = self.pattern, self.occurrence
+        if isinstance(pattern, SignedPattern):
+            pattern = format_signed(pattern)
+        elif pattern is not None:
+            pattern = format_permutation(pattern)
+        return {
+            "is_boolean": self.is_boolean,
+            "long_crossing_pair": list(self.long_crossing_pair) if self.long_crossing_pair else None,
+            "pattern": pattern,
+            "occurrence": None if occurrence is None else {
+                "positions": list(occurrence.positions), "values": list(occurrence.values)},
+            "word": list(self.word) if self.word is not None else None,
+        }
+
     def to_json(self) -> str:
-        payload: dict = {"is_boolean": self.is_boolean}
-        payload["long_crossing_pair"] = (
-            list(self.long_crossing_pair) if self.long_crossing_pair else None
-        )
-        if self.pattern is None:
-            payload["pattern"] = None
-        elif isinstance(self.pattern, SignedPattern):
-            payload["pattern"] = format_signed(self.pattern)
-        else:
-            payload["pattern"] = format_permutation(self.pattern)
-        payload["occurrence"] = (
-            {"positions": list(self.occurrence.positions), "values": list(self.occurrence.values)}
-            if self.occurrence
-            else None
-        )
-        payload["word"] = list(self.word) if self.word is not None else None
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(self._payload(), sort_keys=True)
 
 
 def connected_components(w: Involution) -> ComponentPartition:

@@ -63,12 +63,8 @@ def _parse_signed_involution(text: str) -> SignedInvolution:
 
 
 def _verdict_payload(element: str, verdict: BooleanVerdict, profile) -> dict:
-    payload = json.loads(verdict.to_json())
-    payload["element"] = element
-    payload["rank"] = profile.rank
-    payload["coxeter_length"] = profile.coxeter_length
-    payload["absolute_length"] = profile.absolute_length
-    return payload
+    return dict(verdict._payload(), element=element, rank=profile.rank,
+                coxeter_length=profile.coxeter_length, absolute_length=profile.absolute_length)
 
 
 def _print_verdict(payload: dict, fmt: str) -> None:

@@ -14,11 +14,11 @@ elements are built without revalidation; pruned, it visits only the
 Boolean involutions.  The brute route walks the same pruned tree without
 words in `_boolean_leaves`, at O(1) per Boolean involution of S_{n_max},
 which holds each smaller one once.  The recurrence route reads only the
-restricted Motzkin paths of the paper's bijection (`motzkin`), the series
-route the generating functions (`series`).  Each route makes its table a
-row of n at a time, (n, keys, counts): the route functions merge the rows
-into one dict, and `table_rows` writes them as they come, so that
-`boolinv table` holds one row of TSV, or the text of each row of JSON.
+path rows of the paper's bijection (`motzkin`), the series route the
+generating functions (`series`).  Each route makes its table a row of n
+at a time, (n, keys, counts), keys ascending but for brute's: the route
+functions merge the rows into one dict, and `table_rows` writes them as
+they come, so `boolinv table` holds one TSV row, or each JSON row's text.
 Each route is refused up front by its guard in `work.LIMITS`.
 `cross_validate` checks the routes against each other, the
 marginalization identities and the restricted path counts.
@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, chain, compress, islice, repeat
-from operator import add, itemgetter
+from itertools import accumulate, chain, islice
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .motzkin import restricted_path_rows, restricted_totals
@@ -318,26 +318,7 @@ def _rows(stat: str, method: str, n_max: int) -> Iterator[Row]:
         return ((n, [n] * len(c), c) for n, _, c in rows) if stat == "h" else rows
     if stat == "h":
         return ((n, [n], [total]) for n, total in enumerate(restricted_totals(n_max), start=1))
-    return _path_rows(stat == "f", n_max)
-
-
-def _path_rows(ups: bool, n_max: int) -> Iterator[Row]:
-    """
-    The rows of f (with `ups`) or g from `restricted_path_rows`: the paths
-    of length n in slot (r, u), with r returns and u up steps, count in cell
-    (n, 2n - 2r - u, u) of f and (n, n - r) of g.  So at every n, the cells
-    ascend with the slots by 2r + u (f) or r (g) descending, then by u.
-    """
-    stride, scale = (n_max // 2 + 2, 2) if ups else (1, 1)
-    # each slot as (its cell's second part less scale n, u, r), in cell order
-    shifts, ups_of, returns = map(tuple, zip(*sorted(
-        (-scale * r - u, u, r) for r in range(n_max + 1) for u in range(stride))))
-    order = itemgetter(*map(add, map(stride.__mul__, returns), ups_of))
-    for n, values in enumerate(restricted_path_rows(n_max, ups), start=1):
-        counts = order(values)
-        seconds = map((scale * n).__add__, compress(shifts, counts))
-        keys = zip(repeat(n), seconds, compress(ups_of, counts)) if ups else zip(repeat(n), seconds)
-        yield n, list(keys), list(compress(counts, counts))
+    return restricted_path_rows(n_max, stat == "f")
 
 
 def _route(stat: str, method: str, n_max: int) -> dict:
@@ -345,7 +326,7 @@ def _route(stat: str, method: str, n_max: int) -> dict:
 
 
 # The recurrence and gf routes, named in TABLE_ROUTES: each the dict of its
-# `_rows`, from the restricted paths (`_path_rows`) or from the series.
+# `_rows`, from the restricted paths (`restricted_path_rows`) or the series.
 recurrence_inv_exc_counts = partial(_route, "f", "recurrence")
 recurrence_rank_counts = partial(_route, "g", "recurrence")
 recurrence_totals = partial(_route, "h", "recurrence")

@@ -17,12 +17,13 @@ Path text form: a string over {U, F, D}, e.g. "UUDUDUDDF".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, compress, repeat
+from operator import add, itemgetter
 from typing import Iterator
 
 from .permutations import InvariantViolationError, Involution, ParseError, check_size
 from .permutations import _as_involution, _trusted_involution
-from .series import count_bits, decode_slots, slot_bytes
+from .series import Row, count_bits, decode_slots, slot_bytes
 
 STEP_RISE = {"U": 1, "F": 0, "D": -1}
 
@@ -131,30 +132,38 @@ def restricted_totals(n_max: int) -> Iterator[int]:
         yield at0
 
 
-def restricted_path_rows(n_max: int, _ups: int = 1) -> Iterator[list[int]]:
+def restricted_path_rows(n_max: int, ups: bool) -> Iterator[Row]:
     """
-    The restricted paths of each length n = 1..n_max in turn, counted by
-    returns to the axis r and up steps u, by a transfer matrix over the
-    height of the last step (flats only below 2, every step onto the axis a
-    return): a list with the count of (r, u) in slot r * stride + u, stride
-    n_max // 2 + 2, for every r <= n_max.  A 0 for `_ups` keeps u at 0 and
-    the stride at 1, as small as the rank marginal needs.
+    Row n of table f (with `ups`) or g for each n = 1..n_max, keys
+    ascending: the restricted paths of length n with r returns to the axis
+    and u up steps count in cell (n, 2n - 2r - u, u) of f and (n, n - r) of
+    g, by the paper's bijection.  They are counted by a transfer matrix over
+    the height of the last step (flats only below 2, every step onto the
+    axis a return), with the count of (r, u) in slot r * stride + u, stride
+    n_max // 2 + 2; without `ups`, u stays 0 and the stride is 1, as small as
+    the rank marginal needs.
 
     The paths at each height are one packed int in those slots, so a return
     is one shift and an up step another.  A prefix at height 1 or 2 ends,
     by D or DD, in its own path of length at most n_max + 2: no count passes
     h(n_max + 2) < 2^count_bits(n_max + 2), and no prefix has more than
     n_max // 2 + 1 ups.  A carry out of a slot would lower the sum of the
-    slots below `restricted_totals`, as checked.
+    slots below `restricted_totals`, as checked.  At every n the cells
+    ascend with the slots by 2r + u (f) or r (g) descending, then by u, so
+    each row is read in one slot order, made once.
 
-    >>> [{divmod(i, 3): c for i, c in enumerate(row) if c} for row in restricted_path_rows(3)]
-    [{(1, 0): 1}, {(1, 1): 1, (2, 0): 1}, {(1, 1): 1, (2, 1): 2, (3, 0): 1}]
+    >>> list(restricted_path_rows(3, True))[-1]
+    (3, [(3, 0, 0), (3, 1, 1), (3, 3, 1)], [1, 2, 1])
     """
     bits = count_bits(n_max + 2)
     width = slot_bytes(bits)
-    stride = n_max // 2 + 2 if _ups else 1
+    stride, scale = (n_max // 2 + 2, 2) if ups else (1, 1)
     slots = (n_max + 1) * stride
-    up, back = 8 * width * _ups, 8 * width * stride
+    up, back = 8 * width * ups, 8 * width * stride
+    # each slot as (its cell's second part less scale n, u, r), in cell order
+    shifts, ups_of, returns = map(tuple, zip(*sorted(
+        (-scale * r - u, u, r) for r in range(n_max + 1) for u in range(stride))))
+    order = itemgetter(*map(add, map(stride.__mul__, returns), ups_of))
     at0, at1, at2 = 1, 0, 0  # packed rows
     for n, total in enumerate(restricted_totals(n_max), start=1):
         at0, at1, at2 = (
@@ -165,7 +174,10 @@ def restricted_path_rows(n_max: int, _ups: int = 1) -> Iterator[list[int]]:
         values = decode_slots(at0, width, bits, slots, f"path row {n}")
         if sum(values) != total:
             raise InvariantViolationError(f"path row {n} overflows its {width}-byte slots")
-        yield values + [0] * (slots - len(values))
+        counts = order(values + [0] * (slots - len(values)))
+        seconds = map((scale * n).__add__, compress(shifts, counts))
+        keys = zip(repeat(n), seconds, compress(ups_of, counts)) if ups else zip(repeat(n), seconds)
+        yield n, list(keys), list(compress(counts, counts))
 
 
 def count_restricted(n: int) -> int:

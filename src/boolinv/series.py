@@ -16,9 +16,9 @@ involutions of S_n with l inversions and a excedances:
 
 Each series is given by its nonzero coefficients a row of x-degree d at a
 time, (d, their exponents, their coefficients), in ascending order of
-exponents (`merge_rows` makes one dict of them); no numerator has an x^0
-term, so none has a size-0 coefficient.  The restricted path counts of
-`motzkin.restricted_path_rows` share only `count_bits` and the slot
+exponents, a `Row` as `motzkin.restricted_path_rows` gives (`merge_rows`
+makes one dict of them); no numerator has an x^0 term, so none has a
+size-0 coefficient.  Those path rows share only `count_bits` and the slot
 decoder with these series; their arithmetic and slot layouts differ, so a
 decoder fault shows up as a disagreement, and each still checks the other.
 

@@ -7,7 +7,6 @@ from functools import lru_cache
 from itertools import combinations, groupby, product
 
 from boolinv.boolean import connected_components, has_long_crossing
-from boolinv.counting import _walk
 from boolinv.ideals import IdealPoset
 from boolinv.involution_words import _act, apply_letter, rank, reduced_word
 from boolinv.motzkin import STEP_RISE, MotzkinPath
@@ -675,6 +674,28 @@ def sorted_signed_windows(n):
     return sorted(windows)
 
 
+def pruned_boolean_words(n):
+    """The words of the Boolean involutions of S_n, lexicographic, by the
+    recursive fill of `nested_involution_words` that pairs the first free
+    point p only while no earlier 2-cycle ends past p + 1."""
+    word = list(range(1, n + 1))
+
+    def fill(free, prefix):
+        if not free:
+            yield tuple(word)
+            return
+        p, rest = free[0], free[1:]
+        yield from fill(rest, prefix)
+        if prefix > p + 1:
+            return
+        for k, q in enumerate(rest):
+            word[p - 1], word[q - 1] = q, p
+            yield from fill(rest[:k] + rest[k + 1:], q)  # q is the largest point paired
+            word[p - 1], word[q - 1] = p, q
+
+    return fill(tuple(range(1, n + 1)), 0)
+
+
 @lru_cache(maxsize=None)
 def filtered_boolean_words(n):
     """(index in the full stream, word) of each involution of S_n without a
@@ -717,11 +738,11 @@ def filtered_inv_exc_counts(n_max):
 
 
 def per_size_walk_inv_exc_counts(n_max):
-    """Boolean involutions by (n, inversions, excedances), each word of the
-    pruned walk of each size n <= n_max rescanned, each row in walk order.
-    The filtered stream would hold every involution of S_15 at the brute
-    guard edge, and `boolean_involutions` refuses S_15."""
-    return _per_size_inv_exc_counts(n_max, lambda n: (word for _, word in _walk(n, True)))
+    """Boolean involutions by (n, inversions, excedances), each word of
+    `pruned_boolean_words` of each size n <= n_max rescanned, each row in
+    walk order.  The filtered stream would hold every involution of S_15 at
+    the brute guard edge, and `boolean_involutions` refuses S_15."""
+    return _per_size_inv_exc_counts(n_max, pruned_boolean_words)
 
 
 def prefix_rank_table(word):

@@ -40,6 +40,7 @@ from oracles import (
     nested_involution_words,
     nested_signed_windows,
     per_size_walk_inv_exc_counts,
+    pruned_boolean_words,
     sorted_signed_windows,
     three_term_total_recurrence,
 )
@@ -90,6 +91,13 @@ def test_pruned_walk_matches_filtered_stream():
         expected = filtered_boolean_words(n)
         assert [(index, tuple(word)) for index, word in counting._walk(n, pruned=True)] == expected
         assert [w.word for w in boolean_involutions(n)] == [w for _, w in expected]
+
+
+def test_pruned_oracle_matches_filtered_stream():
+    """The per-size oracle of the brute tables, which reads no walk of the
+    library, against the filtered stream."""
+    for n in range(11):
+        assert list(pruned_boolean_words(n)) == [word for _, word in filtered_boolean_words(n)]
 
 
 def test_boolean_leaves_match_rescanned_filtered_stream():

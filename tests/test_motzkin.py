@@ -152,8 +152,8 @@ def test_restricted_totals_are_the_path_row_sums():
     totals = list(restricted_totals(40))
     assert totals == list(three_term_total_recurrence(40).values())
     assert totals[:9] == [len(restricted_strings(n)) for n in range(1, 10)]
-    for ups in (1, 0):
-        assert [sum(row) for row in restricted_path_rows(40, ups)] == totals
+    for ups in (True, False):
+        assert [sum(counts) for _, _, counts in restricted_path_rows(40, ups)] == totals
     assert list(restricted_totals(0)) == []
 
 
