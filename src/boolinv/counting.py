@@ -427,11 +427,12 @@ def cross_validate(n_max: int, jobs: int = 1) -> CrossValidationReport:
 def table_rows(table: dict | Iterable[Row], fmt: str, columns: tuple = ()) -> Iterator[str]:
     """
     The text of a table, a dict (one row) or `build_table`'s rows, a row at
-    a time: with fmt "tsv", the `columns` header, then a line per key, keys
-    ascending, the count last, a row per `%`; with "json", one object, keys
-    joined by commas and sorted as strings, in json.dumps' form, with no
-    final newline.  As ',' sorts below every digit, those names sort by the
-    string of their n first: JSON sorts each row, then the rows by that.
+    a time, each by one `%`: with fmt "tsv", the `columns` header, then a
+    line per key, keys ascending, the count last; with "json", one object,
+    keys joined by commas and sorted as strings, in json.dumps' form, with
+    no final newline.  JSON sorts each row's cell texts '"n,i,e": c' whole,
+    as '"' sorts below ',', '-' and every digit, then the rows by the
+    string of their n, as ',' sorts below every digit too.
 
     >>> list(table_rows({(2, 1): 1, (10, 0): 4}, "json"))
     ['{', '"10,0": 4, "2,1": 1', '}']
@@ -446,15 +447,19 @@ def table_rows(table: dict | Iterable[Row], fmt: str, columns: tuple = ()) -> It
     for n, keys, counts in filter(itemgetter(1), table):  # the rows with cells
         tuples = isinstance(keys[0], tuple)
         width = len(keys[0]) + 1 if tuples else 2  # ints per line
+        fields = [0] * (width * len(keys))
+        fields[width - 1 :: width] = counts
+        for i in range(width - 1):  # by itemgetter: zip(*keys) holds an iterator per key
+            fields[i::width] = map(itemgetter(i), keys) if tuples else keys
         if fmt == "tsv":
-            fields = [0] * (width * len(keys))
-            fields[width - 1 :: width] = counts
-            for i in range(width - 1):  # by itemgetter: zip(*keys) holds an iterator per key
-                fields[i::width] = map(itemgetter(i), keys) if tuples else keys
             yield (_format(width, "\t") + "\n") * len(keys) % tuple(fields)
-        else:
-            named = dict(zip(map(_format(width - 1, ",").__mod__, keys), counts))
-            texts.append((str(n), ", ".join([f'"{k}": {named[k]}' for k in sorted(named)])))
+        else:  # one copy of the row held: its text and fields dropped once split, cells once joined
+            cell = f'"{_format(width - 1, ",")}": {_format(1, "")}\n'
+            cells = (cell * len(keys) % tuple(fields)).splitlines()
+            del fields
+            cells.sort()
+            texts.append((str(n), ", ".join(cells)))
+            del cells
     if fmt != "tsv":
         yield "{"
         for i, (_, text) in enumerate(sorted(texts)):

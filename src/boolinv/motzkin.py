@@ -16,9 +16,10 @@ Path text form: a string over {U, F, D}, e.g. "UUDUDUDDF".
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, compress, repeat
-from operator import add, itemgetter
+from operator import itemgetter
 from typing import Iterator
 
 from .permutations import InvariantViolationError, Involution, ParseError, check_size
@@ -147,10 +148,14 @@ def restricted_path_rows(n_max: int, ups: bool) -> Iterator[Row]:
     is one shift and an up step another.  A prefix at height 1 or 2 ends,
     by D or DD, in its own path of length at most n_max + 2: no count passes
     h(n_max + 2) < 2^count_bits(n_max + 2), and no prefix has more than
-    n_max // 2 + 1 ups.  A carry out of a slot would lower the sum of the
-    slots below `restricted_totals`, as checked.  At every n the cells
-    ascend with the slots by 2r + u (f) or r (g) descending, then by u, so
-    each row is read in one slot order, made once.
+    n_max // 2 + 1 ups.  At every n the cells ascend with the slots by
+    k = 2r + u (f) or r (g) descending, then by u, so one slot order, made
+    once, serves every row.  Row n reads only its window, the slots that can
+    hold a cell of size n, k <= 2n (f) or n (g), so r <= n: a suffix of
+    that order, below slot (n + 1) stride; the order holds only the window
+    of n_max.  A carry out of a slot, or a count left outside the window,
+    would lower the sum of the counts read below `restricted_totals`, as
+    checked.
 
     >>> list(restricted_path_rows(3, True))[-1]
     (3, [(3, 0, 0), (3, 1, 1), (3, 3, 1)], [1, 2, 1])
@@ -158,12 +163,11 @@ def restricted_path_rows(n_max: int, ups: bool) -> Iterator[Row]:
     bits = count_bits(n_max + 2)
     width = slot_bytes(bits)
     stride, scale = (n_max // 2 + 2, 2) if ups else (1, 1)
-    slots = (n_max + 1) * stride
     up, back = 8 * width * ups, 8 * width * stride
-    # each slot as (its cell's second part less scale n, u, r), in cell order
-    shifts, ups_of, returns = map(tuple, zip(*sorted(
-        (-scale * r - u, u, r) for r in range(n_max + 1) for u in range(stride))))
-    order = itemgetter(*map(add, map(stride.__mul__, returns), ups_of))
+    # each slot with k = scale r + u <= scale n_max, as (-k, u, its index), in cell order
+    shifts, ups_of, slot_of = map(tuple, zip(*(
+        (-k, u, (k - u) // scale * stride + u) for k in range(scale * n_max, -1, -1)
+        for u in range(k % scale, min(k, stride - 1) + 1, scale))))
     at0, at1, at2 = 1, 0, 0  # packed rows
     for n, total in enumerate(restricted_totals(n_max), start=1):
         at0, at1, at2 = (
@@ -171,12 +175,14 @@ def restricted_path_rows(n_max: int, ups: bool) -> Iterator[Row]:
             (at0 << up) + at1 + at2,  # up from 0, flat at 1, down from 2
             at1 << up,  # up from 1
         )
-        values = decode_slots(at0, width, bits, slots, f"path row {n}")
-        if sum(values) != total:
+        values = decode_slots(at0, width, bits, (n_max + 1) * stride, f"path row {n}")
+        start = bisect_left(shifts, -scale * n)  # k <= scale n: 2 slots or more, so a tuple
+        counts = itemgetter(*slot_of[start:])(values + [0] * ((n + 1) * stride - len(values)))
+        if sum(counts) != total:
             raise InvariantViolationError(f"path row {n} overflows its {width}-byte slots")
-        counts = order(values + [0] * (slots - len(values)))
-        seconds = map((scale * n).__add__, compress(shifts, counts))
-        keys = zip(repeat(n), seconds, compress(ups_of, counts)) if ups else zip(repeat(n), seconds)
+        seconds = map((scale * n).__add__, compress(shifts[start:], counts))
+        ups_in = compress(ups_of[start:], counts)
+        keys = zip(repeat(n), seconds, ups_in) if ups else zip(repeat(n), seconds)
         yield n, list(keys), list(compress(counts, counts))
 
 

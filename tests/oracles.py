@@ -9,9 +9,11 @@ from itertools import combinations, groupby, product
 from boolinv.boolean import connected_components, has_long_crossing
 from boolinv.ideals import IdealPoset
 from boolinv.involution_words import _act, apply_letter, rank, reduced_word
-from boolinv.motzkin import STEP_RISE, MotzkinPath
+from boolinv.motzkin import STEP_RISE, MotzkinPath, restricted_totals
 from boolinv.patterns import _least_larger_right, _rising_tail
-from boolinv.permutations import Involution, compose, conjugate, identity, transposition
+from boolinv.permutations import (
+    InvariantViolationError, Involution, compose, conjugate, identity, transposition)
+from boolinv.series import count_bits, decode_slots, slot_bytes
 from boolinv.signed import SignedInvolution
 
 
@@ -497,6 +499,30 @@ def dense_expand_rows(numerator, denominator, bounds):
         rows[mono[0]].append(mono)
     for d, keys in rows.items():
         yield d, keys, [coeffs[mono] for mono in keys]
+
+
+def full_slot_path_rows(n_max, ups):
+    """`motzkin.restricted_path_rows` as it read every row: all
+    (n_max + 1)(n_max // 2 + 2) slots (n_max + 1 without `ups`) ordered
+    and compressed at each n, and the sum of every decoded slot checked
+    against the path total."""
+    bits = count_bits(n_max + 2)
+    width = slot_bytes(bits)
+    stride, scale = (n_max // 2 + 2, 2) if ups else (1, 1)
+    slots = (n_max + 1) * stride
+    up, back = 8 * width * ups, 8 * width * stride
+    order = sorted((-scale * r - u, u, r) for r in range(n_max + 1) for u in range(stride))
+    at0, at1, at2 = 1, 0, 0
+    for n, total in enumerate(restricted_totals(n_max), start=1):
+        at0, at1, at2 = (at0 + at1) << back, (at0 << up) + at1 + at2, at1 << up
+        values = decode_slots(at0, width, bits, slots, f"path row {n}")
+        if sum(values) != total:
+            raise InvariantViolationError(f"path row {n} overflows its {width}-byte slots")
+        values += [0] * (slots - len(values))
+        cells = [(shift, u, values[r * stride + u]) for shift, u, r in order]
+        cells = [cell for cell in cells if cell[2]]
+        keys = [(n, scale * n + shift, u)[: 2 + ups] for shift, u, _ in cells]
+        yield n, keys, [count for _, _, count in cells]
 
 
 def per_cell_table_rows(table, fmt, columns=()):

@@ -601,8 +601,11 @@ def test_table_text_matches_the_per_cell_oracle():
         {(10, 0, 1): 4, (2, 11, 1): 1, (2, 3, 0): 3, (1, 0, 0): 9, (-1, 3, 0): 2, (100, 2, 5): 8},
         {(1,): 10**5000, (12,): 1},
         {(2, 0): 10**5000 + 7},
+        {(1, 2, 10): 3, (1, 21, 0): -4, (1, 2, 1): 5, (-1, 2, 1): 2, (1, 2, 100): 1},
+        {100: 1, 1: -7, 10: 2, -1: 3},
     ],
-    ids=["int keys", "empty", "unsorted tuple keys", "1-tuple keys", "5000 digits"],
+    ids=["int keys", "empty", "unsorted tuple keys", "1-tuple keys", "5000 digits",
+         "names prefixes of one another", "int names prefixes of one another"],
 )
 def test_hand_made_tables_match_the_per_cell_oracle(table):
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()

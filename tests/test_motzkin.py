@@ -27,8 +27,8 @@ from boolinv.permutations import (
     parse_permutation,
 )
 from oracles import (
-    checked_involution_to_path, motzkin_strings, restricted_strings, restricted_walks,
-    three_pass_path_to_involution, three_term_total_recurrence)
+    checked_involution_to_path, full_slot_path_rows, motzkin_strings, restricted_strings,
+    restricted_walks, three_pass_path_to_involution, three_term_total_recurrence)
 
 
 def test_path_validation():
@@ -155,6 +155,16 @@ def test_restricted_totals_are_the_path_row_sums():
     for ups in (True, False):
         assert [sum(counts) for _, _, counts in restricted_path_rows(40, ups)] == totals
     assert list(restricted_totals(0)) == []
+
+
+@pytest.mark.parametrize("n_max", [*range(61), 100, 176])
+def test_windowed_path_rows_match_the_full_slot_rows(n_max):
+    """Each row read through its window of the slot order, 2r + u <= 2n,
+    against every slot ordered and compressed: every n_max to 60, where the
+    slots widen from 1 to 9 bytes, and 100 and 176, the f edge of the
+    `work` guard."""
+    for ups in (True, False):
+        assert list(restricted_path_rows(n_max, ups)) == list(full_slot_path_rows(n_max, ups))
 
 
 def test_involution_to_path_refuses_a_non_involution():
