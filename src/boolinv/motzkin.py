@@ -16,10 +16,8 @@ Path text form: a string over {U, F, D}, e.g. "UUDUDUDDF".
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, compress, repeat
-from operator import itemgetter
+from itertools import accumulate, compress
 from typing import Iterator
 
 from .permutations import InvariantViolationError, Involution, ParseError, check_size
@@ -140,50 +138,50 @@ def restricted_path_rows(n_max: int, ups: bool) -> Iterator[Row]:
     and u up steps count in cell (n, 2n - 2r - u, u) of f and (n, n - r) of
     g, by the paper's bijection.  They are counted by a transfer matrix over
     the height of the last step (flats only below 2, every step onto the
-    axis a return), with the count of (r, u) in slot r * stride + u, stride
-    n_max // 2 + 2; without `ups`, u stays 0 and the stride is 1, as small as
-    the rank marginal needs.
+    axis a return).
 
-    The paths at each height are one packed int in those slots, so a return
-    is one shift and an up step another.  A prefix at height 1 or 2 ends,
-    by D or DD, in its own path of length at most n_max + 2: no count passes
-    h(n_max + 2) < 2^count_bits(n_max + 2), and no prefix has more than
-    n_max // 2 + 1 ups.  At every n the cells ascend with the slots by
-    k = 2r + u (f) or r (g) descending, then by u, so one slot order, made
-    once, serves every row.  Row n reads only its window, the slots that can
-    hold a cell of size n, k <= 2n (f) or n (g), so r <= n: a suffix of
-    that order, below slot (n + 1) stride; the order holds only the window
-    of n_max.  A carry out of a slot, or a count left outside the window,
-    would lower the sum of the counts read below `restricted_totals`, as
-    checked.
+    The paths at each height are one packed int, so each kind of step is
+    one shift.  f's cell (n, l, a) is slot (l odd + a) / 2, odd =
+    (n_max // 2 + 2) | 1, a whole slot as l + a is even: a return keeps
+    its slot, an up step moves (odd + 1) / 2 slots and any other step odd.
+    No prefix has more than n_max // 2 + 1 < odd ups, so the slots ascend
+    with their keys, divmod(2 slot, odd), made once.  g's count of r
+    returns is slot r, so only a return moves, one slot, and row n is read
+    backwards from slot n, the identity's, always occupied: not the series'
+    rank order, so a fault in their shared decoder shows up.  A prefix at
+    height 1 or 2 ends, by D or DD, in its own path of length at most
+    n_max + 2: no count passes h(n_max + 2) < 2^count_bits(n_max + 2).  A
+    carry out of a slot would lower the sum of the counts below
+    `restricted_totals`, as checked.
 
     >>> list(restricted_path_rows(3, True))[-1]
     (3, [(3, 0, 0), (3, 1, 1), (3, 3, 1)], [1, 2, 1])
+    >>> list(restricted_path_rows(3, False))[-1]
+    (3, [(3, 0), (3, 1), (3, 2)], [1, 2, 1])
     """
     bits = count_bits(n_max + 2)
     width = slot_bytes(bits)
-    stride, scale = (n_max // 2 + 2, 2) if ups else (1, 1)
-    up, back = 8 * width * ups, 8 * width * stride
-    # each slot with k = scale r + u <= scale n_max, as (-k, u, its index), in cell order
-    shifts, ups_of, slot_of = map(tuple, zip(*(
-        (-k, u, (k - u) // scale * stride + u) for k in range(scale * n_max, -1, -1)
-        for u in range(k % scale, min(k, stride - 1) + 1, scale))))
+    if ups:
+        odd = (n_max // 2 + 2) | 1
+        keys = [divmod(2 * s, odd) for s in range((2 * n_max + 1) * odd // 2 + 1)]
+        moves = 0, (odd + 1) // 2, odd
+    else:
+        keys = [(k,) for k in range(n_max + 1)]
+        moves = 1, 0, 0
+    back, up, other = (8 * width * slots for slots in moves)
     at0, at1, at2 = 1, 0, 0  # packed rows
     for n, total in enumerate(restricted_totals(n_max), start=1):
         at0, at1, at2 = (
             (at0 + at1) << back,  # flat at 0, or down from 1
-            (at0 << up) + at1 + at2,  # up from 0, flat at 1, down from 2
+            (at0 << up) + ((at1 + at2) << other),  # up from 0, flat at 1, down from 2
             at1 << up,  # up from 1
         )
-        values = decode_slots(at0, width, bits, (n_max + 1) * stride, f"path row {n}")
-        start = bisect_left(shifts, -scale * n)  # k <= scale n: 2 slots or more, so a tuple
-        counts = itemgetter(*slot_of[start:])(values + [0] * ((n + 1) * stride - len(values)))
-        if sum(counts) != total:
+        values = decode_slots(at0, width, bits, len(keys), f"path row {n}")
+        if sum(values) != total:
             raise InvariantViolationError(f"path row {n} overflows its {width}-byte slots")
-        seconds = map((scale * n).__add__, compress(shifts[start:], counts))
-        ups_in = compress(ups_of[start:], counts)
-        keys = zip(repeat(n), seconds, ups_in) if ups else zip(repeat(n), seconds)
-        yield n, list(keys), list(compress(counts, counts))
+        if not ups:
+            values.reverse()
+        yield n, list(map((n,).__add__, compress(keys, values))), list(compress(values, values))
 
 
 def count_restricted(n: int) -> int:

@@ -502,10 +502,11 @@ def dense_expand_rows(numerator, denominator, bounds):
 
 
 def full_slot_path_rows(n_max, ups):
-    """`motzkin.restricted_path_rows` as it read every row: all
-    (n_max + 1)(n_max // 2 + 2) slots (n_max + 1 without `ups`) ordered
-    and compressed at each n, and the sum of every decoded slot checked
-    against the path total."""
+    """The rows of `motzkin.restricted_path_rows` from the returns-major
+    reference layout, which that function no longer uses: the count of r
+    returns and u ups in slot r (n_max // 2 + 2) + u (slot r without
+    `ups`), every slot of the box ordered and compressed at each n, and the
+    sum of every decoded slot checked against the path total."""
     bits = count_bits(n_max + 2)
     width = slot_bytes(bits)
     stride, scale = (n_max // 2 + 2, 2) if ups else (1, 1)

@@ -468,6 +468,27 @@ def test_recurrence_raises_on_slots_too_narrow(monkeypatch, route, n_max):
         route(n_max)
 
 
+@pytest.mark.parametrize("n_max", [4, 8, 12])
+def test_a_shared_decoder_fault_shows_as_a_disagreement(monkeypatch, n_max):
+    """The path rows and the series share `decode_slots` but not a slot
+    layout, so a decoder that swaps each pair of neighbouring slots moves
+    other cells in each: the recurrence and gf tables of f and g disagree
+    instead of agreeing on the same wrong counts."""
+    decode = series.decode_slots
+
+    def swapped(*args):
+        values = decode(*args)
+        pairs = len(values) // 2 * 2
+        values[0:pairs:2], values[1:pairs:2] = values[1:pairs:2], values[0:pairs:2]
+        return values
+
+    monkeypatch.setattr(series, "decode_slots", swapped)
+    monkeypatch.setattr(motzkin, "decode_slots", swapped)
+    for stat in "fg":
+        assert counting.build_table(stat, "recurrence", n_max) != counting.build_table(
+            stat, "gf", n_max)
+
+
 def test_expand_rational_raises_on_row_outside_its_box():
     # 1/(1 + x) = 1 - x + x^2 - ...: packed row 1 is negative
     with pytest.raises(InvariantViolationError, match="series row 1 "):
