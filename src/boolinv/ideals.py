@@ -10,9 +10,11 @@ x(s) > x(s+1).  If s is a descent of y = x.s, then rank(y) = rank(x) + 1 and
 the down-covers of y are x and z.s for each down-cover z of x with ascent s
 (the lifting property, Hultman 2005).  No pair of elements is compared.
 The closure numbers each element once, as it is reached, and carries
-numbers, not words, from then on: covers are number lists, and one sort
-by (rank, word) places the elements.  The order is kept once, as covers;
-the down-sets, |I|^2 / 2 bits, are filled up the covers only when read.
+numbers, not words, from then on: covers are number lists.  The numbers
+are bucketed by rank and each rank layer sorted by word, which places the
+elements; the covers, bucketed by their lower ends, come out in order
+without a sort.  The order is kept once, as covers; the down-sets,
+|I|^2 / 2 bits, are filled up the covers only when read.
 
 `bruhat_leq` compares two permutations by the tableau criterion on sorted
 prefixes.
@@ -112,32 +114,43 @@ def subword_closure(w: Involution) -> tuple[list[Word], list[int], list[list[int
     words, ranks, downs = [identity(w.n).word], [0], [[]]
     number = {words[0]: 0}
     for s in reduced_word(w):
-        lifted: dict[int, int] = {}  # x -> x.s, for each x with ascent s
-        for x in range(len(words)):
-            u = words[x]
-            if u[s - 1] < u[s]:
-                y = _act(u, s)
-                lifted[x] = b = number.setdefault(y, len(words))
-                if b == len(words):  # y is new; x's down-covers precede x
-                    if b == limit:
-                        refuse("ideal", (b + 1,), "ideal")
-                    words.append(y)
-                    ranks.append(ranks[x] + 1)
-                    downs.append([x] + [lifted[z] for z in downs[x] if z in lifted])
+        lifted = [0] * len(words)  # x -> x.s for x with ascent s; 0, the identity, is no x.s
+        for x in [x for x, u in enumerate(words) if u[s - 1] < u[s]]:
+            y = _act(words[x], s)
+            lifted[x] = b = number.setdefault(y, len(words))
+            if b == len(words):  # y is new; x's down-covers precede x
+                if b == limit:
+                    refuse("ideal", (b + 1,), "ideal")
+                words.append(y)
+                ranks.append(ranks[x] + 1)
+                downs.append([x, *filter(None, map(lifted.__getitem__, downs[x]))])
     return words, ranks, downs
 
 
 def ideal(w: Involution) -> IdealPoset:
-    """The principal order ideal below w in the Bruhat order on involutions."""
+    """
+    The principal order ideal below w in the Bruhat order on involutions:
+    the closure's rank layers, each sorted by word, and the covers bucketed
+    by their lower ends a as the upper ends b are walked, so in (a, b) order.
+    """
     w = _as_involution(w)
     words, ranks, downs = subword_closure(w)
-    ranks, words, order = zip(*sorted(zip(ranks, words, range(len(words)))))
-    if words[0] != identity(w.n).word or words[-1] != w.word:
+    layers: list[list[int]] = [[] for _ in range(max(ranks) + 1)]
+    for x, r in enumerate(ranks):
+        layers[r].append(x)
+    order = [x for layer in layers for x in sorted(layer, key=words.__getitem__)]
+    if words[order[0]] != identity(w.n).word or words[order[-1]] != w.word:
         raise InvariantViolationError(f"ideal of {w.word} lost its extremes")
-    place = dict(zip(order, range(len(order))))
-    pairs = [(place[a], b) for b, z in enumerate(order) for a in downs[z]]  # b increasing
-    covers = tuple(sorted(pairs, key=itemgetter(0)))  # stable: by a, then by b
-    elements = tuple(map(_trusted_involution, words))
+    place = [0] * len(order)  # closure number -> final number
+    ups: list[list[int]] = [[] for _ in order]
+    for b, x in enumerate(order):  # x's down-covers, one rank lower, are placed
+        place[x] = b
+        for a in downs[x]:
+            ups[place[a]].append(b)
+    covers = tuple([(a, b) for a, up in enumerate(ups) for b in up])
+    del downs, ups  # 2|I| lists freed before the elements are made, so fewer GC passes run
+    ranks = tuple([r for r, layer in enumerate(layers) for _ in layer])
+    elements = tuple(map(_trusted_involution, map(words.__getitem__, order)))
     return IdealPoset(w, elements, ranks, covers)
 
 

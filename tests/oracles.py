@@ -5,14 +5,16 @@ different from the ones the library takes.
 """
 from functools import lru_cache
 from itertools import combinations, groupby, product
+from operator import itemgetter
 
 from boolinv.boolean import connected_components, has_long_crossing
-from boolinv.ideals import IdealPoset
+from boolinv.ideals import IdealPoset, subword_closure
 from boolinv.involution_words import _act, apply_letter, rank, reduced_word
 from boolinv.motzkin import STEP_RISE, MotzkinPath, restricted_totals
 from boolinv.patterns import _least_larger_right, _rising_tail
 from boolinv.permutations import (
-    InvariantViolationError, Involution, compose, conjugate, identity, transposition)
+    InvariantViolationError, Involution, _trusted_involution, compose, conjugate, identity,
+    transposition)
 from boolinv.series import count_bits, decode_slots, slot_bytes
 from boolinv.signed import SignedInvolution
 
@@ -375,6 +377,19 @@ def ideal_by_adjacent_ranks(w: Involution):
     poset = IdealPoset(w, elements, ranks, tuple(covers))
     vars(poset)["below"] = tuple(below)
     return poset
+
+
+def sorted_assembly_ideal(w: Involution):
+    """The ideal below w assembled from `subword_closure` by comparison
+    sorts: the elements by (rank, word, closure number) triples, their
+    numbers renumbered through a dict, and the renumbered covers by a
+    stable sort on their lower ends."""
+    words, ranks, downs = subword_closure(w)
+    ranks, words, order = zip(*sorted(zip(ranks, words, range(len(words)))))
+    place = dict(zip(order, range(len(order))))
+    pairs = [(place[a], b) for b, z in enumerate(order) for a in downs[z]]  # b increasing
+    covers = tuple(sorted(pairs, key=itemgetter(0)))  # stable: by a, then by b
+    return IdealPoset(w, tuple(map(_trusted_involution, words)), ranks, covers)
 
 
 def word_keyed_closure(w: Involution):

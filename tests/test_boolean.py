@@ -92,7 +92,7 @@ def test_is_boolean_rejects_unknown_method():
 
 
 def test_methods_agree():
-    for n in range(7):
+    for n in range(9):
         for w in involutions(n):
             results = {m: is_boolean(w, m).is_boolean for m in
                        ("patterns", "long_crossing", "word", "poset")}

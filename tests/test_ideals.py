@@ -1,4 +1,5 @@
 import io
+import random
 
 import pytest
 
@@ -14,14 +15,16 @@ from boolinv.ideals import (
     subword_closure,
 )
 from boolinv.involution_words import rank
-from boolinv.permutations import Involution, identity, parse_permutation
+from boolinv.permutations import Involution, identity, parse_permutation, sum_blocks
 from boolinv.selfcheck import product_decomposition_check
 from boolinv.work import LIMITS, ResourceLimitError
 from oracles import (
+    boolean_involution,
     bruhat_leq_by_matrix,
     covers_from_below,
     grouped_dot,
     ideal_by_adjacent_ranks,
+    sorted_assembly_ideal,
     subword_evaluations,
     word_keyed_closure,
 )
@@ -145,6 +148,53 @@ def test_ideal_matches_adjacent_rank_oracle():
     high_rank = Involution(tuple(range(9, 0, -1)) + (11, 10))  # 5240 elements
     poset, expected = ideal(high_rank), ideal_by_adjacent_ranks(high_rank)
     assert poset == expected and poset.below == expected.below
+
+
+# each forbidden block with the number of elements of its ideal
+BLOCKS = {(4, 3, 2, 1): 10, (4, 5, 3, 1, 2): 22, (4, 5, 6, 1, 2, 3): 48}
+
+
+def _sparse_hosts(rng, max_rank=10, max_elements=2048):
+    """For n = 16..64: a uniform Boolean host of S_n that keeps, in a random
+    order, each component that leaves its rank at most `max_rank` and fixes
+    the others' points; then, for each forbidden block, the last of those
+    hosts on the way whose ideal, times the block's, stays below
+    `max_elements`, with the block put at one of its component boundaries."""
+    for n in range(16, 65, 12):
+        w = boolean_involution(n, rng)
+        spans = sum_blocks(w.word)
+        rng.shuffle(spans)
+        word = tuple(range(1, n + 1))
+        kept = [(0, word)]
+        for lo, hi in spans:
+            trial = word[:lo - 1] + w.word[lo - 1:hi] + word[hi:]
+            r = rank(Involution(trial))
+            if r <= max_rank:
+                word = trial
+                kept.append((r, word))
+        yield Involution(word)
+        for block, size in BLOCKS.items():
+            host = [word for r, word in kept if size << r < max_elements][-1]
+            g = rng.choice([0] + [hi for _, hi in sum_blocks(host)])
+            shifted = tuple(len(block) + v for v in host[g:])
+            yield Involution(host[:g] + tuple(g + b for b in block) + shifted)
+
+
+def test_ideal_matches_sorted_assembly_oracle():
+    # the rank layers and the bucketed covers against the comparison sorts
+    # they replaced, field by field, covers in order, and the down-sets:
+    # every involution with n <= 8, (1 14) at the guard, 987654321 (+) 21,
+    # and sparse sampled hosts past n = 8, with and without a forbidden block
+    hosts = [w for n in range(9) for w in involutions(n)]
+    hosts.append(Involution((14,) + tuple(range(2, 14)) + (1,)))
+    hosts.append(Involution(tuple(range(9, 0, -1)) + (11, 10)))
+    sparse = list(_sparse_hosts(random.Random(37)))
+    for w in hosts + sparse:
+        poset, expected = ideal(w), sorted_assembly_ideal(w)
+        assert poset == expected and poset.covers == expected.covers, w
+        assert poset.below == expected.below, w
+    assert max(len(ideal(w)) for w in sparse) < 2048
+    assert max(rank(w) for w in sparse[::4]) == 10
 
 
 def test_ideal_fills_down_sets_only_when_read():

@@ -1,9 +1,15 @@
+import random
+from itertools import accumulate
+
 import pytest
 
 from boolinv.boolean import has_long_crossing
-from boolinv.counting import involutions
+from boolinv.counting import (
+    involutions, recurrence_inv_exc_counts, recurrence_rank_counts, series_inv_exc_counts,
+    series_rank_counts)
 from boolinv.involution_words import rank
 from boolinv.motzkin import (
+    STEP_RISE,
     MotzkinPath,
     axis_contacts,
     count_restricted,
@@ -27,8 +33,9 @@ from boolinv.permutations import (
     parse_permutation,
 )
 from oracles import (
-    checked_involution_to_path, full_slot_path_rows, motzkin_strings, restricted_strings,
-    restricted_walks, three_pass_path_to_involution, three_term_total_recurrence)
+    checked_involution_to_path, full_slot_path_rows, inversion_count, motzkin_strings,
+    restricted_strings, restricted_walks, three_pass_path_to_involution,
+    three_term_total_recurrence, uniform_restricted_path)
 
 
 def test_path_validation():
@@ -139,6 +146,29 @@ def test_statistic_transport():
             if not has_long_crossing(w):
                 assert rank_from_path(path) == rank(w)
                 assert inversions(w)[0] == 2 * rank(w) - exc
+
+
+def test_statistic_transport_on_sampled_paths_past_the_brute_sizes():
+    # uniform restricted paths at n = 20, 50 and 100, where no table cell
+    # is checked against the involutions it counts: each path's involution
+    # has (inversions, excedances) = (2n - 2r - u, u), with r returns to the
+    # axis and u up steps read off the path, and its f and g cells are
+    # nonzero, and equal, by the recurrence and by the gf route
+    f_tables = recurrence_inv_exc_counts(100), series_inv_exc_counts(100)
+    g_tables = recurrence_rank_counts(100), series_rank_counts(100)
+    rng = random.Random(23)
+    for n in (20, 50, 100):
+        for _ in range(20):
+            steps = uniform_restricted_path(n, rng)
+            word = path_to_involution(MotzkinPath(steps)).word
+            inv = inversion_count(word)
+            exc = sum(1 for i, v in enumerate(word, start=1) if v > i)
+            heights = list(accumulate(STEP_RISE[step] for step in steps))
+            r, u = heights.count(0), steps.count("U")
+            assert (inv, exc) == (2 * n - 2 * r - u, u), steps
+            f_cells = [table.get((n, inv, exc), 0) for table in f_tables]
+            g_cells = [table.get((n, (inv + exc) // 2), 0) for table in g_tables]
+            assert f_cells[0] == f_cells[1] > 0 and g_cells[0] == g_cells[1] > 0, steps
 
 
 def test_motzkin_paths_cover_all_involutions():
